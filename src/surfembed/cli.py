@@ -170,8 +170,6 @@ def _cmd_solve(args):
     kwargs = {}
     if args.budget_nodes:
         kwargs["max_nodes"] = args.budget_nodes
-    if args.threads:
-        kwargs["threads"] = args.threads
     budget = SolverBudget(**kwargs)
     if args.genus is not None:
         res = z2_embeddable_orientable(g, args.genus, budget)
@@ -288,7 +286,6 @@ def build_parser():
     grp.add_argument("--crosscaps", type=int)
     grp.add_argument("--euler", type=int)
     c.add_argument("--budget-nodes", type=int)
-    c.add_argument("--threads", type=int)
     c.add_argument("--witness-out")
     c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_solve)

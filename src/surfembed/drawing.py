@@ -7,16 +7,18 @@ modulo 2 with witness construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .geom import (
     Point,
     DegeneracyError,
     classify_segments,
     crossing_sign,
+    integer_image,
     strictly_inside_segment,
-    winding_number,
 )
 from .gf2 import BitMatrix, in_affine_span
 from .graph import Graph, independent_pairs
@@ -40,10 +42,19 @@ class PlanarDrawing:
 
     Polylines run from the point of the lower-index endpoint to the
     higher-index one; edge_orientations[i] = +1 keeps that direction for
-    signed crossings, -1 reverses it.
+    signed crossings, -1 reverses it.  Drawings are not mutated: a finger
+    move makes a new drawing that shares the untouched point lists.
     """
 
-    __slots__ = ("graph", "vertex_points", "edge_polylines", "edge_orientations", "_crossings")
+    __slots__ = (
+        "graph",
+        "vertex_points",
+        "edge_polylines",
+        "edge_orientations",
+        "_crossings",
+        "_points",
+        "_self_points",
+    )
 
     def __init__(self, graph: Graph, vertex_points, edge_polylines, edge_orientations=None):
         self.graph = graph
@@ -59,17 +70,27 @@ class PlanarDrawing:
         if any(o not in (1, -1) for o in self.edge_orientations):
             raise GeneralPositionError("orientations must be +1/-1")
         self._crossings = None
+        # Filled with the table: crossing point -> count over all pair and
+        # self-crossings, and each edge's self-crossing points.
+        self._points = None
+        self._self_points = None
 
     def crossings(self):
         """All proper crossings by edge pair; validates general position."""
         if self._crossings is None:
-            self._crossings = _compute_crossings(self)
+            self._crossings, self._points, self._self_points = _compute_crossings(self)
         return self._crossings
 
     def with_polyline(self, edge: int, polyline) -> "PlanarDrawing":
-        pls = [list(pl) for pl in self.edge_polylines]
-        pls[edge] = list(polyline)
-        return PlanarDrawing(self.graph, self.vertex_points, pls, self.edge_orientations)
+        """A copy with one edge rerouted; the other point lists are shared."""
+        d = object.__new__(PlanarDrawing)
+        d.graph = self.graph
+        d.vertex_points = self.vertex_points
+        d.edge_polylines = list(self.edge_polylines)
+        d.edge_polylines[edge] = [(Fraction(x), Fraction(y)) for x, y in polyline]
+        d.edge_orientations = self.edge_orientations
+        d._crossings = d._points = d._self_points = None
+        return d
 
 
 def _polyline_segments(pl):
@@ -132,9 +153,11 @@ def _pair_crossings(d: PlanarDrawing, i: int, j: int, point_log=None):
     return out
 
 
-def _check_self(d: PlanarDrawing, i: int, point_log):
+def _check_self(d: PlanarDrawing, i: int, point_log=None) -> list:
+    """Self-crossing points of edge i, also counted in point_log when given."""
     pl = d.edge_polylines[i]
     segs = _polyline_segments(pl)
+    out = []
     for si in range(len(segs)):
         for sj in range(si + 1, len(segs)):
             a, b = segs[si]
@@ -148,34 +171,40 @@ def _check_self(d: PlanarDrawing, i: int, point_log):
                 if sj == si + 1 and p == b:
                     continue  # joint of consecutive segments
                 raise GeneralPositionError(f"edge {i}: self-tangency")
-            point_log[p] = point_log.get(p, 0) + 1
+            out.append(p)
+            if point_log is not None:
+                point_log[p] = point_log.get(p, 0) + 1
+    return out
 
 
-def _check_vertices(d: PlanarDrawing):
-    pts = d.vertex_points
-    if len(set(pts)) != len(pts):
-        raise GeneralPositionError("coincident vertex points")
-    for w, p in enumerate(pts):
-        for i, pl in enumerate(d.edge_polylines):
-            incident = w in d.graph.edges[i]
-            for a, b in _polyline_segments(pl):
-                if strictly_inside_segment(p, a, b):
-                    raise GeneralPositionError(f"vertex {w} inside edge {i}")
-            interior_pts = pl[1:-1]
-            if p in interior_pts:
-                raise GeneralPositionError(f"vertex {w} at a bend of edge {i}")
-            if not incident and p in (pl[0], pl[-1]):
-                raise GeneralPositionError(f"vertex {w} at endpoint of non-incident edge {i}")
+def _check_vertices_on_edge(d: PlanarDrawing, i: int):
+    """No vertex point inside, at a bend of, or at a foreign end of edge i."""
+    pl = d.edge_polylines[i]
+    segs = _polyline_segments(pl)
+    interior_pts = pl[1:-1]
+    ends = d.graph.edges[i]
+    for w, p in enumerate(d.vertex_points):
+        for a, b in segs:
+            if strictly_inside_segment(p, a, b):
+                raise GeneralPositionError(f"vertex {w} inside edge {i}")
+        if p in interior_pts:
+            raise GeneralPositionError(f"vertex {w} at a bend of edge {i}")
+        if w not in ends and p in (pl[0], pl[-1]):
+            raise GeneralPositionError(f"vertex {w} at endpoint of non-incident edge {i}")
 
 
 def _compute_crossings(d: PlanarDrawing):
+    """(pair table, crossing point -> count, self-crossing points per edge)."""
     m = d.graph.edge_count
     for i in range(m):
         _check_polyline_shape(d, i)
-    _check_vertices(d)
-    point_log: dict[Point, int] = {}
+    pts = d.vertex_points
+    if len(set(pts)) != len(pts):
+        raise GeneralPositionError("coincident vertex points")
     for i in range(m):
-        _check_self(d, i, point_log)
+        _check_vertices_on_edge(d, i)
+    point_log: dict[Point, int] = {}
+    self_points = [_check_self(d, i, point_log) for i in range(m)]
     table = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -183,7 +212,7 @@ def _compute_crossings(d: PlanarDrawing):
     for p, cnt in point_log.items():
         if cnt > 1:
             raise GeneralPositionError(f"multiple crossings through one point {p}")
-    return table
+    return table, point_log, self_points
 
 
 @dataclass
@@ -323,17 +352,25 @@ class CompatibilityClass:
     generators: list[int]
 
     @classmethod
-    def compute(cls, g: Graph) -> "CompatibilityClass":
-        base = crossing_parity_matrix(canonical_drawing(g))
+    def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
+        """The class through the given drawing of g, or the convex drawing."""
+        if drawing is None:
+            drawing = convex_drawing(g)
+        base = crossing_parity_matrix(drawing)
         return cls(g, base, finger_move_generators(g))
 
-    def membership(self, target: ParityMatrix):
+    def membership(self, target: ParityMatrix, light: bool = False):
+        """Finger-move coefficients reaching the target, or None.
+
+        light=True returns a certificate with fewer moves (see solve_gf2).
+        """
         pairs = independent_pairs(self.graph)
         return in_affine_span(
             target.pair_vector(pairs),
             self.base.pair_vector(pairs),
             self.generators,
             len(pairs),
+            light,
         )
 
 
@@ -394,21 +431,21 @@ def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
         (vpt[0] + vecs[(start + k) % 4][0], vpt[1] + vecs[(start + k) % 4][1])
         for k in range(4)
     ]
-    detour = [pm, b1, *corners, b2, pp]
-    loop = list(detour)  # closed by the segment pp -> pm along the old edge
-    return [s0, *detour, *polyline[1:]], loop
+    return [s0, pm, b1, *corners, b2, pp, *polyline[1:]]
 
 
-def _parities_with_edge(d: PlanarDrawing, e: int) -> dict[int, int]:
-    """Crossing parity of edge e with every independent edge; local checks only."""
-    g = d.graph
-    out = {}
-    for f in range(g.edge_count):
-        if f == e or g.edges_adjacent(e, f):
-            continue
-        i, j = min(e, f), max(e, f)
-        out[f] = len(_pair_crossings(d, i, j)) & 1
-    return out
+def _integer_view(d: PlanarDrawing):
+    """(lcm, d's graph and points scaled to ints by the lcm of their denominators).
+
+    The view serves the local checks and _pair_crossings, which read only
+    graph, vertex_points and edge_polylines; see geom.integer_image.
+    """
+    den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
+    return den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
+
+
+def _unscale(p, den: int) -> Point:
+    return (Fraction(p[0], den), Fraction(p[1], den))
 
 
 def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> PlanarDrawing:
@@ -416,46 +453,68 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
 
     The parity effect is re-verified exactly; geometric parameters are
     retried deterministically until the drawing is valid and the effect is
-    exactly the finger-move vector.
+    exactly the finger-move vector.  Only edge e changes, so only its row of
+    the crossing table is recomputed: the new drawing receives the old table
+    with that row replaced, and the crossing-point map with e's old points
+    swapped for its new ones.
     """
     g = d.graph
     if v in g.edges[e]:
         raise ValueError("vertex must not be an endpoint of the edge")
-    before = _parities_with_edge(d, e)
-    incident = set(g.incident_edges(v))
-    expected = {f: p ^ (1 if f in incident else 0) for f, p in before.items()}
+    table = d.crossings()
+    keys = [(min(e, f), max(e, f)) for f in range(g.edge_count) if f != e]
+    # Every count in a valid drawing's map is 1: the points off edge e.
+    others = dict(d._points)
+    for key in keys:
+        for p, _ in table[key]:
+            del others[p]
+    for p in d._self_points[e]:
+        del others[p]
+    flips = {(min(e, f), max(e, f)) for f in g.incident_edges(v)}
     last_err = None
     for attempt in range(24):
         try:
-            newpl, _loop = finger_polyline(d.edge_polylines[e], d.vertex_points[v], shrink + attempt, attempt)
+            newpl = finger_polyline(d.edge_polylines[e], d.vertex_points[v], shrink + attempt, attempt)
             cand = d.with_polyline(e, newpl)
-            # Localized validation: the new polyline against everything.
-            _check_polyline_shape(cand, e)
-            _check_vertices(cand)
-            point_log: dict[Point, int] = {}
-            _check_self(cand, e, point_log)
-            for f in range(g.edge_count):
-                if f != e:
-                    i, j = min(e, f), max(e, f)
-                    _pair_crossings(cand, i, j, point_log)
-            if any(c > 1 for c in point_log.values()):
+            # Nothing but edge e moved: check the new polyline against the
+            # rest, on the integer image of the candidate.
+            den, image = _integer_view(cand)
+            _check_polyline_shape(image, e)
+            _check_vertices_on_edge(image, e)
+            self_points = [_unscale(p, den) for p in _check_self(image, e)]
+            point_log = Counter(self_points)
+            row = {}
+            for key in keys:
+                hits = [(_unscale(p, den), sgn) for p, sgn in _pair_crossings(image, key[0], key[1])]
+                independent = not g.edges_adjacent(key[0], key[1])
+                if independent and (len(hits) ^ len(table[key]) ^ (key in flips)) & 1:
+                    raise GeneralPositionError("finger parity effect mismatched")
+                point_log.update(p for p, _ in hits)
+                row[key] = hits
+            if any(c > 1 for c in point_log.values()) or not others.keys().isdisjoint(point_log):
                 raise GeneralPositionError("finger created a multiple point")
-            if _parities_with_edge(cand, e) != expected:
-                raise GeneralPositionError("finger parity effect mismatched")
-            return cand
         except (GeneralPositionError, DegeneracyError) as err:
             last_err = err
             continue
+        cand._crossings = {**table, **row}
+        cand._points = {**others, **point_log}
+        cand._self_points = list(d._self_points)
+        cand._self_points[e] = self_points
+        return cand
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 
 
 def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
-    """A drawing whose parity matrix equals the target on independent pairs."""
-    cls = CompatibilityClass.compute(g)
-    cert = cls.membership(target)
+    """A drawing whose parity matrix equals the target on independent pairs.
+
+    Starts from the convex drawing and applies a light certificate of
+    finger moves; the crossing table stays up to date move by move and the
+    result is checked against the target from it.
+    """
+    d = convex_drawing(g)
+    cert = CompatibilityClass.compute(g, d).membership(target, light=True)
     if cert is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
-    d = canonical_drawing(g)
     labels = finger_move_labels(g)
     nesting: dict[int, int] = {}
     for k, c in enumerate(cert):

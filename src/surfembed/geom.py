@@ -4,6 +4,7 @@ intersection, point-in-polygon winding.  No floating point, no epsilons.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Point = tuple[Fraction, Fraction]
@@ -92,6 +93,23 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
         if on_segment(q, p1, p2):
             return ("touch", q)
     return ("none", None)
+
+
+def integer_image(point_lists):
+    """Scale lists of rational points by the lcm of all their denominators.
+
+    Returns (lcm, the lists with int coordinates).  A positive scaling
+    preserves every orientation, so segment classifications, crossing
+    signs and general-position verdicts do not change; int arithmetic is
+    much cheaper than Fraction arithmetic.  A point p of the image stands
+    for p / lcm.
+    """
+    den = math.lcm(*(c.denominator for pts in point_lists for p in pts for c in p))
+
+    def scale(p):
+        return (p[0].numerator * (den // p[0].denominator), p[1].numerator * (den // p[1].denominator))
+
+    return den, [[scale(p) for p in pts] for pts in point_lists]
 
 
 def intersection_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:

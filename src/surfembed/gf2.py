@@ -269,11 +269,14 @@ def factor_odd(a: BitMatrix) -> BitMatrix:
     return y
 
 
-def solve_gf2(columns: list[int], rhs: int, nbits: int):
+def solve_gf2(columns: list[int], rhs: int, nbits: int, light: bool = False):
     """Solve sum_i c_i * columns[i] = rhs over GF(2).
 
     Vectors are packed ints of nbits bits.  Returns a coefficient list or
-    None when no solution exists.
+    None when no solution exists.  With light=True the solution is then
+    made lighter: the columns that eliminate to zero carry kernel vectors
+    of the column map in their tag bits, and these are XORed in while the
+    number of nonzero coefficients drops.
     """
     k = len(columns)
     # Augmented vectors: column bits in low part, coefficient tag above.
@@ -281,6 +284,7 @@ def solve_gf2(columns: list[int], rhs: int, nbits: int):
     target = rhs
     coeff = 0
     pivots: list[tuple[int, int]] = []
+    kernel: list[int] = []
     mask = (1 << nbits) - 1
     for v in aug:
         for pb, pv in pivots:
@@ -288,6 +292,8 @@ def solve_gf2(columns: list[int], rhs: int, nbits: int):
                 v ^= pv
         if v & mask:
             pivots.append(((v & mask).bit_length() - 1, v))
+        elif light:
+            kernel.append(v >> nbits)
     # Each pivot's leading bit is its pivot bit, so one descending pass solves.
     for pb, pv in sorted(pivots, reverse=True):
         if (target >> pb) & 1:
@@ -295,15 +301,23 @@ def solve_gf2(columns: list[int], rhs: int, nbits: int):
             coeff ^= pv >> nbits
     if target:
         return None
+    if light:
+        improved = True
+        while improved:
+            improved = False
+            for z in kernel:
+                if (coeff ^ z).bit_count() < coeff.bit_count():
+                    coeff ^= z
+                    improved = True
     return [(coeff >> i) & 1 for i in range(k)]
 
 
-def in_affine_span(target: int, base: int, generators: list[int], nbits: int):
+def in_affine_span(target: int, base: int, generators: list[int], nbits: int, light: bool = False):
     """Coefficients c with base + sum c_i gen_i = target, or None.
 
-    All vectors are packed ints of nbits bits.
+    All vectors are packed ints of nbits bits; light as in solve_gf2.
     """
-    return solve_gf2(generators, base ^ target, nbits)
+    return solve_gf2(generators, base ^ target, nbits, light)
 
 
 def parse_bitmatrix(text: str) -> BitMatrix:

@@ -7,7 +7,7 @@ accepted: no loops, no parallel edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -55,7 +55,6 @@ class Graph:
 class EdgePair:
     i: int
     j: int
-    kind: str  # "adjacent" | "independent"
 
 
 def independent_pairs(g: Graph) -> list[EdgePair]:
@@ -65,17 +64,7 @@ def independent_pairs(g: Graph) -> list[EdgePair]:
     for i in range(m):
         for j in range(i + 1, m):
             if not g.edges_adjacent(i, j):
-                out.append(EdgePair(i, j, "independent"))
-    return out
-
-
-def all_pairs(g: Graph) -> list[EdgePair]:
-    out = []
-    m = g.edge_count
-    for i in range(m):
-        for j in range(i + 1, m):
-            kind = "adjacent" if g.edges_adjacent(i, j) else "independent"
-            out.append(EdgePair(i, j, kind))
+                out.append(EdgePair(i, j))
     return out
 
 

@@ -7,7 +7,8 @@ the core drawing (rescaled into a small box), a corridor rising from an
 attachment point on the edge, horizontal bus runs, vertical risers to the
 ribbon feet, and lane paths through the ribbon images.
 
-Crossings are counted by exact segment intersection.  Each segment carries
+Crossings are counted by exact segment intersection on an integer image
+of the picture.  Each segment carries
 the label of the surface piece it lies on ("disk" or a ribbon index);
 only same-label crossings are genuine, crossings between the overlapping
 images of different ribbons (or different sheets of one twisted ribbon)
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geom import classify_segments, crossing_sign
+from .geom import classify_segments, crossing_sign, integer_image
 from .graph import independent_pairs
 from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
@@ -154,10 +155,13 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         plan = []
         for k in range(r):
             c = sd.passes[e][k]
+            # Passes count along the edge's orientation, the curve runs
+            # along its polyline.
+            direction = 1 if c * sd.core.edge_orientations[e] > 0 else -1
             for rep in range(abs(c)):
                 lane_of[(e, len(plan))] = (k, totals[k])
                 totals[k] += 1
-                plan.append((k, 1 if c > 0 else -1))
+                plan.append((k, direction))
         plans[e] = plan
 
     nruns = sum(len(p) + 1 for p in plans.values() if p)
@@ -217,9 +221,11 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
 def _count_crossings(sd: SurfaceDrawing, vpts, curves, labels):
     """Exact pairwise crossing data with general-position validation.
 
-    Returns {(i, j): list of (sign, same_label)} for i < j.
+    Works on the integer image of the curves.  Returns
+    {(i, j): list of (sign, same_label)} for i < j.
     """
     g = sd.core.graph
+    _, (vpts, *curves) = integer_image([vpts, *curves])
     m = g.edge_count
     point_log = {}
     table = {}

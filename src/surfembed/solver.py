@@ -31,15 +31,12 @@ from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
 class SolverBudget:
     max_nodes: int = 5_000_000
     time_cap: float = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         if self.time_cap is not None and self.time_cap <= 0:
             raise ValueError("time_cap must be positive")
-        if self.threads <= 0:
-            raise ValueError("threads must be positive")
 
 
 @dataclass
@@ -56,10 +53,6 @@ class SolveResult:
     status: str  # "yes" | "no" | "unknown"
     witness: Witness = None
     nodes: int = 0
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
 
 
 def _nullspace(vectors, nbits):
@@ -96,7 +89,7 @@ def _form_values(kind: str, d: int):
                 acc ^= ((a >> (2 * h)) & 1) & ((b >> (2 * h + 1)) & 1)
                 acc ^= ((a >> (2 * h + 1)) & 1) & ((b >> (2 * h)) & 1)
             return acc
-        return _parity(a & b)
+        return (a & b).bit_count() & 1
 
     size = 1 << d
     table = [[val(a, b) for b in range(size)] for a in range(size)]
@@ -174,7 +167,7 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget):
     checks = []
     for z in zbasis:
         support = [k for k in range(len(pairs)) if (z >> k) & 1]
-        checks.append((support, _parity(z & base)))
+        checks.append((support, (z & base).bit_count() & 1))
 
     if d == 0:
         if all(rhs == 0 for _, rhs in checks):

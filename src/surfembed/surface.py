@@ -66,7 +66,9 @@ class SurfaceDrawing:
     """A drawing of a graph on a surface.
 
     passes[e][k] is the net number of passes of edge e's tube through
-    ribbon k; bits in z2 mode, signed integers in z mode.  tube_order
+    ribbon k; bits in z2 mode, signed integers in z mode.  Passes are
+    counted along the edge's orientation (core.edge_orientations[e]), not
+    along the direction in which its polyline is stored.  tube_order
     fixes the radial nesting of the tubes; attach[e] is the index of the
     core polyline segment carrying the connector.
     """

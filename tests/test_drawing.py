@@ -19,6 +19,7 @@ from surfembed.drawing import (
     realize_parity,
     serialize_drawing,
     signed_crossing_matrix,
+    _compute_crossings,
 )
 from surfembed.gf2 import BitMatrix
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
@@ -224,3 +225,53 @@ def test_parse_drawing_rejects_malformed():
         parse_drawing("nope\n", g)
     with pytest.raises(ValueError):
         parse_drawing("drawing\nvertex 0 0 0\n", g)
+
+
+@pytest.mark.parametrize(
+    "g, seed",
+    [(complete_graph(5), 40), (complete_bipartite(3, 3), 41), (complete_bipartite(4, 4), 42)],
+)
+def test_incremental_table_matches_fresh_computation(g, seed):
+    # Fingers on two edges only, so the same edge is rerouted again and again.
+    rng = random.Random(seed)
+    edges = rng.sample(range(g.edge_count), 2)
+    d = canonical_drawing(g)
+    used = {}
+    for _ in range(6):
+        e = rng.choice(edges)
+        v = rng.choice([w for w in range(g.vertex_count) if w not in g.edges[e]])
+        d = apply_finger_move(d, e, v, shrink=used.get(v, 0))
+        used[v] = used.get(v, 0) + 1
+        fresh = PlanarDrawing(g, d.vertex_points, d.edge_polylines, d.edge_orientations)
+        table, points, self_points = _compute_crossings(fresh)
+        maintained = d.crossings()
+        assert maintained.keys() == table.keys()
+        for key, hits in table.items():
+            got = maintained[key]
+            assert sorted(p for p, _ in got) == sorted(p for p, _ in hits)
+            assert len(got) == len(hits)
+            assert sum(s for _, s in got) == sum(s for _, s in hits)
+        assert d._points == points
+        assert d._self_points == self_points
+
+
+def test_light_certificate_reaches_target_with_no_more_moves():
+    rng = random.Random(43)
+    for g in (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4), complete_graph(6)):
+        pairs = independent_pairs(g)
+        cls = CompatibilityClass.compute(g)
+        base = cls.base.pair_vector(pairs)
+        for _ in range(10):
+            vec = base
+            for gen in cls.generators:
+                if rng.getrandbits(1):
+                    vec ^= gen
+            target = ParityMatrix.from_pair_vector(g, pairs, vec)
+            full = cls.membership(target)
+            light = cls.membership(target, light=True)
+            got = base
+            for c, gen in zip(light, cls.generators):
+                if c:
+                    got ^= gen
+            assert got == vec
+            assert sum(light) <= sum(full)

@@ -9,6 +9,7 @@ from surfembed.gf2 import (
     factor_odd,
     hyperbolic_matrix_gf2,
     in_affine_span,
+    solve_gf2,
     parse_bitmatrix,
     rank_gf2,
     serialize_bitmatrix,
@@ -216,3 +217,22 @@ def test_parse_serialize_roundtrip():
     assert parse_bitmatrix(text) == m
     with pytest.raises(Gf2Error):
         parse_bitmatrix("gf2 1 2\n0 1 1\n")
+
+
+def test_light_solution_solves_and_weighs_no_more():
+    rng = random.Random(44)
+    for _ in range(200):
+        nbits = rng.randrange(1, 10)
+        cols = [rng.getrandbits(nbits) for _ in range(rng.randrange(1, 16))]
+        rhs = 0
+        for c in cols:
+            if rng.getrandbits(1):
+                rhs ^= c
+        full = solve_gf2(cols, rhs, nbits)
+        light = solve_gf2(cols, rhs, nbits, light=True)
+        acc = 0
+        for bit, c in zip(light, cols):
+            if bit:
+                acc ^= c
+        assert acc == rhs
+        assert sum(light) <= sum(full)

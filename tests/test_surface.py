@@ -4,6 +4,7 @@ import pytest
 
 from surfembed.drawing import (
     ParityMatrix,
+    PlanarDrawing,
     canonical_drawing,
     crossing_parity_matrix,
     realize_parity,
@@ -309,3 +310,21 @@ def test_geometric_agrees_random_z():
         rep_c = verify_z(sd)
         rep_g = verify_geometric(sd, "z")
         assert rep_g.pairs == rep_c.pairs
+
+
+def test_geometric_agrees_z_with_random_orientations():
+    # Passes count along the edge's orientation, which the layout must
+    # follow when it lays a lane along the stored polyline direction.
+    rng = random.Random(35)
+    graphs = [complete_graph(4), complete_graph(5), complete_bipartite(3, 3)]
+    for trial in range(12):
+        g = graphs[trial % len(graphs)]
+        base = canonical_drawing(g)
+        orientations = [rng.choice((1, -1)) for _ in range(g.edge_count)]
+        d = PlanarDrawing(g, base.vertex_points, base.edge_polylines, orientations)
+        b = factor_alternating(signed_crossing_matrix(d))
+        sd = construct_z_embedding(g, d, b, SurfaceSpec("S", b.rows // 2))
+        rep_c = verify_z(sd)
+        rep_g = verify_geometric(sd, "z")
+        assert rep_c.is_embedding
+        assert rep_g.pairs == rep_c.pairs, (trial, orientations)

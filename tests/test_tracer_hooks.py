@@ -1,0 +1,40 @@
+"""The benchmark tracer still finds the hooks it counts through.
+
+surfbench/spans.py wraps package functions from outside, in every module
+that binds them.  A refactor that stops calling `classify_segments` or
+`finger_polyline` through those module globals would make its counters
+read zero; this test notices without a benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import surfembed
+from surfembed.drawing import apply_finger_move, canonical_drawing, crossing_parity_matrix
+from surfembed.graph import complete_graph
+
+SPANS = Path(__file__).resolve().parents[1] / "surfbench" / "spans.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("surfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.Tracer()
+
+
+def test_tracer_counts_finger_attempts_and_drawing_segment_tests():
+    g = complete_graph(5)
+    target = crossing_parity_matrix(apply_finger_move(canonical_drawing(g), 0, 3))
+    classify = surfembed.drawing.classify_segments
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        surfembed.drawing.realize_parity(g, target)
+    finally:
+        tracer.uninstall()
+    _, _, counts = tracer.summary()
+    assert counts["drawing.realize.calls"] == 1
+    assert counts["drawing.finger_attempts"] > 0
+    assert counts["geom.segment_tests.drawing"] > 0
+    assert surfembed.drawing.classify_segments is classify
