@@ -168,7 +168,7 @@ def _cmd_factor(args):
 def _cmd_solve(args):
     g = parse_graph(_read(args.graph))
     kwargs = {}
-    if args.budget_nodes:
+    if args.budget_nodes is not None:
         kwargs["max_nodes"] = args.budget_nodes
     budget = SolverBudget(**kwargs)
     if args.genus is not None:

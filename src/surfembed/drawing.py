@@ -350,6 +350,7 @@ class CompatibilityClass:
     graph: Graph
     base: ParityMatrix
     generators: list[int]
+    drawing: PlanarDrawing = None  # the drawing of g whose parities are base
 
     @classmethod
     def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
@@ -357,7 +358,7 @@ class CompatibilityClass:
         if drawing is None:
             drawing = convex_drawing(g)
         base = crossing_parity_matrix(drawing)
-        return cls(g, base, finger_move_generators(g))
+        return cls(g, base, finger_move_generators(g), drawing)
 
     def membership(self, target: ParityMatrix, light: bool = False):
         """Finger-move coefficients reaching the target, or None.
@@ -504,15 +505,19 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 
 
-def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
+def realize_parity(g: Graph, target: ParityMatrix, compat: CompatibilityClass = None) -> PlanarDrawing:
     """A drawing whose parity matrix equals the target on independent pairs.
 
-    Starts from the convex drawing and applies a light certificate of
-    finger moves; the crossing table stays up to date move by move and the
-    result is checked against the target from it.
+    Starts from the drawing of compat (computed from the convex drawing
+    when not given) and applies a light certificate of finger moves; the
+    crossing table stays up to date move by move and the result is checked
+    against the target from it.  Finger moves build new drawings, so the
+    class's drawing can be shared by many calls.
     """
-    d = convex_drawing(g)
-    cert = CompatibilityClass.compute(g, d).membership(target, light=True)
+    if compat is None:
+        compat = CompatibilityClass.compute(g)
+    d = compat.drawing
+    cert = compat.membership(target, light=True)
     if cert is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
     labels = finger_move_labels(g)

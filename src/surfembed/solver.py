@@ -10,7 +10,6 @@ checked by the combinatorial verifier.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -79,53 +78,40 @@ def _nullspace(vectors, nbits):
     return basis
 
 
-def _form_values(kind: str, d: int):
-    """Lookup table of the form value for every pair of GF(2)^d vectors."""
+def _low_bits(handles: int) -> int:
+    """The first coordinate 2h of each handle h < handles: 0b0101...01."""
+    return ((1 << (2 * handles)) - 1) // 3
 
-    def val(a, b):
-        if kind == "H":
-            acc = 0
-            for h in range(d // 2):
-                acc ^= ((a >> (2 * h)) & 1) & ((b >> (2 * h + 1)) & 1)
-                acc ^= ((a >> (2 * h + 1)) & 1) & ((b >> (2 * h)) & 1)
-            return acc
-        return (a & b).bit_count() & 1
 
-    size = 1 << d
-    table = [[val(a, b) for b in range(size)] for a in range(size)]
-    return table
+def _dual(kind: str, d: int, b: int) -> int:
+    """J.b, so that the form is B(a, b) = popcount(a & J.b) mod 2.
+
+    J swaps the two coordinates of every handle for the hyperbolic form "H"
+    and is the identity for "I".
+    """
+    if kind == "I":
+        return b
+    low = _low_bits(d // 2)
+    return ((b & low) << 1) | ((b >> 1) & low)
 
 
 def _canonical_reps(kind: str, d: int):
     """Lexicographically minimal orbit representatives of GF(2)^d under the
     coordinate symmetries of the form (handle permutations and within-handle
     swaps for the hyperbolic form, coordinate permutations for the identity).
+
+    An orbit is fixed by the weight for "I", and for "H" by the numbers c of
+    handles 11 and b of handles 01 or 10; its least member has the c handles
+    11 at the bottom and the b handles 01 above them.
     """
-    if kind == "H":
-        g = d // 2
-        perms = []
-        for handle_perm in itertools.permutations(range(g)):
-            for swaps in itertools.product((0, 1), repeat=g):
-                mapping = []
-                for h in range(g):
-                    a, b = 2 * handle_perm[h], 2 * handle_perm[h] + 1
-                    mapping.extend((b, a) if swaps[h] else (a, b))
-                perms.append(mapping)
-    else:
-        perms = [list(p) for p in itertools.permutations(range(d))]
-
-    def apply(perm, v):
-        out = 0
-        for i, j in enumerate(perm):
-            if (v >> i) & 1:
-                out |= 1 << j
-        return out
-
-    reps = []
-    for v in range(1 << d):
-        if all(apply(p, v) >= v for p in perms):
-            reps.append(v)
-    return reps
+    if kind == "I":
+        return [(1 << k) - 1 for k in range(d + 1)]
+    g = d // 2
+    return sorted(
+        ((1 << (2 * c)) - 1) | (_low_bits(b + c) ^ _low_bits(c))
+        for c in range(g + 1)
+        for b in range(g - c + 1)
+    )
 
 
 def _edge_order(g: Graph, checks, pairs):
@@ -157,13 +143,22 @@ def _edge_order(g: Graph, checks, pairs):
     return order
 
 
-def _search(g: Graph, kind: str, d: int, budget: SolverBudget):
-    """DFS over per-edge vectors; returns (status, assignment, nodes)."""
+def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: CompatibilityClass):
+    """DFS over per-edge vectors; returns (status, assignment, nodes).
+
+    A check is a parity condition: the sum of B(y_i, y_j) over a set of
+    independent pairs equals its right-hand side.  Bit c of the int `state`
+    is the running sum of check c over the pairs whose edges are both
+    placed.  B is bilinear, so placing v on an edge XORs into the state the
+    units U[b] for the bits b of v, where U[b] holds the checks that pair
+    the edge with a placed edge j whose J.y_j has bit b set.  A candidate
+    passes when every check firing at its position, i.e. involving no
+    later edge, meets its right-hand side.
+    """
     m = g.edge_count
     pairs = independent_pairs(g)
-    cls = CompatibilityClass.compute(g)
-    base = cls.base.pair_vector(pairs)
-    zbasis = _nullspace(cls.generators, len(pairs))
+    base = compat.base.pair_vector(pairs)
+    zbasis = _nullspace(compat.generators, len(pairs))
     checks = []
     for z in zbasis:
         support = [k for k in range(len(pairs)) if (z >> k) & 1]
@@ -176,55 +171,70 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget):
 
     order = _edge_order(g, checks, pairs)
     pos = {e: t for t, e in enumerate(order)}
-    table = _form_values(kind, d)
     reps = _canonical_reps(kind, d)
 
-    # checks fire at the deepest assignment position they involve
-    fire = [[] for _ in range(m)]
-    for support, rhs in checks:
-        terms = [(pairs[k].i, pairs[k].j) for k in support]
-        depth = max((max(pos[i], pos[j]) for i, j in terms), default=-1)
-        if depth < 0:
-            if rhs:
-                return "no", None, 1
-            continue
-        fire[depth].append((terms, rhs))
+    # A check fires at the deepest position it involves (a nullspace basis
+    # vector is never zero).  A pair enters the state when its later edge is
+    # placed: links[t] maps each earlier edge j to the checks holding the
+    # pair (order[t], j).
+    fire_mask = [0] * m
+    rhs_mask = 0
+    links = [{} for _ in range(m)]
+    for c, (support, rhs) in enumerate(checks):
+        depth = 0
+        for k in support:
+            i, j = pairs[k].i, pairs[k].j
+            if pos[i] < pos[j]:
+                i, j = j, i
+            links[pos[i]][j] = links[pos[i]].get(j, 0) ^ (1 << c)
+            depth = max(depth, pos[i])
+        fire_mask[depth] |= 1 << c
+        rhs_mask |= rhs << c
+    links = [list(row.items()) for row in links]
 
     assign = [0] * m
+    dual_bits = [[]]  # dual_bits[v]: the set bits of J.v
+    for b in range(d):
+        image = _dual(kind, d, 1 << b).bit_length() - 1
+        dual_bits += [bits + [image] for bits in dual_bits]
+    placed_bits = [None] * m  # dual_bits of each placed edge's vector
+    max_nodes = budget.max_nodes
     nodes = 0
     deadline = None
     if budget.time_cap is not None:
         deadline = time.monotonic() + budget.time_cap
-    size = 1 << d
 
-    def ok_at(t):
-        for terms, rhs in fire[t]:
-            acc = 0
-            for i, j in terms:
-                acc ^= table[assign[i]][assign[j]]
-            if acc != rhs:
-                return False
-        return True
-
-    def dfs(t):
+    def dfs(t, state):
         nonlocal nodes
         if t == m:
             return True
-        domain = reps if t == 0 else range(size)
-        for v in domain:
+        units = [0] * d
+        for j, held in links[t]:
+            for b in placed_bits[j]:
+                units[b] ^= held
+        deltas = [0]
+        for u in units:
+            deltas += [x ^ u for x in deltas]
+        fires = fire_mask[t]
+        want = rhs_mask & fires
+        e = order[t]
+        for v in reps if t == 0 else range(len(deltas)):
             nodes += 1
-            if nodes > budget.max_nodes:
+            if nodes > max_nodes:
                 raise _BudgetExhausted
             if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
                 raise _BudgetExhausted
-            assign[order[t]] = v
-            if ok_at(t) and dfs(t + 1):
-                return True
-        assign[order[t]] = 0
+            after = state ^ deltas[v]
+            if after & fires == want:
+                assign[e] = v
+                placed_bits[e] = dual_bits[v]
+                if dfs(t + 1, after):
+                    return True
+        assign[e] = 0
         return False
 
     try:
-        if dfs(0):
+        if dfs(0, 0):
             return "yes", list(assign), nodes
         return "no", None, nodes
     except _BudgetExhausted:
@@ -235,9 +245,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec) -> Witness:
+def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec, compat: CompatibilityClass) -> Witness:
     m = g.edge_count
-    table = _form_values(kind, d)
     y = BitMatrix(d, m)
     for e in range(m):
         for k in range(d):
@@ -246,7 +255,7 @@ def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec) -> Wi
     for i in range(m):
         for j in range(m):
             if i != j or kind == "I":
-                a.set(i, j, table[assign[i]][assign[j]])
+                a.set(i, j, (assign[i] & _dual(kind, d, assign[j])).bit_count() & 1)
     if kind == "I" and a.is_even() and m >= 1:
         a.set(0, 0, 1)
     target = BitMatrix(m, m)
@@ -254,7 +263,7 @@ def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec) -> Wi
         bit = a.get(pr.i, pr.j)
         target.set(pr.i, pr.j, bit)
         target.set(pr.j, pr.i, bit)
-    f = realize_parity(g, ParityMatrix(g, target))
+    f = realize_parity(g, ParityMatrix(g, target), compat)
     sd = construct_z2_embedding(g, f, y, spec)
     report = verify_z2(sd)
     if not report.is_embedding:
@@ -262,26 +271,33 @@ def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec) -> Wi
     return Witness(a, y, f, sd, report)
 
 
-def z2_embeddable_orientable(g: Graph, genus: int, budget: SolverBudget = None) -> SolveResult:
+def _solve(g: Graph, kind: str, d: int, spec: SurfaceSpec, budget, compat) -> SolveResult:
+    budget = budget or SolverBudget()
+    compat = compat or CompatibilityClass.compute(g)
+    if compat.graph.edges != g.edges:
+        raise ValueError("compatibility class of a different edge set")
+    status, assign, nodes = _search(g, kind, d, budget, compat)
+    if status != "yes":
+        return SolveResult(status, nodes=nodes)
+    return SolveResult("yes", _build_witness(g, kind, d, assign, spec, compat), nodes)
+
+
+def z2_embeddable_orientable(
+    g: Graph, genus: int, budget: SolverBudget = None, compat: CompatibilityClass = None
+) -> SolveResult:
+    """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    budget = budget or SolverBudget()
-    status, assign, nodes = _search(g, "H", 2 * genus, budget)
-    if status != "yes":
-        return SolveResult(status, nodes=nodes)
-    w = _build_witness(g, "H", 2 * genus, assign, SurfaceSpec("S", genus))
-    return SolveResult("yes", w, nodes)
+    return _solve(g, "H", 2 * genus, SurfaceSpec("S", genus), budget, compat)
 
 
-def z2_embeddable_nonorientable(g: Graph, m: int, budget: SolverBudget = None) -> SolveResult:
+def z2_embeddable_nonorientable(
+    g: Graph, m: int, budget: SolverBudget = None, compat: CompatibilityClass = None
+) -> SolveResult:
+    """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
     if m < 1:
         raise ValueError("crosscap number must be positive")
-    budget = budget or SolverBudget()
-    status, assign, nodes = _search(g, "I", m, budget)
-    if status != "yes":
-        return SolveResult(status, nodes=nodes)
-    w = _build_witness(g, "I", m, assign, SurfaceSpec("M", m))
-    return SolveResult("yes", w, nodes)
+    return _solve(g, "I", m, SurfaceSpec("M", m), budget, compat)
 
 
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:
@@ -290,12 +306,13 @@ def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveR
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
     budget = budget or SolverBudget()
+    compat = CompatibilityClass.compute(g)
     rank_cap = 2 - e
-    res_o = z2_embeddable_orientable(g, rank_cap // 2, budget)
+    res_o = z2_embeddable_orientable(g, rank_cap // 2, budget, compat)
     if res_o.status == "yes":
         return res_o
     if rank_cap >= 1:
-        res_n = z2_embeddable_nonorientable(g, rank_cap, budget)
+        res_n = z2_embeddable_nonorientable(g, rank_cap, budget, compat)
         if res_n.status == "yes":
             return res_n
         if "unknown" in (res_o.status, res_n.status):
@@ -320,11 +337,12 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")
     start = 0 if kind == "orientable" else 1
+    compat = CompatibilityClass.compute(g)
     for p in range(start, maximum + 1):
         if kind == "orientable":
-            res = z2_embeddable_orientable(g, p, budget)
+            res = z2_embeddable_orientable(g, p, budget, compat)
         else:
-            res = z2_embeddable_nonorientable(g, p, budget)
+            res = z2_embeddable_nonorientable(g, p, budget, compat)
         if res.status == "yes":
             return GenusResult("found", p, res.witness)
         if res.status == "unknown":

@@ -167,6 +167,16 @@ def test_structured_output(tmp_path, capsys):
     assert lines[1].startswith("nodes = ")
 
 
+def test_solve_nonpositive_budget_exit_three(tmp_path, capsys):
+    g = _write(tmp_path, "k33.g", serialize_graph(complete_bipartite(3, 3)))
+    for nodes in ("0", "-5"):
+        rc = main(["solve", "--graph", g, "--genus", "1", "--budget-nodes", nodes])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_nodes must be positive" in captured.err
+
+
 def test_input_errors_exit_three(tmp_path, capsys):
     assert main(["solve", "--graph", str(tmp_path / "nope.g"), "--genus", "0"]) == 3
     bad = _write(tmp_path, "bad.g", "not a graph\n")

@@ -181,6 +181,32 @@ def test_realize_roundtrip_random_targets():
             assert got.equal_on_independent_pairs(target)
 
 
+def test_realize_from_shared_class_leaves_its_drawing_alone():
+    # the solver hands one class, and so one base drawing, to every
+    # realize_parity of a genus scan; finger moves must build new drawings
+    rng = random.Random(23)
+    for g in (complete_graph(5), complete_bipartite(3, 4)):
+        pairs = independent_pairs(g)
+        cls = CompatibilityClass.compute(g)
+        base_text = serialize_drawing(cls.drawing)
+        base_table = {k: list(v) for k, v in cls.drawing.crossings().items()}
+        done = 0
+        while done < 3:
+            target = ParityMatrix.from_pair_vector(g, pairs, rng.getrandbits(len(pairs)))
+            if cls.membership(target) is None:
+                continue
+            done += 1
+            first = realize_parity(g, target, cls)
+            second = realize_parity(g, target, cls)
+            assert first is not cls.drawing
+            assert serialize_drawing(first) == serialize_drawing(second)
+            assert serialize_drawing(first) == serialize_drawing(realize_parity(g, target))
+            assert crossing_parity_matrix(first).equal_on_independent_pairs(target)
+            assert serialize_drawing(cls.drawing) == base_text
+            assert cls.drawing.crossings() == base_table
+            assert crossing_parity_matrix(cls.drawing).pair_vector(pairs) == cls.base.pair_vector(pairs)
+
+
 def test_compatibility_closed_under_finger_moves():
     # every drawing obtained from the canonical one by fingers stays in class
     g = complete_graph(5)

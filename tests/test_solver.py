@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,8 +15,135 @@ from surfembed.solver import (
     z2_embeddable_orientable,
     z2_genus,
 )
-from surfembed.solver import _nullspace  # exercised directly below
+from surfembed.drawing import CompatibilityClass
+from surfembed.solver import _canonical_reps, _dual, _edge_order, _nullspace, _search
 from surfembed.surface import verify_z2
+
+
+def _brute_form(kind, a, b):
+    """The form coordinate by coordinate: handles (2h, 2h+1) for "H"."""
+    d = max(a.bit_length(), b.bit_length()) + 1
+    if kind == "I":
+        return sum((a >> k) & (b >> k) & 1 for k in range(d)) & 1
+    return sum(
+        ((a >> 2 * h) & (b >> (2 * h + 1)) & 1) ^ ((a >> (2 * h + 1)) & (b >> 2 * h) & 1)
+        for h in range(d)
+    ) & 1
+
+
+def _brute_reps(kind, d):
+    """Vectors that no coordinate symmetry of the form makes smaller."""
+    if kind == "H":
+        perms = []
+        for handles in itertools.permutations(range(d // 2)):
+            for swaps in itertools.product((0, 1), repeat=d // 2):
+                perm = []
+                for h, s in zip(handles, swaps):
+                    perm += [2 * h + s, 2 * h + 1 - s]
+                perms.append(perm)
+    else:
+        perms = list(itertools.permutations(range(d)))
+
+    def image(perm, v):
+        return sum(1 << perm[i] for i in range(d) if (v >> i) & 1)
+
+    return [v for v in range(1 << d) if all(image(p, v) >= v for p in perms)]
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _reference_search(g, kind, d, max_nodes):
+    """The solver's DFS as it was before the bitset checks: each candidate
+    re-sums, from a table of form values, every check firing at its
+    position.  Same checks, order, domains and node count."""
+    m = g.edge_count
+    pairs = independent_pairs(g)
+    cls = CompatibilityClass.compute(g)
+    base = cls.base.pair_vector(pairs)
+    checks = []
+    for z in _nullspace(cls.generators, len(pairs)):
+        support = [k for k in range(len(pairs)) if (z >> k) & 1]
+        checks.append((support, (z & base).bit_count() & 1))
+    if d == 0:
+        return ("yes", [0] * m, 1) if all(rhs == 0 for _, rhs in checks) else ("no", None, 1)
+    order = _edge_order(g, checks, pairs)
+    pos = {e: t for t, e in enumerate(order)}
+    table = [[_brute_form(kind, a, b) for b in range(1 << d)] for a in range(1 << d)]
+    reps = _brute_reps(kind, d)
+    fire = [[] for _ in range(m)]
+    for support, rhs in checks:
+        terms = [(pairs[k].i, pairs[k].j) for k in support]
+        fire[max(max(pos[i], pos[j]) for i, j in terms)].append((terms, rhs))
+    assign = [0] * m
+    nodes = 0
+
+    def dfs(t):
+        nonlocal nodes
+        if t == m:
+            return True
+        for v in reps if t == 0 else range(1 << d):
+            nodes += 1
+            if nodes > max_nodes:
+                raise _Exhausted
+            assign[order[t]] = v
+            ok = all(
+                sum(table[assign[i]][assign[j]] for i, j in terms) % 2 == rhs
+                for terms, rhs in fire[t]
+            )
+            if ok and dfs(t + 1):
+                return True
+        assign[order[t]] = 0
+        return False
+
+    try:
+        return ("yes", list(assign), nodes) if dfs(0) else ("no", None, nodes)
+    except _Exhausted:
+        return "unknown", None, nodes
+
+
+def test_form_and_orbit_representatives_match_brute_force():
+    for kind, dims in (("I", range(7)), ("H", range(0, 7, 2))):
+        for d in dims:
+            assert _canonical_reps(kind, d) == _brute_reps(kind, d), (kind, d)
+            for a in range(1 << min(d, 4)):
+                for b in range(1 << min(d, 4)):
+                    assert (a & _dual(kind, d, b)).bit_count() & 1 == _brute_form(kind, a, b)
+
+
+def test_search_matches_per_candidate_reference():
+    rng = random.Random(43)
+    seen = set()
+    for trial in range(12):
+        n = rng.randrange(4, 9)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        g = Graph(n, sorted(possible[: rng.randrange(n, min(len(possible), 2 * n + 2) + 1)]))
+        cls = CompatibilityClass.compute(g)
+        for kind, d in (("H", 0), ("H", 2), ("H", 4), ("I", 1), ("I", 2), ("I", 3)):
+            max_nodes = rng.choice((30, 300, 3000))
+            got = _search(g, kind, d, SolverBudget(max_nodes=max_nodes), cls)
+            assert got == _reference_search(g, kind, d, max_nodes), (g.edges, kind, d)
+            if got[0] == "unknown":
+                assert got[2] == max_nodes + 1
+            seen.add(got[0])
+    assert seen == {"yes", "no", "unknown"}
+
+
+def test_shared_class_must_match_the_graph():
+    with pytest.raises(ValueError):
+        z2_embeddable_orientable(complete_graph(4), 1, compat=CompatibilityClass.compute(complete_graph(5)))
+
+
+def test_high_genus_setup_stays_small():
+    # d = 12: neither a 4^d form table nor an orbit scan over 6!*2^6
+    # symmetries is built before the first node
+    path = Graph(3, [(0, 1), (1, 2)])
+    res = z2_embeddable_orientable(path, 6)
+    assert res.status == "yes"
+    assert verify_z2(res.witness.surface_drawing).is_embedding
+    assert verify_geometric(res.witness.surface_drawing, "z2").is_embedding
 
 
 def test_nullspace_oracle():
