@@ -170,6 +170,8 @@ def _cmd_solve(args):
     kwargs = {}
     if args.budget_nodes is not None:
         kwargs["max_nodes"] = args.budget_nodes
+    if args.time_cap is not None:
+        kwargs["time_cap"] = args.time_cap
     budget = SolverBudget(**kwargs)
     if args.genus is not None:
         res = z2_embeddable_orientable(g, args.genus, budget)
@@ -178,8 +180,9 @@ def _cmd_solve(args):
     else:
         res = z2_embeddable_euler(g, args.euler, budget)
     if res.status == "yes":
-        # never affirm on the solver's word alone
-        if not verify_z2(res.witness.surface_drawing).is_embedding:
+        # never affirm on the solver's word alone: both verifiers must accept
+        sd = res.witness.surface_drawing
+        if not (verify_z2(sd).is_embedding and verify_geometric(sd, "z2").is_embedding):
             print("error: witness failed independent verification", file=sys.stderr)
             return EXIT_INPUT
     verdict = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN"}[res.status]
@@ -286,6 +289,7 @@ def build_parser():
     grp.add_argument("--crosscaps", type=int)
     grp.add_argument("--euler", type=int)
     c.add_argument("--budget-nodes", type=int)
+    c.add_argument("--time-cap", type=float, metavar="SECONDS")
     c.add_argument("--witness-out")
     c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_solve)

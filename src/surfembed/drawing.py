@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from .geom import (
     Point,
     DegeneracyError,
+    box_pairs,
     classify_segments,
     crossing_sign,
     integer_image,
@@ -109,71 +110,56 @@ def _check_polyline_shape(d: PlanarDrawing, i: int):
             raise GeneralPositionError(f"edge {i}: zero-length segment")
 
 
-def _pair_crossings(d: PlanarDrawing, i: int, j: int, point_log=None):
-    """Proper crossings of edges i < j, enforcing general position locally.
+def _edge_crossings(d: PlanarDrawing, only: int = None) -> dict:
+    """Proper crossings of d's edges, enforcing general position locally.
 
-    Returns a list of (point, sign) with sign relative to stored polyline
-    directions.  point_log, when given, maps crossing point -> count for the
-    concurrence check.
+    Classifies the segment pairs whose boxes meet (geom.box_pairs), all of
+    them or those of edge only.  Returns a list per key (i, j), i <= j, for
+    every key or every key holding edge only: for i < j the crossings
+    (point, sign) of edges i and j, with sign relative to stored polyline
+    directions; for i == j the self-crossing points of edge i.
     """
     g = d.graph
-    shared = set(g.edges[i]) & set(g.edges[j])
-    shared_pt = d.vertex_points[next(iter(shared))] if shared else None
-    pli = d.edge_polylines[i]
-    plj = d.edge_polylines[j]
-    out = []
-    for si, (a, b) in enumerate(_polyline_segments(pli)):
-        for sj, (c, e) in enumerate(_polyline_segments(plj)):
-            kind, p = classify_segments(a, b, c, e)
-            if kind == "none":
-                continue
-            if kind == "overlap":
-                raise GeneralPositionError(
-                    f"edges {i},{j}: overlapping segments {si},{sj}"
-                )
-            if kind == "touch":
-                ok = (
-                    shared_pt is not None
-                    and p == shared_pt
-                    and p in (pli[0], pli[-1])
-                    and p in (plj[0], plj[-1])
-                    and p in (a, b)
-                    and p in (c, e)
-                )
-                if not ok:
-                    raise GeneralPositionError(
-                        f"edges {i},{j}: non-transversal contact at segments {si},{sj}"
-                    )
-                continue
-            # proper
-            sgn = crossing_sign(a, b, c, e)
-            out.append((p, sgn))
-            if point_log is not None:
-                point_log[p] = point_log.get(p, 0) + 1
-    return out
-
-
-def _check_self(d: PlanarDrawing, i: int, point_log=None) -> list:
-    """Self-crossing points of edge i, also counted in point_log when given."""
-    pl = d.edge_polylines[i]
-    segs = _polyline_segments(pl)
-    out = []
-    for si in range(len(segs)):
-        for sj in range(si + 1, len(segs)):
-            a, b = segs[si]
-            c, e = segs[sj]
-            kind, p = classify_segments(a, b, c, e)
-            if kind == "none":
-                continue
+    pls = d.edge_polylines
+    m = g.edge_count
+    if only is None:
+        out = {(i, j): [] for i in range(m) for j in range(i, m)}
+    else:
+        out = {(min(only, f), max(only, f)): [] for f in range(m)}
+    for i, si, j, sj in box_pairs(pls, only):
+        pli, plj = pls[i], pls[j]
+        a, b = pli[si], pli[si + 1]
+        c, e = plj[sj], plj[sj + 1]
+        kind, p = classify_segments(a, b, c, e)
+        if kind == "none":
+            continue
+        if i == j:
             if kind == "overlap":
                 raise GeneralPositionError(f"edge {i}: self-overlap")
             if kind == "touch":
                 if sj == si + 1 and p == b:
                     continue  # joint of consecutive segments
                 raise GeneralPositionError(f"edge {i}: self-tangency")
-            out.append(p)
-            if point_log is not None:
-                point_log[p] = point_log.get(p, 0) + 1
+            out[(i, i)].append(p)
+            continue
+        if kind == "overlap":
+            raise GeneralPositionError(f"edges {i},{j}: overlapping segments {si},{sj}")
+        if kind == "touch":
+            shared = set(g.edges[i]) & set(g.edges[j])
+            ok = (
+                shared
+                and p == d.vertex_points[next(iter(shared))]
+                and p in (pli[0], pli[-1])
+                and p in (plj[0], plj[-1])
+                and p in (a, b)
+                and p in (c, e)
+            )
+            if not ok:
+                raise GeneralPositionError(
+                    f"edges {i},{j}: non-transversal contact at segments {si},{sj}"
+                )
+            continue
+        out[(i, j)].append((p, crossing_sign(a, b, c, e)))
     return out
 
 
@@ -203,12 +189,11 @@ def _compute_crossings(d: PlanarDrawing):
         raise GeneralPositionError("coincident vertex points")
     for i in range(m):
         _check_vertices_on_edge(d, i)
-    point_log: dict[Point, int] = {}
-    self_points = [_check_self(d, i, point_log) for i in range(m)]
-    table = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            table[(i, j)] = _pair_crossings(d, i, j, point_log)
+    table = _edge_crossings(d)
+    self_points = [table.pop((i, i)) for i in range(m)]
+    point_log = Counter(p for pts in self_points for p in pts)
+    for hits in table.values():
+        point_log.update(p for p, _ in hits)
     for p, cnt in point_log.items():
         if cnt > 1:
             raise GeneralPositionError(f"multiple crossings through one point {p}")
@@ -307,10 +292,6 @@ def convex_drawing(g: Graph, order=None, attempt: int = 0) -> PlanarDrawing:
         except GeneralPositionError:
             continue
     raise GeneralPositionError("could not reach general position by perturbation")
-
-
-def canonical_drawing(g: Graph) -> PlanarDrawing:
-    return convex_drawing(g)
 
 
 def finger_move_labels(g: Graph) -> list[tuple[int, int]]:
@@ -438,7 +419,7 @@ def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
 def _integer_view(d: PlanarDrawing):
     """(lcm, d's graph and points scaled to ints by the lcm of their denominators).
 
-    The view serves the local checks and _pair_crossings, which read only
+    The view serves the local checks and _edge_crossings, which read only
     graph, vertex_points and edge_polylines; see geom.integer_image.
     """
     den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
@@ -446,7 +427,9 @@ def _integer_view(d: PlanarDrawing):
 
 
 def _unscale(p, den: int) -> Point:
-    return (Fraction(p[0], den), Fraction(p[1], den))
+    """The point of d for a crossing triple (X, Y, D) of its integer view."""
+    x, y, dd = p
+    return (Fraction(x, dd * den), Fraction(y, dd * den))
 
 
 def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> PlanarDrawing:
@@ -482,16 +465,15 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
             den, image = _integer_view(cand)
             _check_polyline_shape(image, e)
             _check_vertices_on_edge(image, e)
-            self_points = [_unscale(p, den) for p in _check_self(image, e)]
+            found = _edge_crossings(image, only=e)
+            self_points = [_unscale(p, den) for p in found.pop((e, e))]
+            row = {key: [(_unscale(p, den), sgn) for p, sgn in hits] for key, hits in found.items()}
             point_log = Counter(self_points)
-            row = {}
-            for key in keys:
-                hits = [(_unscale(p, den), sgn) for p, sgn in _pair_crossings(image, key[0], key[1])]
+            for key, hits in row.items():
                 independent = not g.edges_adjacent(key[0], key[1])
                 if independent and (len(hits) ^ len(table[key]) ^ (key in flips)) & 1:
                     raise GeneralPositionError("finger parity effect mismatched")
                 point_log.update(p for p, _ in hits)
-                row[key] = hits
             if any(c > 1 for c in point_log.values()) or not others.keys().isdisjoint(point_log):
                 raise GeneralPositionError("finger created a multiple point")
         except (GeneralPositionError, DegeneracyError) as err:

@@ -1,11 +1,13 @@
 """Exact rational plane geometry: orientation tests, proper segment
-intersection, point-in-polygon winding.  No floating point, no epsilons.
+intersection, the segment pairs of polylines whose boxes meet,
+point-in-polygon winding.  No floating point, no epsilons.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 Point = tuple[Fraction, Fraction]
 
@@ -34,12 +36,11 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies on the closed segment [a, b] (collinearity assumed checked by caller)."""
-    if orient(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
+    return orient(a, b, p) == 0 and _in_box(p, a, b)
+
+
+def _in_box(p: Point, a: Point, b: Point) -> bool:
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
 
 
 def strictly_inside_segment(p: Point, a: Point, b: Point) -> bool:
@@ -60,7 +61,8 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
 
     Returns one of:
       ("none", None)
-      ("proper", point)   -- transversal crossing of both open interiors
+      ("proper", point)   -- transversal crossing of both open interiors,
+                             the point as intersection_point gives it
       ("touch", point)    -- single common point involving an endpoint
       ("overlap", None)   -- collinear segments sharing more than one point
     """
@@ -86,12 +88,11 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
             return ("touch", uniq[0])
         return ("overlap", None)
     # Non-collinear with some orientation zero: possible endpoint touch.
-    for p in (p1, p2):
-        if on_segment(p, q1, q2):
+    # An endpoint lies on the other segment iff its orientation is zero
+    # and it is inside that segment's box.
+    for o, p, a, b in ((o3, p1, q1, q2), (o4, p2, q1, q2), (o1, q1, p1, p2), (o2, q2, p1, p2)):
+        if o == 0 and _in_box(p, a, b):
             return ("touch", p)
-    for q in (q1, q2):
-        if on_segment(q, p1, p2):
-            return ("touch", q)
     return ("none", None)
 
 
@@ -112,13 +113,73 @@ def integer_image(point_lists):
     return den, [[scale(p) for p in pts] for pts in point_lists]
 
 
-def intersection_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
+def box_pairs(polylines, only: int = None) -> list[tuple[int, int, int, int]]:
+    """Segment pairs (i, si, j, sj) of the polylines whose closed boxes meet.
+
+    Segment si of polylines[i] runs from point si to point si + 1.  Pairs
+    have i < j, or i == j and si < sj, and come in the order of the nested
+    loops over i, j >= i, si, sj.  With only given, just the pairs with
+    i == only or j == only.  Every pair that classify_segments does not call
+    "none" is among them.
+
+    An x-sorted sweep (Shamos-Hoey): segments enter by their left x, an
+    active list keeps those whose right x is not yet passed, and the y
+    ranges are compared with closed tests, so boxes touching in a single
+    coordinate are reported.  Exact for int and Fraction coordinates.
+    """
+    segs = []
+    for i, pl in enumerate(polylines):
+        for s in range(len(pl) - 1):
+            (ax, ay), (bx, by) = pl[s], pl[s + 1]
+            if ax > bx:
+                ax, bx = bx, ax
+            if ay > by:
+                ay, by = by, ay
+            segs.append((ax, bx, ay, by, i, s))
+    segs.sort(key=itemgetter(0))
+    out = []
+    # With only given, a segment of another polyline is tested against the
+    # active segments of only, and only's segments against both lists.
+    mine = []
+    rest = []
+    for seg in segs:
+        x0, _, y0, y1, i, s = seg
+        own = only is None or i == only
+        for active in (mine, rest) if own else (mine,):
+            keep = []
+            for a in active:
+                if a[1] >= x0:
+                    keep.append(a)
+                    if a[3] >= y0 and y1 >= a[2]:
+                        j, t = a[4], a[5]
+                        out.append((i, s, j, t) if (i, s) < (j, t) else (j, t, i, s))
+            active[:] = keep
+        (mine if own else rest).append(seg)
+    out.sort(key=itemgetter(0, 2, 1, 3))
+    return out
+
+
+def intersection_point(p1: Point, p2: Point, q1: Point, q2: Point):
+    """The common point of the lines through [p1,p2] and [q1,q2].
+
+    Rational inputs give a Fraction point.  Int inputs (an integer image)
+    give the reduced triple (X, Y, D), D > 0, of the point (X/D, Y/D): equal
+    points give equal triples, with no Fraction arithmetic.
+    """
     d1 = sub(p2, p1)
     d2 = sub(q2, q1)
     den = cross(d1, d2)
     if den == 0:
         raise DegeneracyError("parallel segments have no single crossing point")
-    t = Fraction(cross(sub(q1, p1), d2)) / den
+    num = cross(sub(q1, p1), d2)
+    if type(den) is int:
+        if den < 0:
+            num, den = -num, -den
+        x = p1[0] * den + num * d1[0]
+        y = p1[1] * den + num * d1[1]
+        g = math.gcd(x, y, den)
+        return (x // g, y // g, den // g)
+    t = Fraction(num) / den
     return (p1[0] + t * d1[0], p1[1] + t * d1[1])
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geom import classify_segments, crossing_sign, integer_image
+from .geom import box_pairs, classify_segments, crossing_sign, integer_image
 from .graph import independent_pairs
 from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
@@ -221,42 +221,36 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
 def _count_crossings(sd: SurfaceDrawing, vpts, curves, labels):
     """Exact pairwise crossing data with general-position validation.
 
-    Works on the integer image of the curves.  Returns
-    {(i, j): list of (sign, same_label)} for i < j.
+    Works on the integer image of the curves and classifies only the
+    segment pairs of different curves whose boxes meet (geom.box_pairs).
+    Returns {(i, j): list of (sign, same_label)} for i < j.
     """
     g = sd.core.graph
     _, (vpts, *curves) = integer_image([vpts, *curves])
     m = g.edge_count
+    # Crossing points are keyed by their reduced integer triples.
     point_log = {}
-    table = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            shared = set(g.edges[i]) & set(g.edges[j])
-            shared_pts = {vpts[v] for v in shared}
-            hits = []
-            pli, plj = curves[i], curves[j]
-            for si in range(len(pli) - 1):
-                a, b = pli[si], pli[si + 1]
-                for sj in range(len(plj) - 1):
-                    c, d = plj[sj], plj[sj + 1]
-                    kind, p = classify_segments(a, b, c, d)
-                    if kind == "none":
-                        continue
-                    if kind == "overlap":
-                        raise LayoutError(f"edges {i},{j}: overlapping segments")
-                    if kind == "touch":
-                        ok = (
-                            p in shared_pts
-                            and p in (pli[0], pli[-1])
-                            and p in (plj[0], plj[-1])
-                        )
-                        if not ok:
-                            raise LayoutError(f"edges {i},{j}: tangency at {p}")
-                        continue
-                    point_log[p] = point_log.get(p, 0) + 1
-                    same = labels[i][si] == labels[j][sj]
-                    hits.append((crossing_sign(a, b, c, d), same))
-            table[(i, j)] = hits
+    table = {(i, j): [] for i in range(m) for j in range(i + 1, m)}
+    for i, si, j, sj in box_pairs(curves):
+        if i == j:
+            continue
+        pli, plj = curves[i], curves[j]
+        a, b = pli[si], pli[si + 1]
+        c, d = plj[sj], plj[sj + 1]
+        kind, p = classify_segments(a, b, c, d)
+        if kind == "none":
+            continue
+        if kind == "overlap":
+            raise LayoutError(f"edges {i},{j}: overlapping segments")
+        if kind == "touch":
+            shared_pts = {vpts[v] for v in set(g.edges[i]) & set(g.edges[j])}
+            ok = p in shared_pts and p in (pli[0], pli[-1]) and p in (plj[0], plj[-1])
+            if not ok:
+                raise LayoutError(f"edges {i},{j}: tangency at {p}")
+            continue
+        point_log[p] = point_log.get(p, 0) + 1
+        same = labels[i][si] == labels[j][sj]
+        table[(i, j)].append((crossing_sign(a, b, c, d), same))
     for cnt in point_log.values():
         if cnt > 1:
             raise LayoutError("multiple crossings through one point")

@@ -34,7 +34,7 @@ class SolverBudget:
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
+        if self.time_cap is not None and not self.time_cap > 0:  # NaN too
             raise ValueError("time_cap must be positive")
 
 

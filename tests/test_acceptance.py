@@ -16,7 +16,6 @@ from surfembed.drawing import (
     CompatibilityClass,
     ParityMatrix,
     apply_finger_move,
-    canonical_drawing,
     convex_drawing,
     crossing_parity_matrix,
     finger_move_labels,

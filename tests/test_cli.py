@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from surfembed import cli
 from surfembed.cli import main
-from surfembed.drawing import canonical_drawing, crossing_parity_matrix, serialize_drawing
+from surfembed.drawing import convex_drawing, crossing_parity_matrix, serialize_drawing
 from surfembed.gf2 import BitMatrix, serialize_bitmatrix
 from surfembed.graph import complete_bipartite, complete_graph, serialize_graph
 from surfembed.intmat import IntMatrix, serialize_intmatrix
+from surfembed.surface import VerifyReport
 
 ROOT = Path(__file__).resolve().parent.parent
 _ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -71,7 +73,7 @@ def test_bound_values(tmp_path, capsys):
 
 
 def test_crossings_roundtrip(tmp_path, capsys):
-    d = canonical_drawing(complete_graph(5))
+    d = convex_drawing(complete_graph(5))
     dfile = _write(tmp_path, "k5.d", serialize_drawing(d))
     expected = serialize_bitmatrix(crossing_parity_matrix(d).values)
     assert main(["crossings", "--drawing", dfile]) == 0
@@ -82,7 +84,7 @@ def test_crossings_roundtrip(tmp_path, capsys):
 
 def test_compat_and_realize(tmp_path, capsys):
     g5 = _k5(tmp_path)
-    d = canonical_drawing(complete_graph(5))
+    d = convex_drawing(complete_graph(5))
     mat = _write(tmp_path, "k5.m", serialize_bitmatrix(crossing_parity_matrix(d).values))
     zero = _write(tmp_path, "zero.m", serialize_bitmatrix(BitMatrix(10, 10)))
 
@@ -127,7 +129,7 @@ def test_factor_construct_verify_extract_pipeline(tmp_path, capsys):
 
 def test_z_pipeline_extract_roundtrip(tmp_path, capsys):
     g4 = _write(tmp_path, "k4.g", serialize_graph(complete_graph(4)))
-    d4 = _write(tmp_path, "k4.d", serialize_drawing(canonical_drawing(complete_graph(4))))
+    d4 = _write(tmp_path, "k4.d", serialize_drawing(convex_drawing(complete_graph(4))))
     b = IntMatrix(6, 6)
     b.data[0][5] = 2
     b.data[5][0] = -2
@@ -148,7 +150,7 @@ def test_z_pipeline_extract_roundtrip(tmp_path, capsys):
 def test_verify_rejects_nonzero_pairs(tmp_path, capsys):
     # K5 convex drawing on the sphere has crossing pairs left over
     g5 = _k5(tmp_path)
-    d5 = _write(tmp_path, "k5.d", serialize_drawing(canonical_drawing(complete_graph(5))))
+    d5 = _write(tmp_path, "k5.d", serialize_drawing(convex_drawing(complete_graph(5))))
     a = BitMatrix(10, 10)
     mat = _write(tmp_path, "z.m", serialize_bitmatrix(a))
     main(["factor", "--mode", "even", "--matrix", mat])
@@ -175,6 +177,42 @@ def test_solve_nonpositive_budget_exit_three(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_nodes must be positive" in captured.err
+
+
+def test_solve_yes_needs_the_geometric_verifier_too(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def reject(sd, mode=None):
+        seen.append(mode)
+        return VerifyReport(mode, {}, False)
+
+    monkeypatch.setattr(cli, "verify_geometric", reject)
+    wit = tmp_path / "k5.sd"
+    rc = main(["solve", "--graph", _k5(tmp_path), "--genus", "1", "--witness-out", str(wit)])
+    assert rc == 3
+    assert seen == ["z2"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "witness failed independent verification" in captured.err
+    assert not wit.exists()
+
+
+def test_solve_time_cap(tmp_path, capsys):
+    g = _write(tmp_path, "k33.g", serialize_graph(complete_bipartite(3, 3)))
+    for cap in ("0", "-1", "nan"):
+        rc = main(["solve", "--graph", g, "--genus", "1", "--time-cap", cap])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time_cap must be positive" in captured.err
+    assert main(["solve", "--graph", g, "--genus", "1", "--time-cap", "60"]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    # K8 on the torus needs millions of nodes; the cap stops the search at
+    # its first deadline test, after 4096 nodes.
+    k8 = _write(tmp_path, "k8.g", serialize_graph(complete_graph(8)))
+    rc = main(["solve", "--graph", k8, "--genus", "1", "--time-cap", "1e-9", "--structured"])
+    assert rc == 2
+    assert capsys.readouterr().out.splitlines() == ["result = UNKNOWN", "nodes = 4096"]
 
 
 def test_input_errors_exit_three(tmp_path, capsys):

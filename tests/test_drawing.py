@@ -9,7 +9,6 @@ from surfembed.drawing import (
     ParityMatrix,
     PlanarDrawing,
     apply_finger_move,
-    canonical_drawing,
     convex_drawing,
     crossing_parity_matrix,
     finger_move_generators,
@@ -45,7 +44,7 @@ def convex_crossing_oracle(g, order):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_convex_drawing_matches_interleaving_oracle(n):
     g = complete_graph(n)
-    d = canonical_drawing(g)
+    d = convex_drawing(g)
     pm = crossing_parity_matrix(d)
     oracle = convex_crossing_oracle(g, list(range(n)))
     for pr in independent_pairs(g):
@@ -58,14 +57,14 @@ def test_convex_drawing_matches_interleaving_oracle(n):
 
 def test_canonical_k4_has_one_odd_pair():
     g = complete_graph(4)
-    pm = crossing_parity_matrix(canonical_drawing(g))
+    pm = crossing_parity_matrix(convex_drawing(g))
     odd = [(p.i, p.j) for p in independent_pairs(g) if pm.get(p.i, p.j)]
     assert odd == [(1, 4)]  # chords 02 and 13
 
 
 def test_canonical_k5_has_five_odd_pairs():
     g = complete_graph(5)
-    pm = crossing_parity_matrix(canonical_drawing(g))
+    pm = crossing_parity_matrix(convex_drawing(g))
     odd = sum(pm.get(p.i, p.j) for p in independent_pairs(g))
     assert odd == 5
 
@@ -82,7 +81,7 @@ def test_convex_drawing_with_order():
 
 def test_signed_matrix_is_skew_and_mod2_consistent():
     for g in (complete_graph(5), complete_bipartite(3, 3)):
-        d = canonical_drawing(g)
+        d = convex_drawing(g)
         s = signed_crossing_matrix(d)
         assert s.is_skew()
         pm = crossing_parity_matrix(d)
@@ -92,7 +91,7 @@ def test_signed_matrix_is_skew_and_mod2_consistent():
 
 def test_signed_matrix_orientation_flip_negates_row_and_column():
     g = complete_graph(5)
-    d = canonical_drawing(g)
+    d = convex_drawing(g)
     s = signed_crossing_matrix(d)
     flipped = PlanarDrawing(
         g,
@@ -123,7 +122,7 @@ def test_finger_move_generator_support():
 
 def test_apply_finger_move_flips_expected_parities():
     g = complete_graph(5)
-    d = canonical_drawing(g)
+    d = convex_drawing(g)
     pm0 = crossing_parity_matrix(d)
     e, v = 0, 4  # edge (0,1), vertex 4
     d2 = apply_finger_move(d, e, v)
@@ -213,7 +212,7 @@ def test_compatibility_closed_under_finger_moves():
     rng = random.Random(21)
     cls = CompatibilityClass.compute(g)
     labels = finger_move_labels(g)
-    d = canonical_drawing(g)
+    d = convex_drawing(g)
     used = {}
     for _ in range(4):
         e, v = labels[rng.randrange(len(labels))]
@@ -236,7 +235,7 @@ def test_drawing_serialize_roundtrip_exact():
     g = complete_graph(5)
     d = realize_parity(
         g,
-        crossing_parity_matrix(apply_finger_move(canonical_drawing(g), 0, 3)),
+        crossing_parity_matrix(apply_finger_move(convex_drawing(g), 0, 3)),
     )
     text = serialize_drawing(d)
     d2 = parse_drawing(text, g)
@@ -261,7 +260,7 @@ def test_incremental_table_matches_fresh_computation(g, seed):
     # Fingers on two edges only, so the same edge is rerouted again and again.
     rng = random.Random(seed)
     edges = rng.sample(range(g.edge_count), 2)
-    d = canonical_drawing(g)
+    d = convex_drawing(g)
     used = {}
     for _ in range(6):
         e = rng.choice(edges)

@@ -5,7 +5,7 @@ import pytest
 from surfembed.drawing import (
     ParityMatrix,
     PlanarDrawing,
-    canonical_drawing,
+    convex_drawing,
     crossing_parity_matrix,
     realize_parity,
     signed_crossing_matrix,
@@ -48,7 +48,7 @@ def test_surface_spec_basics():
 
 def test_zero_factor_reduces_to_planar():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     y = BitMatrix(2, g.edge_count)
     sd = construct_z2_embedding(g, f, y, SurfaceSpec("S", 1))
     rep = verify_z2(sd)
@@ -62,7 +62,7 @@ def test_single_interlaced_pass_cancels_core_parity():
     # Two independent edges crossing once; tubes through the two ribbons of
     # one handle cancel the parity.
     g = Graph(4, [(0, 2), (1, 3)])
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     assert crossing_parity_matrix(f).get(0, 1) == 1
     y = BitMatrix.from_lists([[1, 0], [0, 1]])
     sd = construct_z2_embedding(g, f, y, SurfaceSpec("S", 1))
@@ -135,7 +135,7 @@ def test_k33_nonorientable_z2_pipeline():
 
 def test_convex_k4_z_pipeline_on_torus():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     a = signed_crossing_matrix(f)
     assert rank_q(a) == 2
     b = factor_alternating(a)
@@ -152,7 +152,7 @@ def test_convex_k4_z_pipeline_on_torus():
 
 def test_verify_z_rejects_nonorientable():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     sd = construct_z2_embedding(g, f, BitMatrix(1, g.edge_count), SurfaceSpec("M", 1))
     with pytest.raises(SurfaceError):
         verify_z(sd)
@@ -189,7 +189,7 @@ def test_extract_nonorientable_flip_rule():
 
 def test_extract_z_mode():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     a = signed_crossing_matrix(f)
     b = factor_alternating(a)
     sd = construct_z_embedding(g, f, b, SurfaceSpec("S", 1))
@@ -203,7 +203,7 @@ def test_extract_z_mode():
 
 def test_serialize_parse_roundtrip():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     a = signed_crossing_matrix(f)
     b = factor_alternating(a)
     sd = construct_z_embedding(g, f, b, SurfaceSpec("S", 1))
@@ -219,7 +219,7 @@ def test_serialize_parse_roundtrip():
 
 def test_geometric_agrees_on_planar_core():
     g = complete_graph(4)
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     sd = construct_z2_embedding(g, f, BitMatrix(2, g.edge_count), SurfaceSpec("S", 1))
     rep_c = verify_z2(sd)
     rep_g = verify_geometric(sd, "z2")
@@ -229,7 +229,7 @@ def test_geometric_agrees_on_planar_core():
 def test_geometric_single_pass_basis_pairings():
     # one crossing pair, tubes through single ribbons: all basis cases
     g = Graph(4, [(0, 2), (1, 3)])
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     s = SurfaceSpec("S", 1)
     for ya, yb in [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 0)), ((1, 1), (1, 1))]:
         y = BitMatrix.from_lists([[ya[0], yb[0]], [ya[1], yb[1]]])
@@ -241,7 +241,7 @@ def test_geometric_single_pass_basis_pairings():
 
 def test_geometric_signed_basis_pairings():
     g = Graph(4, [(0, 2), (1, 3)])
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     s = SurfaceSpec("S", 1)
     cases = [
         ((1, 0), (0, 1)),
@@ -262,7 +262,7 @@ def test_geometric_signed_basis_pairings():
 
 def test_geometric_moebius_pairings():
     g = Graph(4, [(0, 2), (1, 3)])
-    f = canonical_drawing(g)
+    f = convex_drawing(g)
     for m, ya, yb in [
         (1, (1,), (1,)),
         (2, (1, 0), (0, 1)),
@@ -289,7 +289,7 @@ def test_geometric_agrees_random_z2():
         y = BitMatrix(s.ribbon_count, m)
         for i in range(s.ribbon_count):
             y.data[i] = rng.getrandbits(m)
-        sd = construct_z2_embedding(g, canonical_drawing(g), y, s)
+        sd = construct_z2_embedding(g, convex_drawing(g), y, s)
         rep_c = verify_z2(sd)
         rep_g = verify_geometric(sd, "z2")
         assert rep_g.pairs == rep_c.pairs
@@ -306,7 +306,7 @@ def test_geometric_agrees_random_z():
         b = IntMatrix(
             2 * genus, m, [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(2 * genus)]
         )
-        sd = construct_z_embedding(g, canonical_drawing(g), b, s)
+        sd = construct_z_embedding(g, convex_drawing(g), b, s)
         rep_c = verify_z(sd)
         rep_g = verify_geometric(sd, "z")
         assert rep_g.pairs == rep_c.pairs
@@ -319,7 +319,7 @@ def test_geometric_agrees_z_with_random_orientations():
     graphs = [complete_graph(4), complete_graph(5), complete_bipartite(3, 3)]
     for trial in range(12):
         g = graphs[trial % len(graphs)]
-        base = canonical_drawing(g)
+        base = convex_drawing(g)
         orientations = [rng.choice((1, -1)) for _ in range(g.edge_count)]
         d = PlanarDrawing(g, base.vertex_points, base.edge_polylines, orientations)
         b = factor_alternating(signed_crossing_matrix(d))

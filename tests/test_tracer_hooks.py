@@ -1,17 +1,19 @@
 """The benchmark tracer still finds the hooks it counts through.
 
 surfbench/spans.py wraps package functions from outside, in every module
-that binds them.  A refactor that stops calling `classify_segments` or
-`finger_polyline` through those module globals would make its counters
-read zero; this test notices without a benchmark run.
+that binds them.  A refactor that stops calling `classify_segments`,
+`intersection_point` or `finger_polyline` through those module globals
+would make its counters read zero; these tests notice without a benchmark
+run.
 """
 
 import importlib.util
 from pathlib import Path
 
 import surfembed
-from surfembed.drawing import apply_finger_move, canonical_drawing, crossing_parity_matrix
+from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix
 from surfembed.graph import complete_graph
+from surfembed.solver import z2_embeddable_orientable
 
 SPANS = Path(__file__).resolve().parents[1] / "surfbench" / "spans.py"
 
@@ -25,7 +27,7 @@ def _tracer():
 
 def test_tracer_counts_finger_attempts_and_drawing_segment_tests():
     g = complete_graph(5)
-    target = crossing_parity_matrix(apply_finger_move(canonical_drawing(g), 0, 3))
+    target = crossing_parity_matrix(apply_finger_move(convex_drawing(g), 0, 3))
     classify = surfembed.drawing.classify_segments
     tracer = _tracer()
     tracer.install(surfembed)
@@ -38,3 +40,18 @@ def test_tracer_counts_finger_attempts_and_drawing_segment_tests():
     assert counts["drawing.finger_attempts"] > 0
     assert counts["geom.segment_tests.drawing"] > 0
     assert surfembed.drawing.classify_segments is classify
+
+
+def test_tracer_counts_layout_segment_tests_and_intersection_points():
+    sd = z2_embeddable_orientable(complete_graph(5), 1).witness.surface_drawing
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        report = surfembed.layout.verify_geometric(sd)
+    finally:
+        tracer.uninstall()
+    assert report.is_embedding
+    _, _, counts = tracer.summary()
+    assert counts["layout.verify_geometric.calls"] == 1
+    assert counts["geom.segment_tests.layout"] > 0
+    assert counts["geom.intersection_points"] > 0
