@@ -1,6 +1,6 @@
 """Exact rational plane geometry: orientation tests, proper segment
-intersection, the segment pairs of polylines whose boxes meet,
-point-in-polygon winding.  No floating point, no epsilons.
+intersection, the segment pairs of polylines whose boxes meet.  No
+floating point, no epsilons.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ Point = tuple[Fraction, Fraction]
 
 class DegeneracyError(ValueError):
     """A configuration outside general position."""
-
-
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
 
 
 def sub(a: Point, b: Point) -> Point:
@@ -187,28 +183,3 @@ def crossing_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
     """Sign of det(p2-p1, q2-q1) at a transversal crossing."""
     v = cross(sub(p2, p1), sub(q2, q1))
     return (v > 0) - (v < 0)
-
-
-def winding_number(poly: list[Point], p: Point) -> int:
-    """Winding number of the closed polygon around p.
-
-    Raises DegeneracyError when p lies on the polygon boundary.
-    """
-    n = len(poly)
-    w = 0
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        if a == b:
-            continue
-        if on_segment(p, a, b):
-            raise DegeneracyError("point on polygon boundary")
-        if a[1] <= p[1] < b[1] and orient(a, b, p) > 0:
-            w += 1
-        elif b[1] <= p[1] < a[1] and orient(a, b, p) < 0:
-            w -= 1
-    return w
-
-
-def point_in_polygon(poly: list[Point], p: Point) -> bool:
-    return winding_number(poly, p) != 0

@@ -39,6 +39,23 @@ class SolverBudget:
 
 
 @dataclass
+class _Started(SolverBudget):
+    """A budget whose time cap counts from one fixed instant."""
+
+    deadline: float = None
+
+
+def _start(budget: SolverBudget = None) -> _Started:
+    """The budget with its deadline fixed now.  A started budget passes
+    through, so every search under one top-level call shares one deadline."""
+    budget = budget or SolverBudget()
+    if isinstance(budget, _Started):
+        return budget
+    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
+    return _Started(budget.max_nodes, budget.time_cap, deadline)
+
+
+@dataclass
 class Witness:
     matrix: BitMatrix
     factor: BitMatrix
@@ -143,6 +160,26 @@ def _edge_order(g: Graph, checks, pairs):
     return order
 
 
+def _spanning_forest(g: Graph, order) -> set[int]:
+    """Kruskal over the order: an edge joins the forest unless earlier
+    forest edges already connect its ends."""
+    parent = list(range(g.vertex_count))
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    forest = set()
+    for e in order:
+        a, b = (root(u) for u in g.edges[e])
+        if a != b:
+            parent[a] = b
+            forest.add(e)
+    return forest
+
+
 def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: CompatibilityClass):
     """DFS over per-edge vectors; returns (status, assignment, nodes).
 
@@ -154,6 +191,19 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
     the edge with a placed edge j whose J.y_j has bit b set.  A candidate
     passes when every check firing at its position, i.e. involving no
     later edge, meets its right-hand side.
+
+    Normal form: rerouting a vertex through w adds w to y_e for every edge
+    e at it, a sum of finger moves, so the class test does not change and
+    y_e = 0 may be fixed on a spanning forest.  The forest is taken by
+    Kruskal over the edge order; its pairs drop out of every check
+    (B(0, y) = 0), and the DFS runs over the remaining edges in their
+    relative order, orbit representatives at the first.  Zeroing forest
+    edge f moves every vertex of the component f attaches at its place in
+    the order, which changes only f and later edges, so the
+    lexicographically first solution over all edges is zero on the forest
+    and has a representative at the first free edge.  This DFS therefore
+    visits a subset of the nodes of the DFS over all edges, in the same
+    order, and returns the same assignment.
     """
     m = g.edge_count
     pairs = independent_pairs(g)
@@ -170,24 +220,32 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
         return "no", None, 1
 
     order = _edge_order(g, checks, pairs)
-    pos = {e: t for t, e in enumerate(order)}
+    forest = _spanning_forest(g, order)
+    free = [e for e in order if e not in forest]
+    n = len(free)
+    pos = {e: t for t, e in enumerate(free)}
     reps = _canonical_reps(kind, d)
 
-    # A check fires at the deepest position it involves (a nullspace basis
-    # vector is never zero).  A pair enters the state when its later edge is
-    # placed: links[t] maps each earlier edge j to the checks holding the
-    # pair (order[t], j).
-    fire_mask = [0] * m
+    # A check fires at the deepest position it involves.  A pair enters the
+    # state when its later edge is placed: links[t] maps each earlier edge j
+    # to the checks holding the pair (free[t], j).
+    fire_mask = [0] * n
     rhs_mask = 0
-    links = [{} for _ in range(m)]
+    links = [{} for _ in range(n)]
     for c, (support, rhs) in enumerate(checks):
-        depth = 0
+        depth = -1
         for k in support:
             i, j = pairs[k].i, pairs[k].j
+            if i in forest or j in forest:
+                continue
             if pos[i] < pos[j]:
                 i, j = j, i
             links[pos[i]][j] = links[pos[i]].get(j, 0) ^ (1 << c)
             depth = max(depth, pos[i])
+        if depth < 0:  # every pair touches the forest: the sum is 0
+            if rhs:
+                return "no", None, 0
+            continue
         fire_mask[depth] |= 1 << c
         rhs_mask |= rhs << c
     links = [list(row.items()) for row in links]
@@ -200,13 +258,11 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
     placed_bits = [None] * m  # dual_bits of each placed edge's vector
     max_nodes = budget.max_nodes
     nodes = 0
-    deadline = None
-    if budget.time_cap is not None:
-        deadline = time.monotonic() + budget.time_cap
+    deadline = _start(budget).deadline
 
     def dfs(t, state):
         nonlocal nodes
-        if t == m:
+        if t == n:
             return True
         units = [0] * d
         for j, held in links[t]:
@@ -217,7 +273,7 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
             deltas += [x ^ u for x in deltas]
         fires = fire_mask[t]
         want = rhs_mask & fires
-        e = order[t]
+        e = free[t]
         for v in reps if t == 0 else range(len(deltas)):
             nodes += 1
             if nodes > max_nodes:
@@ -272,7 +328,7 @@ def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec, compa
 
 
 def _solve(g: Graph, kind: str, d: int, spec: SurfaceSpec, budget, compat) -> SolveResult:
-    budget = budget or SolverBudget()
+    budget = _start(budget)
     compat = compat or CompatibilityClass.compute(g)
     if compat.graph.edges != g.edges:
         raise ValueError("compatibility class of a different edge set")
@@ -302,10 +358,11 @@ def z2_embeddable_nonorientable(
 
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:
     """Z2-embeddability into some surface of Euler characteristic e, via the
-    rank bound 2-e: the union of the even search and the odd search."""
+    rank bound 2-e: the union of the even search and the odd search, under
+    one deadline."""
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
-    budget = budget or SolverBudget()
+    budget = _start(budget)
     compat = CompatibilityClass.compute(g)
     rank_cap = 2 - e
     res_o = z2_embeddable_orientable(g, rank_cap // 2, budget, compat)
@@ -332,10 +389,12 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
     """Smallest genus (or crosscap number) admitting a Z2-embedding.
 
     Scanning upward is sound: embeddability into a surface implies
-    embeddability into every larger one of the same kind.
+    embeddability into every larger one of the same kind.  The searches of
+    the scan share one deadline.
     """
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")
+    budget = _start(budget)
     start = 0 if kind == "orientable" else 1
     compat = CompatibilityClass.compute(g)
     for p in range(start, maximum + 1):

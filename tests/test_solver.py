@@ -1,8 +1,10 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from surfembed import solver
 from surfembed.gf2 import rank_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
@@ -113,22 +115,90 @@ def test_form_and_orbit_representatives_match_brute_force():
 
 
 def test_search_matches_per_candidate_reference():
+    """The reference runs over every edge; the search fixes y = 0 on a
+    spanning forest and visits a subset of the reference's nodes in the same
+    order.  So it never takes more nodes, agrees whenever the reference
+    decides, and returns the same assignment on every yes."""
     rng = random.Random(43)
-    seen = set()
+    cases = []
     for trial in range(12):
         n = rng.randrange(4, 9)
         possible = list(itertools.combinations(range(n), 2))
         rng.shuffle(possible)
         g = Graph(n, sorted(possible[: rng.randrange(n, min(len(possible), 2 * n + 2) + 1)]))
-        cls = CompatibilityClass.compute(g)
         for kind, d in (("H", 0), ("H", 2), ("H", 4), ("I", 1), ("I", 2), ("I", 3)):
-            max_nodes = rng.choice((30, 300, 3000))
-            got = _search(g, kind, d, SolverBudget(max_nodes=max_nodes), cls)
-            assert got == _reference_search(g, kind, d, max_nodes), (g.edges, kind, d)
-            if got[0] == "unknown":
-                assert got[2] == max_nodes + 1
-            seen.add(got[0])
+            cases.append((g, kind, d, rng.choice((30, 300, 3000))))
+    # The reference exhausts 3000 nodes on these; the search decides them.
+    cases += [(complete_bipartite(3, 5), "I", 1, 3000), (complete_bipartite(4, 4), "I", 1, 3000)]
+    seen = set()
+    confirmed = 0
+    for g, kind, d, max_nodes in cases:
+        cls = CompatibilityClass.compute(g)
+        status, assign, nodes = _search(g, kind, d, SolverBudget(max_nodes=max_nodes), cls)
+        ref = _reference_search(g, kind, d, max_nodes)
+        assert nodes <= ref[2], (g.edges, kind, d)
+        if status == "unknown":
+            assert nodes == max_nodes + 1 and ref[0] == "unknown"
+        else:
+            if ref[0] == "unknown":
+                ref = _reference_search(g, kind, d, 100 * max_nodes)
+                confirmed += 1
+            assert (status, assign) == ref[:2], (g.edges, kind, d)
+        seen.add(status)
     assert seen == {"yes", "no", "unknown"}
+    assert confirmed
+
+
+def _relabelled(g, rng):
+    """The same graph with shuffled vertex labels and edge order."""
+    p = list(range(g.vertex_count))
+    rng.shuffle(p)
+    edges = [(p[u], p[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.vertex_count, edges)
+
+
+@pytest.mark.parametrize("m, n", [(3, 7), (5, 5)])
+def test_kmn_torus_no_within_300k_nodes(m, n):
+    assert kmn_lower_bound(m, n) == 2
+    base = complete_bipartite(m, n)
+    rng = random.Random(m * 10 + n)
+    for g in [base] + [_relabelled(base, rng) for _ in range(3)]:
+        res = z2_embeddable_orientable(g, 1, SolverBudget(max_nodes=300_000))
+        assert res.status == "no", g.edges
+
+
+def test_k8_torus_no_within_default_budget():
+    # The Z2-genus of K8 is its genus 2 (Fulek-Pelsmajer-Schaefer).
+    assert z2_embeddable_orientable(complete_graph(8), 1).status == "no"
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, budget: z2_embeddable_euler(g, 0, budget).status,
+        lambda g, budget: z2_genus(g, "orientable", 2, budget).status,
+    ],
+    ids=["euler", "genus"],
+)
+def test_one_deadline_for_all_searches_of_a_call(monkeypatch, solve):
+    # The clock stands still through the first search and then jumps past
+    # the deadline: the next search must stop at its first deadline test.
+    clock = [0.0]
+    runs = []
+
+    def timed_search(*args):
+        runs.append(search(*args))
+        clock[0] += 10.0
+        return runs[-1]
+
+    search = solver._search
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(solver, "_search", timed_search)
+    # K4,5: S0 and S1 are "no" (9,983 nodes), N2 is "no" (8,191), S2 is "yes".
+    assert solve(complete_bipartite(4, 5), SolverBudget(time_cap=5.0)) == "unknown"
+    assert runs[-1] == ("unknown", None, 4096)
+    assert runs[0][0] == "no"
 
 
 def test_shared_class_must_match_the_graph():
