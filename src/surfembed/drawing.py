@@ -530,12 +530,18 @@ def parse_drawing(text: str, graph: Graph = None) -> PlanarDrawing:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "vertex":
+            if len(parts) != 4:
+                raise ValueError(f"bad vertex line: {ln!r}")
             vid = int(parts[1])
+            if vid in vpts:
+                raise ValueError(f"repeated vertex id: {ln!r}")
             vpts[vid] = (_parse_rat(parts[2]), _parse_rat(parts[3]))
         elif parts[0] == "edge":
-            eid = int(parts[1])
-            if parts[2] != ":":
+            if len(parts) < 3 or parts[2] != ":":
                 raise ValueError(f"bad edge line: {ln!r}")
+            eid = int(parts[1])
+            if eid in polys:
+                raise ValueError(f"repeated edge id: {ln!r}")
             coords = parts[3:]
             if len(coords) % 2:
                 raise ValueError(f"odd coordinate count: {ln!r}")
@@ -582,8 +588,10 @@ def serialize_drawing(d: PlanarDrawing) -> str:
 
 def _parse_rat(s: str) -> Fraction:
     if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(x) for x in s.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator: {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

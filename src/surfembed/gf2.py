@@ -53,13 +53,6 @@ class BitMatrix:
             m.data[i] = 1 << i
         return m
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.data))
-
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise Gf2Error(f"index ({i},{j}) out of bounds")

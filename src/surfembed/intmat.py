@@ -30,20 +30,6 @@ class IntMatrix:
                 raise IntMatrixError("shape mismatch")
             self.data = [[int(v) for v in r] for r in data]
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
-
     def get(self, i: int, j: int) -> int:
         return self.data[i][j]
 

@@ -1,11 +1,11 @@
 """Budgeted search for bounded-rank compatible matrices.
 
 Decides whether a graph has a crossing-parity matrix realizable by vectors
-y_e in GF(2)^d whose Gram matrix (under the hyperbolic form for orientable
-surfaces, the identity form for nonorientable ones) is compatible modulo 2
-with the graph.  Every affirmative answer carries a fully verified witness:
-the matrix, its factor, a concrete planar drawing and a surface drawing
-checked by the combinatorial verifier.
+y_e in GF(2)^d whose Gram matrix under the ribbon form of the surface
+(SurfaceSpec.form: hyperbolic on S_g, the identity on M_m) is compatible
+modulo 2 with the graph.  Every affirmative answer carries a fully
+verified witness: the matrix, its factor, a concrete planar drawing and a
+surface drawing checked by the combinatorial verifier.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .drawing import (
 )
 from .gf2 import BitMatrix
 from .graph import Graph, independent_pairs
-from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
+from .surface import SurfaceSpec, _low_bits, construct_z2_embedding, verify_z2
 
 
 @dataclass
@@ -95,35 +95,18 @@ def _nullspace(vectors, nbits):
     return basis
 
 
-def _low_bits(handles: int) -> int:
-    """The first coordinate 2h of each handle h < handles: 0b0101...01."""
-    return ((1 << (2 * handles)) - 1) // 3
+def _canonical_reps(spec: SurfaceSpec):
+    """Lexicographically minimal orbit representatives of the pass vectors
+    of the surface under the coordinate symmetries of its form (handle
+    permutations and within-handle swaps on S_g, ribbon permutations on M_m).
 
-
-def _dual(kind: str, d: int, b: int) -> int:
-    """J.b, so that the form is B(a, b) = popcount(a & J.b) mod 2.
-
-    J swaps the two coordinates of every handle for the hyperbolic form "H"
-    and is the identity for "I".
-    """
-    if kind == "I":
-        return b
-    low = _low_bits(d // 2)
-    return ((b & low) << 1) | ((b >> 1) & low)
-
-
-def _canonical_reps(kind: str, d: int):
-    """Lexicographically minimal orbit representatives of GF(2)^d under the
-    coordinate symmetries of the form (handle permutations and within-handle
-    swaps for the hyperbolic form, coordinate permutations for the identity).
-
-    An orbit is fixed by the weight for "I", and for "H" by the numbers c of
+    An orbit is fixed by the weight on M_m, and on S_g by the numbers c of
     handles 11 and b of handles 01 or 10; its least member has the c handles
     11 at the bottom and the b handles 01 above them.
     """
-    if kind == "I":
-        return [(1 << k) - 1 for k in range(d + 1)]
-    g = d // 2
+    if not spec.orientable:
+        return [(1 << k) - 1 for k in range(spec.genus + 1)]
+    g = spec.genus
     return sorted(
         ((1 << (2 * c)) - 1) | (_low_bits(b + c) ^ _low_bits(c))
         for c in range(g + 1)
@@ -180,17 +163,19 @@ def _spanning_forest(g: Graph, order) -> set[int]:
     return forest
 
 
-def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: CompatibilityClass):
-    """DFS over per-edge vectors; returns (status, assignment, nodes).
+def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
+    """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
+    on M_m); returns (status, assignment, nodes).
 
-    A check is a parity condition: the sum of B(y_i, y_j) over a set of
-    independent pairs equals its right-hand side.  Bit c of the int `state`
-    is the running sum of check c over the pairs whose edges are both
-    placed.  B is bilinear, so placing v on an edge XORs into the state the
-    units U[b] for the bits b of v, where U[b] holds the checks that pair
-    the edge with a placed edge j whose J.y_j has bit b set.  A candidate
-    passes when every check firing at its position, i.e. involving no
-    later edge, meets its right-hand side.
+    A check is a parity condition: the sum of B(y_i, y_j) =
+    spec.form(y_i, y_j) over a set of independent pairs equals its
+    right-hand side.  Bit c of the int `state` is the running sum of check
+    c over the pairs whose edges are both placed.  B is bilinear, so
+    placing v on an edge XORs into the state the units U[b] for the bits b
+    of v, where U[b] holds the checks that pair the edge with a placed
+    edge j whose J.y_j = spec.dual(y_j) has bit b set.  A candidate passes
+    when every check firing at its position, i.e. involving no later edge,
+    meets its right-hand side.
 
     Normal form: rerouting a vertex through w adds w to y_e for every edge
     e at it, a sum of finger moves, so the class test does not change and
@@ -206,6 +191,7 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
     order, and returns the same assignment.
     """
     m = g.edge_count
+    d = spec.ribbon_count
     pairs = independent_pairs(g)
     base = compat.base.pair_vector(pairs)
     zbasis = _nullspace(compat.generators, len(pairs))
@@ -224,7 +210,7 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
     free = [e for e in order if e not in forest]
     n = len(free)
     pos = {e: t for t, e in enumerate(free)}
-    reps = _canonical_reps(kind, d)
+    reps = _canonical_reps(spec)
 
     # A check fires at the deepest position it involves.  A pair enters the
     # state when its later edge is placed: links[t] maps each earlier edge j
@@ -253,7 +239,7 @@ def _search(g: Graph, kind: str, d: int, budget: SolverBudget, compat: Compatibi
     assign = [0] * m
     dual_bits = [[]]  # dual_bits[v]: the set bits of J.v
     for b in range(d):
-        image = _dual(kind, d, 1 << b).bit_length() - 1
+        image = spec.dual(1 << b).bit_length() - 1
         dual_bits += [bits + [image] for bits in dual_bits]
     placed_bits = [None] * m  # dual_bits of each placed edge's vector
     max_nodes = budget.max_nodes
@@ -301,25 +287,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec, compat: CompatibilityClass) -> Witness:
+def _build_witness(g: Graph, spec: SurfaceSpec, assign, compat: CompatibilityClass) -> Witness:
     m = g.edge_count
-    y = BitMatrix(d, m)
+    y = BitMatrix(spec.ribbon_count, m)
     for e in range(m):
-        for k in range(d):
+        for k in range(spec.ribbon_count):
             y.set(k, e, (assign[e] >> k) & 1)
-    a = BitMatrix(m, m)
-    for i in range(m):
-        for j in range(m):
-            if i != j or kind == "I":
-                a.set(i, j, (assign[i] & _dual(kind, d, assign[j])).bit_count() & 1)
-    if kind == "I" and a.is_even() and m >= 1:
-        a.set(0, 0, 1)
-    target = BitMatrix(m, m)
-    for pr in independent_pairs(g):
-        bit = a.get(pr.i, pr.j)
-        target.set(pr.i, pr.j, bit)
-        target.set(pr.j, pr.i, bit)
-    f = realize_parity(g, ParityMatrix(g, target), compat)
+    a = spec.gram(assign)
+    f = realize_parity(g, ParityMatrix(g, a), compat)
     sd = construct_z2_embedding(g, f, y, spec)
     report = verify_z2(sd)
     if not report.is_embedding:
@@ -327,33 +302,29 @@ def _build_witness(g: Graph, kind: str, d: int, assign, spec: SurfaceSpec, compa
     return Witness(a, y, f, sd, report)
 
 
-def _solve(g: Graph, kind: str, d: int, spec: SurfaceSpec, budget, compat) -> SolveResult:
+def _solve(g: Graph, spec: SurfaceSpec, budget, compat) -> SolveResult:
     budget = _start(budget)
     compat = compat or CompatibilityClass.compute(g)
     if compat.graph.edges != g.edges:
         raise ValueError("compatibility class of a different edge set")
-    status, assign, nodes = _search(g, kind, d, budget, compat)
+    status, assign, nodes = _search(g, spec, budget, compat)
     if status != "yes":
         return SolveResult(status, nodes=nodes)
-    return SolveResult("yes", _build_witness(g, kind, d, assign, spec, compat), nodes)
+    return SolveResult("yes", _build_witness(g, spec, assign, compat), nodes)
 
 
 def z2_embeddable_orientable(
     g: Graph, genus: int, budget: SolverBudget = None, compat: CompatibilityClass = None
 ) -> SolveResult:
     """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    return _solve(g, "H", 2 * genus, SurfaceSpec("S", genus), budget, compat)
+    return _solve(g, SurfaceSpec("S", genus), budget, compat)
 
 
 def z2_embeddable_nonorientable(
     g: Graph, m: int, budget: SolverBudget = None, compat: CompatibilityClass = None
 ) -> SolveResult:
     """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
-    if m < 1:
-        raise ValueError("crosscap number must be positive")
-    return _solve(g, "I", m, SurfaceSpec("M", m), budget, compat)
+    return _solve(g, SurfaceSpec("M", m), budget, compat)
 
 
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:

@@ -8,7 +8,9 @@ ribbon, a tube nesting order, and an attachment position.
 
 Verification counts crossings by the combinatorial rule: the exact planar
 crossings of the core, plus one crossing for every pass pair through
-interlaced ribbons (or through one twisted ribbon).
+interlaced ribbons (or through one twisted ribbon).  That count is the
+ribbon form of SurfaceSpec, which every user of the form calls: the
+hyperbolic form H_g on S_g, the identity on M_m.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drawing import (
+    CompatibilityClass,
+    ParityMatrix,
     PlanarDrawing,
     crossing_parity_matrix,
-    finger_move_generators,
     parse_drawing,
     serialize_drawing,
     signed_crossing_matrix,
 )
-from .gf2 import BitMatrix, in_affine_span
+from .gf2 import BitMatrix
 from .graph import independent_pairs
 from .intmat import IntMatrix
 
@@ -59,6 +62,58 @@ class SurfaceSpec:
     def euler(self) -> int:
         """Euler characteristic of the surface with one boundary circle."""
         return 1 - self.ribbon_count
+
+    def dual(self, b: int) -> int:
+        """J.b for a pass vector packed as an int (bit k = ribbon k).
+
+        J swaps the two ribbons 2h, 2h+1 of every handle on S_g and is the
+        identity on M_m.
+        """
+        if not self.orientable:
+            return b
+        low = _low_bits(self.genus)
+        return ((b & low) << 1) | ((b >> 1) & low)
+
+    def form(self, a: int, b: int) -> int:
+        """The ribbon form a^T J b mod 2 of two packed pass vectors: the
+        crossing parity their tubes add through interlaced ribbons (or
+        through one twisted ribbon)."""
+        return (a & self.dual(b)).bit_count() & 1
+
+    def gram(self, ys) -> BitMatrix:
+        """The compatibility matrix of the packed vectors ys.
+
+        On S_g the diagonal is y^T H_g y = 0, so only the off-diagonal
+        entries can be set.  On M_m it is the full Gram matrix, with entry
+        (0,0) set when the Gram matrix is even: the criterion on M_m asks
+        for an odd matrix, and a diagonal entry is no independent pair, so
+        compatibility does not change.
+        """
+        duals = [self.dual(y) for y in ys]
+        rows = [sum(((y & d).bit_count() & 1) << j for j, d in enumerate(duals)) for y in ys]
+        a = BitMatrix(len(ys), len(ys), rows)
+        if not self.orientable and ys and a.is_even():
+            a.set(0, 0, 1)
+        return a
+
+    def form_z(self, ya, yb) -> int:
+        """y_a^T H_g y_b for signed pass lists, H_g the block-diagonal
+        [[0,1],[-1,0]] matrix; defined on S_g only."""
+        acc = 0
+        for h in range(self.genus):
+            acc += ya[2 * h] * yb[2 * h + 1] - ya[2 * h + 1] * yb[2 * h]
+        return acc
+
+
+def _low_bits(handles: int) -> int:
+    """The first coordinate 2h of each handle h < handles: 0b0101...01."""
+    return ((1 << (2 * handles)) - 1) // 3
+
+
+def _packed(passes) -> list[int]:
+    """Each edge's passes as a packed GF(2) vector; signed passes reduce
+    mod 2."""
+    return [sum((x & 1) << k for k, x in enumerate(vec)) for vec in passes]
 
 
 @dataclass
@@ -111,28 +166,6 @@ class VerifyReport:
     is_embedding: bool
 
 
-def _pass_vector(sd: SurfaceDrawing, e: int) -> list:
-    return list(sd.passes[e])
-
-
-def _form_z2(surface: SurfaceSpec, ya, yb) -> int:
-    if surface.orientable:
-        acc = 0
-        for h in range(surface.genus):
-            acc ^= (ya[2 * h] & 1) * (yb[2 * h + 1] & 1)
-            acc ^= (ya[2 * h + 1] & 1) * (yb[2 * h] & 1)
-        return acc & 1
-    return sum((a & 1) * (b & 1) for a, b in zip(ya, yb)) & 1
-
-
-def _form_z(ya, yb) -> int:
-    """y_a^T H_g y_b with H_g the block-diagonal [[0,1],[-1,0]] matrix."""
-    acc = 0
-    for h in range(len(ya) // 2):
-        acc += ya[2 * h] * yb[2 * h + 1] - ya[2 * h + 1] * yb[2 * h]
-    return acc
-
-
 def construct_z2_embedding(g, f: PlanarDrawing, y: BitMatrix, s: SurfaceSpec) -> SurfaceDrawing:
     """Connected-sum construction: attach a tube to every edge whose column
     of y is nonzero, passing once through each ribbon flagged by the column.
@@ -171,12 +204,11 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     """
     g = sd.core.graph
     core = crossing_parity_matrix(sd.core)
+    ys = _packed(sd.passes)
     out = {}
     ok = True
     for pr in independent_pairs(g):
-        ya = _pass_vector(sd, pr.i)
-        yb = _pass_vector(sd, pr.j)
-        parity = core.get(pr.i, pr.j) ^ _form_z2(sd.surface, ya, yb)
+        parity = core.get(pr.i, pr.j) ^ sd.surface.form(ys[pr.i], ys[pr.j])
         out[(pr.i, pr.j)] = parity
         ok = ok and parity == 0
     return VerifyReport("z2", out, ok)
@@ -197,9 +229,7 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     out = {}
     ok = True
     for pr in independent_pairs(g):
-        ya = _pass_vector(sd, pr.i)
-        yb = _pass_vector(sd, pr.j)
-        total = core.data[pr.i][pr.j] - _form_z(ya, yb)
+        total = core.data[pr.i][pr.j] - sd.surface.form_z(sd.passes[pr.i], sd.passes[pr.j])
         out[(pr.i, pr.j)] = total
         ok = ok and total == 0
     return VerifyReport("z", out, ok)
@@ -213,49 +243,21 @@ def extract_matrix(sd: SurfaceDrawing, mode: str = None):
     if mode is None:
         mode = sd.mode
     g = sd.core.graph
-    m = g.edge_count
+    spec = sd.surface
     if mode == "z":
-        if not sd.surface.orientable:
+        if not spec.orientable:
             raise SurfaceError("integer extraction requires an orientable surface")
-        a = IntMatrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    # the basis intersection matrix is -H_g, so the entry
-                    # -(cycle pairing) comes out as +y_i^T H_g y_j
-                    a.data[i][j] = _form_z(_pass_vector(sd, i), _pass_vector(sd, j))
-        target_bits = [[abs(x) % 2 for x in row] for row in a.data]
+        # The basis intersection matrix is -H_g, so the entry -(cycle
+        # pairing) comes out as +y_i^T H_g y_j; the diagonal is 0.
+        rows = [[spec.form_z(yi, yj) for yj in sd.passes] for yi in sd.passes]
+        a = IntMatrix(g.edge_count, g.edge_count, rows)
+        bits = BitMatrix.from_lists(a.data)
     elif mode == "z2":
-        a = BitMatrix(m, m)
-        if sd.surface.orientable:
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        a.set(i, j, _form_z2(sd.surface, _pass_vector(sd, i), _pass_vector(sd, j)))
-        else:
-            # Nonorientable rule: the full Gram matrix of the pass vectors,
-            # with entry (0,0) flipped to 1 when the Gram matrix is even.
-            for i in range(m):
-                for j in range(m):
-                    a.set(i, j, _form_z2(sd.surface, _pass_vector(sd, i), _pass_vector(sd, j)))
-            if a.is_even() and m >= 1:
-                a.set(0, 0, 1)
-        target_bits = a.to_lists()
+        a = bits = spec.gram(_packed(sd.passes))
     else:
         raise SurfaceError("mode must be z2 or z")
-    cert = _compatibility_certificate(sd.core, target_bits)
+    cert = CompatibilityClass.compute(g, sd.core).membership(ParityMatrix(g, bits))
     return a, cert
-
-
-def _compatibility_certificate(core: PlanarDrawing, target_bits):
-    g = core.graph
-    pairs = independent_pairs(g)
-    base = crossing_parity_matrix(core).pair_vector(pairs)
-    tvec = 0
-    for k, pr in enumerate(pairs):
-        if target_bits[pr.i][pr.j] & 1:
-            tvec |= 1 << k
-    return in_affine_span(tvec, base, finger_move_generators(g), len(pairs))
 
 
 def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:

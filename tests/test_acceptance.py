@@ -309,13 +309,14 @@ def test_signed_roundtrip_50():
 
 
 def test_extraction_consistency(genus_witnesses):
-    # matrices extracted back from the genus witnesses are even (orientable)
-    # or odd (nonorientable), satisfy the rank bound, and are compatible
-    # with the witness core drawing
+    # matrices extracted back from the genus witnesses are the solver's
+    # matrices, even (orientable) or odd (nonorientable), satisfy the rank
+    # bound, and are compatible with the witness core drawing
     results, _ = genus_witnesses
     for g, kind, expected, res in results:
         sd = res.witness.surface_drawing
         a, cert = extract_matrix(sd, "z2")
+        assert a == res.witness.matrix
         if kind == "orientable":
             assert a.is_even()
             assert rank_gf2(a) <= 2 * expected

@@ -224,6 +224,10 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert main(["bound", "--kmn", "5"]) == 3
     assert main(["construct", "--graph", bad, "--drawing", bad,
                  "--factor", bad, "--surface", "Q:1"]) == 3
+    # malformed drawings: a short vertex line, a zero denominator, a repeated id
+    for name, text in (("short.d", "vertex 0 1\n"), ("den.d", "vertex 0 1/0 0\n"),
+                       ("twice.d", "vertex 0 0 0\nvertex 0 1 0\n")):
+        assert main(["crossings", "--drawing", _write(tmp_path, name, "drawing\n" + text)]) == 3
     capsys.readouterr()
 
 

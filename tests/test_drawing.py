@@ -250,6 +250,19 @@ def test_parse_drawing_rejects_malformed():
         parse_drawing("nope\n", g)
     with pytest.raises(ValueError):
         parse_drawing("drawing\nvertex 0 0 0\n", g)
+    points = "vertex 0 0 0\nvertex 1 1 0\n"
+    for text in (
+        "vertex\n",
+        "vertex 0 1\n",
+        "edge\n",
+        "edge 0\n",
+        "vertex 0 0 0\nvertex 1 1/0 0\n",
+        points + "edge 0 : 0 0 1/0 0\n",
+        points + "vertex 1 2 0\n",
+        points + "edge 0 : 0 0 1 0\nedge 0 : 0 0 1 0\n",
+    ):
+        with pytest.raises(ValueError):
+            parse_drawing("drawing\n" + text)
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,14 @@ from surfembed.solver import (
     z2_genus,
 )
 from surfembed.drawing import CompatibilityClass
-from surfembed.solver import _canonical_reps, _dual, _edge_order, _nullspace, _search
-from surfembed.surface import verify_z2
+from surfembed.solver import _canonical_reps, _edge_order, _nullspace, _search
+from surfembed.surface import SurfaceSpec, verify_z2
 
 
-def _brute_form(kind, a, b):
-    """The form coordinate by coordinate: handles (2h, 2h+1) for "H"."""
+def _brute_form(spec, a, b):
+    """The form coordinate by coordinate: handles (2h, 2h+1) on S_g."""
     d = max(a.bit_length(), b.bit_length()) + 1
-    if kind == "I":
+    if not spec.orientable:
         return sum((a >> k) & (b >> k) & 1 for k in range(d)) & 1
     return sum(
         ((a >> 2 * h) & (b >> (2 * h + 1)) & 1) ^ ((a >> (2 * h + 1)) & (b >> 2 * h) & 1)
@@ -33,9 +33,10 @@ def _brute_form(kind, a, b):
     ) & 1
 
 
-def _brute_reps(kind, d):
+def _brute_reps(spec):
     """Vectors that no coordinate symmetry of the form makes smaller."""
-    if kind == "H":
+    d = spec.ribbon_count
+    if spec.orientable:
         perms = []
         for handles in itertools.permutations(range(d // 2)):
             for swaps in itertools.product((0, 1), repeat=d // 2):
@@ -56,11 +57,12 @@ class _Exhausted(Exception):
     pass
 
 
-def _reference_search(g, kind, d, max_nodes):
+def _reference_search(g, spec, max_nodes):
     """The solver's DFS as it was before the bitset checks: each candidate
     re-sums, from a table of form values, every check firing at its
     position.  Same checks, order, domains and node count."""
     m = g.edge_count
+    d = spec.ribbon_count
     pairs = independent_pairs(g)
     cls = CompatibilityClass.compute(g)
     base = cls.base.pair_vector(pairs)
@@ -72,8 +74,8 @@ def _reference_search(g, kind, d, max_nodes):
         return ("yes", [0] * m, 1) if all(rhs == 0 for _, rhs in checks) else ("no", None, 1)
     order = _edge_order(g, checks, pairs)
     pos = {e: t for t, e in enumerate(order)}
-    table = [[_brute_form(kind, a, b) for b in range(1 << d)] for a in range(1 << d)]
-    reps = _brute_reps(kind, d)
+    table = [[_brute_form(spec, a, b) for b in range(1 << d)] for a in range(1 << d)]
+    reps = _brute_reps(spec)
     fire = [[] for _ in range(m)]
     for support, rhs in checks:
         terms = [(pairs[k].i, pairs[k].j) for k in support]
@@ -106,12 +108,13 @@ def _reference_search(g, kind, d, max_nodes):
 
 
 def test_form_and_orbit_representatives_match_brute_force():
-    for kind, dims in (("I", range(7)), ("H", range(0, 7, 2))):
-        for d in dims:
-            assert _canonical_reps(kind, d) == _brute_reps(kind, d), (kind, d)
-            for a in range(1 << min(d, 4)):
-                for b in range(1 << min(d, 4)):
-                    assert (a & _dual(kind, d, b)).bit_count() & 1 == _brute_form(kind, a, b)
+    specs = [SurfaceSpec("M", m) for m in range(1, 7)] + [SurfaceSpec("S", g) for g in range(4)]
+    for spec in specs:
+        d = spec.ribbon_count
+        assert _canonical_reps(spec) == _brute_reps(spec), spec
+        for a in range(1 << min(d, 4)):
+            for b in range(1 << min(d, 4)):
+                assert spec.form(a, b) == _brute_form(spec, a, b)
 
 
 def test_search_matches_per_candidate_reference():
@@ -126,24 +129,25 @@ def test_search_matches_per_candidate_reference():
         possible = list(itertools.combinations(range(n), 2))
         rng.shuffle(possible)
         g = Graph(n, sorted(possible[: rng.randrange(n, min(len(possible), 2 * n + 2) + 1)]))
-        for kind, d in (("H", 0), ("H", 2), ("H", 4), ("I", 1), ("I", 2), ("I", 3)):
-            cases.append((g, kind, d, rng.choice((30, 300, 3000))))
+        for spec in (("S", 0), ("S", 1), ("S", 2), ("M", 1), ("M", 2), ("M", 3)):
+            cases.append((g, SurfaceSpec(*spec), rng.choice((30, 300, 3000))))
     # The reference exhausts 3000 nodes on these; the search decides them.
-    cases += [(complete_bipartite(3, 5), "I", 1, 3000), (complete_bipartite(4, 4), "I", 1, 3000)]
+    n1 = SurfaceSpec("M", 1)
+    cases += [(complete_bipartite(3, 5), n1, 3000), (complete_bipartite(4, 4), n1, 3000)]
     seen = set()
     confirmed = 0
-    for g, kind, d, max_nodes in cases:
+    for g, spec, max_nodes in cases:
         cls = CompatibilityClass.compute(g)
-        status, assign, nodes = _search(g, kind, d, SolverBudget(max_nodes=max_nodes), cls)
-        ref = _reference_search(g, kind, d, max_nodes)
-        assert nodes <= ref[2], (g.edges, kind, d)
+        status, assign, nodes = _search(g, spec, SolverBudget(max_nodes=max_nodes), cls)
+        ref = _reference_search(g, spec, max_nodes)
+        assert nodes <= ref[2], (g.edges, spec)
         if status == "unknown":
             assert nodes == max_nodes + 1 and ref[0] == "unknown"
         else:
             if ref[0] == "unknown":
-                ref = _reference_search(g, kind, d, 100 * max_nodes)
+                ref = _reference_search(g, spec, 100 * max_nodes)
                 confirmed += 1
-            assert (status, assign) == ref[:2], (g.edges, kind, d)
+            assert (status, assign) == ref[:2], (g.edges, spec)
         seen.add(status)
     assert seen == {"yes", "no", "unknown"}
     assert confirmed

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,47 @@ def test_surface_spec_basics():
         SurfaceSpec("M", 0)
     with pytest.raises(SurfaceError):
         SurfaceSpec("X", 1)
+
+
+def test_ribbon_form_and_gram_match_the_matrices():
+    # form(a, b) = a^T J b and gram(ys) = Y^T J Y for the matrix Y with
+    # columns ys, J = H_g on S_g and J = I on M_m, where entry (0,0) of
+    # gram is set when Y^T Y is even.
+    rng = random.Random(30)
+    for spec in (SurfaceSpec("S", 1), SurfaceSpec("S", 2), SurfaceSpec("M", 1),
+                 SurfaceSpec("M", 2), SurfaceSpec("M", 3)):
+        d = spec.ribbon_count
+        j = hyperbolic_matrix_gf2(spec.genus) if spec.orientable else BitMatrix.identity(d)
+
+        def reference(ys):
+            rows = [sum(((v >> k) & 1) << e for e, v in enumerate(ys)) for k in range(d)]
+            y = BitMatrix(d, len(ys), rows)
+            return y.transpose() @ j @ y
+
+        everything = list(range(1 << d))
+        full = reference(everything)
+        assert all(spec.form(a, b) == full.get(a, b) for a in everything for b in everything)
+        even_weight = [v for v in everything if v.bit_count() % 2 == 0]
+        samples = [everything, even_weight, []]
+        samples += [rng.sample(everything, rng.randrange(1, 1 << d)) for _ in range(20)]
+        for ys in samples:
+            want = reference(ys)
+            if not spec.orientable and ys and want.is_even():
+                want.set(0, 0, 1)
+            assert spec.gram(ys) == want, (spec, ys)
+        if not spec.orientable:
+            assert spec.gram(even_weight).get(0, 0) == 1
+
+
+def test_integer_form_matches_the_symplectic_matrix():
+    for genus in (1, 2):
+        spec = SurfaceSpec("S", genus)
+        vectors = [list(v) for v in itertools.product((-2, -1, 0, 1), repeat=2 * genus)]
+        y = IntMatrix(2 * genus, len(vectors), [list(row) for row in zip(*vectors)])
+        want = y.transpose() @ symplectic_matrix_int(genus) @ y
+        for i, ya in enumerate(vectors):
+            for j, yb in enumerate(vectors):
+                assert spec.form_z(ya, yb) == want.data[i][j]
 
 
 def test_zero_factor_reduces_to_planar():
