@@ -21,7 +21,7 @@ from .geom import (
     integer_image,
     strictly_inside_segment,
 )
-from .gf2 import BitMatrix, in_affine_span
+from .gf2 import BitMatrix, Gf2Elimination, in_affine_span
 from .graph import Graph, independent_pairs
 from .intmat import IntMatrix
 
@@ -341,18 +341,14 @@ class CompatibilityClass:
         base = crossing_parity_matrix(drawing)
         return cls(g, base, finger_move_generators(g), drawing)
 
-    def membership(self, target: ParityMatrix, light: bool = False):
-        """Finger-move coefficients reaching the target, or None.
-
-        light=True returns a certificate with fewer moves (see solve_gf2).
-        """
+    def membership(self, target: ParityMatrix):
+        """Finger-move coefficients reaching the target, or None."""
         pairs = independent_pairs(self.graph)
         return in_affine_span(
             target.pair_vector(pairs),
             self.base.pair_vector(pairs),
             self.generators,
             len(pairs),
-            light,
         )
 
 
@@ -487,21 +483,74 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 
 
+def _lightest_convex_order(g: Graph, pairs, elim: Gf2Elimination, target: int):
+    """(weight, order) of a convex vertex order with a light certificate.
+
+    Chords on a convex curve cross exactly when their end positions
+    interleave, so an order's base parities, and the weight of its light
+    certificate towards the target, need no geometry.  First-improvement
+    hill-climbing over transpositions, from the identity order.  Every
+    drawing of g lies in one compatibility class, so every order is
+    solvable.
+    """
+    ends = [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
+
+    def weight(order):
+        pos = [0] * len(order)
+        for k, w in enumerate(order):
+            pos[w] = k
+        base = 0
+        for k, (a, b, c, d) in enumerate(ends):
+            lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+            if (lo < pos[c] < hi) != (lo < pos[d] < hi):
+                base |= 1 << k
+        return sum(elim.solve(base ^ target, light=True))
+
+    order = list(range(g.vertex_count))
+    best = weight(order)
+    improved = True
+    while improved and best:
+        improved = False
+        for a in range(len(order)):
+            for b in range(a + 1, len(order)):
+                order[a], order[b] = order[b], order[a]
+                w = weight(order)
+                if w < best:
+                    best, improved = w, True
+                else:
+                    order[a], order[b] = order[b], order[a]
+    return best, order
+
+
 def realize_parity(g: Graph, target: ParityMatrix, compat: CompatibilityClass = None) -> PlanarDrawing:
     """A drawing whose parity matrix equals the target on independent pairs.
 
-    Starts from the drawing of compat (computed from the convex drawing
-    when not given) and applies a light certificate of finger moves; the
-    crossing table stays up to date move by move and the result is checked
-    against the target from it.  Finger moves build new drawings, so the
-    class's drawing can be shared by many calls.
+    The starting drawing is the one whose light certificate (see
+    solve_gf2) has the fewest finger moves: the drawing of compat
+    (computed from the convex drawing when not given), or the convex
+    drawing of the vertex order found by _lightest_convex_order, built only
+    when its certificate is strictly lighter.  One elimination of the
+    finger-move generators scores every candidate.  The certificate that
+    is applied comes from the chosen drawing's own crossing table.  The
+    table stays up to date move by move and the result is checked against
+    the target from it.  Finger moves build new drawings, so the class's
+    drawing can be shared by many calls.
     """
     if compat is None:
         compat = CompatibilityClass.compute(g)
+    pairs = independent_pairs(g)
+    elim = Gf2Elimination(compat.generators, len(pairs))
+    tvec = target.pair_vector(pairs)
     d = compat.drawing
-    cert = compat.membership(target, light=True)
+    cert = elim.solve(compat.base.pair_vector(pairs) ^ tvec, light=True)
     if cert is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
+    weight, order = _lightest_convex_order(g, pairs, elim, tvec)
+    if weight < sum(cert):
+        d = convex_drawing(g, order)
+        cert = elim.solve(crossing_parity_matrix(d).pair_vector(pairs) ^ tvec, light=True)
+        if cert is None:
+            raise RealizationError("convex drawing outside the compatibility class")
     labels = finger_move_labels(g)
     nesting: dict[int, int] = {}
     for k, c in enumerate(cert):

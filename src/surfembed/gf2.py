@@ -262,55 +262,78 @@ def factor_odd(a: BitMatrix) -> BitMatrix:
     return y
 
 
+class Gf2Elimination:
+    """One elimination of a fixed column list, reused for many right-hand sides.
+
+    Vectors are packed ints of nbits bits.  Each column is tagged with its
+    own index bit above the low nbits, so a reduced row carries the
+    combination of columns it stands for.  The rows that keep low bits are
+    the pivots, sorted by pivot bit (each row's leading bit), highest
+    first; the columns that eliminate to zero leave kernel vectors of the
+    column map in their tags.
+    """
+
+    __slots__ = ("count", "nbits", "pivots", "kernel")
+
+    def __init__(self, columns: list[int], nbits: int):
+        self.count = len(columns)
+        self.nbits = nbits
+        mask = (1 << nbits) - 1
+        pivots: list[tuple[int, int]] = []
+        self.kernel: list[int] = []
+        for i, v in enumerate(columns):
+            v |= 1 << (nbits + i)
+            for pb, pv in pivots:
+                if (v >> pb) & 1:
+                    v ^= pv
+            if v & mask:
+                pivots.append(((v & mask).bit_length() - 1, v))
+            else:
+                self.kernel.append(v >> nbits)
+        self.pivots = sorted(pivots, reverse=True)
+
+    def solve(self, rhs: int, light: bool = False):
+        """Coefficients c with sum c_i * columns[i] = rhs, or None.
+
+        One descending pass over the pivots solves.  With light=True the
+        solution is then made lighter: kernel vectors are XORed in while
+        the number of nonzero coefficients drops.
+        """
+        mask = (1 << self.nbits) - 1
+        target = rhs
+        coeff = 0
+        for pb, pv in self.pivots:
+            if (target >> pb) & 1:
+                target ^= pv & mask
+                coeff ^= pv >> self.nbits
+        if target:
+            return None
+        if light:
+            improved = True
+            while improved:
+                improved = False
+                for z in self.kernel:
+                    if (coeff ^ z).bit_count() < coeff.bit_count():
+                        coeff ^= z
+                        improved = True
+        return [(coeff >> i) & 1 for i in range(self.count)]
+
+
 def solve_gf2(columns: list[int], rhs: int, nbits: int, light: bool = False):
-    """Solve sum_i c_i * columns[i] = rhs over GF(2).
+    """Solve sum_i c_i * columns[i] = rhs over GF(2); see Gf2Elimination.
 
     Vectors are packed ints of nbits bits.  Returns a coefficient list or
-    None when no solution exists.  With light=True the solution is then
-    made lighter: the columns that eliminate to zero carry kernel vectors
-    of the column map in their tag bits, and these are XORed in while the
-    number of nonzero coefficients drops.
+    None when no solution exists; light=True returns a lighter solution.
     """
-    k = len(columns)
-    # Augmented vectors: column bits in low part, coefficient tag above.
-    aug = [columns[i] | (1 << (nbits + i)) for i in range(k)]
-    target = rhs
-    coeff = 0
-    pivots: list[tuple[int, int]] = []
-    kernel: list[int] = []
-    mask = (1 << nbits) - 1
-    for v in aug:
-        for pb, pv in pivots:
-            if (v >> pb) & 1:
-                v ^= pv
-        if v & mask:
-            pivots.append(((v & mask).bit_length() - 1, v))
-        elif light:
-            kernel.append(v >> nbits)
-    # Each pivot's leading bit is its pivot bit, so one descending pass solves.
-    for pb, pv in sorted(pivots, reverse=True):
-        if (target >> pb) & 1:
-            target ^= pv & mask
-            coeff ^= pv >> nbits
-    if target:
-        return None
-    if light:
-        improved = True
-        while improved:
-            improved = False
-            for z in kernel:
-                if (coeff ^ z).bit_count() < coeff.bit_count():
-                    coeff ^= z
-                    improved = True
-    return [(coeff >> i) & 1 for i in range(k)]
+    return Gf2Elimination(columns, nbits).solve(rhs, light)
 
 
-def in_affine_span(target: int, base: int, generators: list[int], nbits: int, light: bool = False):
+def in_affine_span(target: int, base: int, generators: list[int], nbits: int):
     """Coefficients c with base + sum c_i gen_i = target, or None.
 
-    All vectors are packed ints of nbits bits; light as in solve_gf2.
+    All vectors are packed ints of nbits bits.
     """
-    return solve_gf2(generators, base ^ target, nbits, light)
+    return solve_gf2(generators, base ^ target, nbits)
 
 
 def parse_bitmatrix(text: str) -> BitMatrix:

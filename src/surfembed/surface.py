@@ -281,6 +281,8 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
             parts = ln.split()
             if len(parts) < 2 or parts[1] != ":":
                 raise SurfaceError(f"bad order line: {ln!r}")
+            if order is not None:
+                raise SurfaceError(f"repeated order line: {ln!r}")
             order = [int(x) for x in parts[2:]]
         else:
             raise SurfaceError(f"unknown surface drawing line: {ln!r}")

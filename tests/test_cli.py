@@ -12,7 +12,12 @@ from surfembed.drawing import convex_drawing, crossing_parity_matrix, serialize_
 from surfembed.gf2 import BitMatrix, serialize_bitmatrix
 from surfembed.graph import complete_bipartite, complete_graph, serialize_graph
 from surfembed.intmat import IntMatrix, serialize_intmatrix
-from surfembed.surface import VerifyReport
+from surfembed.surface import (
+    SurfaceSpec,
+    VerifyReport,
+    construct_z2_embedding,
+    serialize_surface_drawing,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 _ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -228,6 +233,14 @@ def test_input_errors_exit_three(tmp_path, capsys):
     for name, text in (("short.d", "vertex 0 1\n"), ("den.d", "vertex 0 1/0 0\n"),
                        ("twice.d", "vertex 0 0 0\nvertex 0 1 0\n")):
         assert main(["crossings", "--drawing", _write(tmp_path, name, "drawing\n" + text)]) == 3
+    # a surface drawing that is an embedding until its order line is repeated
+    g3 = complete_graph(3)
+    sd = serialize_surface_drawing(
+        construct_z2_embedding(g3, convex_drawing(g3), BitMatrix(0, 3), SurfaceSpec("S", 0))
+    )
+    assert main(["verify", "--surface-drawing", _write(tmp_path, "once.sd", sd)]) == 0
+    twice = _write(tmp_path, "twice.sd", sd + "order : 0 1 2\n")
+    assert main(["verify", "--surface-drawing", twice]) == 3
     capsys.readouterr()
 
 

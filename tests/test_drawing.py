@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from surfembed import drawing as drawing_module
 from surfembed.drawing import (
     CompatibilityClass,
     IncompatibleTargetError,
@@ -20,8 +21,11 @@ from surfembed.drawing import (
     signed_crossing_matrix,
     _compute_crossings,
 )
-from surfembed.gf2 import BitMatrix
+from surfembed.gf2 import BitMatrix, solve_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
+from surfembed.layout import verify_geometric
+from surfembed.solver import z2_genus
+from surfembed.surface import verify_z2
 
 
 def zero_target(g):
@@ -306,10 +310,81 @@ def test_light_certificate_reaches_target_with_no_more_moves():
                     vec ^= gen
             target = ParityMatrix.from_pair_vector(g, pairs, vec)
             full = cls.membership(target)
-            light = cls.membership(target, light=True)
+            light = solve_gf2(cls.generators, base ^ vec, len(pairs), light=True)
             got = base
             for c, gen in zip(light, cls.generators):
                 if c:
                     got ^= gen
             assert got == vec
             assert sum(light) <= sum(full)
+
+
+def _count_finger_moves(monkeypatch):
+    """A one-item list that counts the finger moves made from now on."""
+    count = [0]
+    apply = drawing_module.apply_finger_move
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(drawing_module, "apply_finger_move", counted)
+    return count
+
+
+def test_realize_never_uses_more_moves_than_the_identity_order(monkeypatch):
+    # the chosen start is the class drawing or a strictly lighter convex order
+    rng = random.Random(46)
+    moves = _count_finger_moves(monkeypatch)
+    saved = 0
+    for _ in range(50):
+        n = rng.randrange(4, 8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+        g = Graph(n, edges)
+        pairs = independent_pairs(g)
+        cls = CompatibilityClass.compute(g)
+        base = vec = cls.base.pair_vector(pairs)
+        for gen in cls.generators:
+            if rng.getrandbits(1):
+                vec ^= gen
+        target = ParityMatrix.from_pair_vector(g, pairs, vec)
+        identity = sum(solve_gf2(cls.generators, base ^ vec, len(pairs), light=True))
+        moves[0] = 0
+        d = realize_parity(g, target, cls)
+        assert crossing_parity_matrix(d).pair_vector(pairs) == vec
+        assert moves[0] <= identity
+        saved += identity - moves[0]
+    assert saved > 0
+
+
+def test_incompatible_target_raises_before_the_order_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("order search ran for an incompatible target")
+
+    monkeypatch.setattr(drawing_module, "_lightest_convex_order", no_search)
+    for g in (complete_graph(5), complete_bipartite(3, 3)):
+        with pytest.raises(IncompatibleTargetError):
+            realize_parity(g, zero_target(g))
+
+
+def test_witnesses_of_the_nine_genus_one_graphs_use_few_finger_moves(monkeypatch):
+    # 98 moves from the identity order alone; both verifiers still accept
+    moves = _count_finger_moves(monkeypatch)
+    cases = [
+        (complete_graph(5), "orientable"),
+        (complete_bipartite(3, 3), "orientable"),
+        (complete_bipartite(3, 4), "orientable"),
+        (complete_bipartite(4, 4), "orientable"),
+        (complete_graph(6), "orientable"),
+        (complete_graph(7), "orientable"),
+        (complete_graph(5), "nonorientable"),
+        (complete_bipartite(3, 3), "nonorientable"),
+        (complete_graph(6), "nonorientable"),
+    ]
+    for g, kind in cases:
+        res = z2_genus(g, kind)
+        assert (res.status, res.value) == ("found", 1)
+        sd = res.witness.surface_drawing
+        assert verify_z2(sd).is_embedding
+        assert verify_geometric(sd, "z2").is_embedding
+    assert moves[0] <= 40

@@ -4,6 +4,7 @@ import pytest
 
 from surfembed.gf2 import (
     BitMatrix,
+    Gf2Elimination,
     Gf2Error,
     factor_even,
     factor_odd,
@@ -236,3 +237,67 @@ def test_light_solution_solves_and_weighs_no_more():
                 acc ^= c
         assert acc == rhs
         assert sum(light) <= sum(full)
+
+
+def _reference_solve_gf2(columns, rhs, nbits, light=False):
+    """The one-call solver as it stood before the elimination was split off."""
+    k = len(columns)
+    # Augmented vectors: column bits in low part, coefficient tag above.
+    aug = [columns[i] | (1 << (nbits + i)) for i in range(k)]
+    target = rhs
+    coeff = 0
+    pivots: list[tuple[int, int]] = []
+    kernel: list[int] = []
+    mask = (1 << nbits) - 1
+    for v in aug:
+        for pb, pv in pivots:
+            if (v >> pb) & 1:
+                v ^= pv
+        if v & mask:
+            pivots.append(((v & mask).bit_length() - 1, v))
+        elif light:
+            kernel.append(v >> nbits)
+    # Each pivot's leading bit is its pivot bit, so one descending pass solves.
+    for pb, pv in sorted(pivots, reverse=True):
+        if (target >> pb) & 1:
+            target ^= pv & mask
+            coeff ^= pv >> nbits
+    if target:
+        return None
+    if light:
+        improved = True
+        while improved:
+            improved = False
+            for z in kernel:
+                if (coeff ^ z).bit_count() < coeff.bit_count():
+                    coeff ^= z
+                    improved = True
+    return [(coeff >> i) & 1 for i in range(k)]
+
+
+def test_split_solver_matches_the_one_call_reference():
+    # one elimination, many right-hand sides: the same coefficient lists as
+    # the reference, light and full, for solvable and unsolvable systems
+    rng = random.Random(45)
+    solvable = unsolvable = 0
+    for _ in range(300):
+        nbits = rng.randrange(1, 14)
+        cols = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 20))]
+        elim = Gf2Elimination(cols, nbits)
+        for _ in range(4):
+            if rng.getrandbits(1):
+                rhs = 0
+                for c in cols:
+                    if rng.getrandbits(1):
+                        rhs ^= c
+            else:
+                rhs = rng.getrandbits(nbits)
+            for light in (False, True):
+                expect = _reference_solve_gf2(cols, rhs, nbits, light)
+                assert elim.solve(rhs, light) == expect
+                assert solve_gf2(cols, rhs, nbits, light) == expect
+            if expect is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+    assert solvable > 100 and unsolvable > 100
