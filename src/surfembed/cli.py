@@ -77,8 +77,11 @@ def _read(path):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise _ArgumentError(f"cannot write {path}: {err}")
 
 
 def _emit_pairs(report, structured):
@@ -185,6 +188,8 @@ def _cmd_solve(args):
         if not (verify_z2(sd).is_embedding and verify_geometric(sd, "z2").is_embedding):
             print("error: witness failed independent verification", file=sys.stderr)
             return EXIT_INPUT
+        if args.witness_out:
+            _write(args.witness_out, serialize_surface_drawing(sd))
     verdict = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN"}[res.status]
     if args.structured:
         print(f"result = {verdict}")
@@ -192,7 +197,6 @@ def _cmd_solve(args):
     else:
         print(verdict)
     if res.status == "yes" and args.witness_out:
-        _write(args.witness_out, serialize_surface_drawing(res.witness.surface_drawing))
         if not args.structured:
             print(f"witness {args.witness_out}")
         else:

@@ -18,12 +18,11 @@ from fractions import Fraction
 from .drawing import (
     CompatibilityClass,
     ParityMatrix,
-    crossing_parity_matrix,
     realize_parity,
 )
 from .gf2 import BitMatrix
 from .graph import Graph, independent_pairs
-from .surface import SurfaceSpec, _low_bits, construct_z2_embedding, verify_z2
+from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
 
 
 @dataclass
@@ -95,23 +94,54 @@ def _nullspace(vectors, nbits):
     return basis
 
 
-def _canonical_reps(spec: SurfaceSpec):
+def _crosscap_reps(m: int):
     """Lexicographically minimal orbit representatives of the pass vectors
-    of the surface under the coordinate symmetries of its form (handle
-    permutations and within-handle swaps on S_g, ribbon permutations on M_m).
+    of M_m under ribbon permutations: an orbit is fixed by the weight."""
+    return [(1 << k) - 1 for k in range(m + 1)]
 
-    An orbit is fixed by the weight on M_m, and on S_g by the numbers c of
-    handles 11 and b of handles 01 or 10; its least member has the c handles
-    11 at the bottom and the b handles 01 above them.
+
+def _witt_children(spec: SurfaceSpec, basis: tuple):
+    """The candidates at a position of the S_g search whose earlier free
+    edges span W = span(basis), each with the basis of the span after it.
+
+    basis is reduced (no row has the highest bit of another row set) and
+    sorted, so it names W.  The candidates are every v in W and, for each
+    pattern (B(v, w) for w in basis), the least v outside W with it; once W
+    is the whole space, every vector.  B is alternating and nondegenerate,
+    so by Witt's theorem these are the least members of the orbits of the
+    pointwise stabiliser of W in Sp(2g, 2).
     """
-    if not spec.orientable:
-        return [(1 << k) - 1 for k in range(spec.genus + 1)]
-    g = spec.genus
-    return sorted(
-        ((1 << (2 * c)) - 1) | (_low_bits(b + c) ^ _low_bits(c))
-        for c in range(g + 1)
-        for b in range(g - c + 1)
-    )
+    d, r = spec.ribbon_count, len(basis)
+    if r == d:
+        return [(v, basis) for v in range(1 << d)]
+    span = [0]
+    for w in basis:
+        span += [x ^ w for x in span]
+    inside = set(span)
+    duals = [spec.dual(w) for w in basis]
+    # Every pattern is met outside W, except when W contains its
+    # complement W' = {v : B(v, W) = 0}, of dimension d - r; then the
+    # patterns met inside W (2^r over |W'|) are met nowhere else.
+    outside = 1 << r
+    if 2 * r >= d and all(z in inside for z in _nullspace(duals, d)):
+        outside -= 1 << (2 * r - d)
+    top = max(span)
+    seen = set()
+    out = []
+    for v in range(1 << d):
+        if v in inside:
+            out.append((v, basis))
+            continue
+        pattern = sum(((v & u).bit_count() & 1) << i for i, u in enumerate(duals))
+        if pattern not in seen:
+            seen.add(pattern)
+            x = v  # v reduced by the basis: the row it adds
+            for w in basis:
+                x = min(x, x ^ w)
+            out.append((v, tuple(sorted([min(w, w ^ x) for w in basis] + [x]))))
+        if len(seen) == outside and v >= top:
+            break
+    return out
 
 
 def _edge_order(g: Graph, checks, pairs):
@@ -163,61 +193,43 @@ def _spanning_forest(g: Graph, order) -> set[int]:
     return forest
 
 
-def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
-    """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
-    on M_m); returns (status, assignment, nodes).
+@dataclass
+class _Checks:
+    """The parity checks laid out for the DFS over the non-forest edges.
 
-    A check is a parity condition: the sum of B(y_i, y_j) =
-    spec.form(y_i, y_j) over a set of independent pairs equals its
-    right-hand side.  Bit c of the int `state` is the running sum of check
-    c over the pairs whose edges are both placed.  B is bilinear, so
-    placing v on an edge XORs into the state the units U[b] for the bits b
-    of v, where U[b] holds the checks that pair the edge with a placed
-    edge j whose J.y_j = spec.dual(y_j) has bit b set.  A candidate passes
-    when every check firing at its position, i.e. involving no later edge,
-    meets its right-hand side.
-
-    Normal form: rerouting a vertex through w adds w to y_e for every edge
-    e at it, a sum of finger moves, so the class test does not change and
-    y_e = 0 may be fixed on a spanning forest.  The forest is taken by
-    Kruskal over the edge order; its pairs drop out of every check
-    (B(0, y) = 0), and the DFS runs over the remaining edges in their
-    relative order, orbit representatives at the first.  Zeroing forest
-    edge f moves every vertex of the component f attaches at its place in
-    the order, which changes only f and later edges, so the
-    lexicographically first solution over all edges is zero on the forest
-    and has a representative at the first free edge.  This DFS therefore
-    visits a subset of the nodes of the DFS over all edges, in the same
-    order, and returns the same assignment.
+    A check is a parity condition: the sum of B(y_i, y_j) over a set of
+    independent pairs equals its right-hand side.  Nothing here depends on
+    the surface, so one layout serves every search of a genus scan.
     """
-    m = g.edge_count
-    d = spec.ribbon_count
+
+    zero_passes: bool  # every right-hand side is 0
+    forest_fails: bool  # a check on forest pairs only has right-hand side 1
+    free: list  # the non-forest edges in their relative order
+    fire_mask: list  # fire_mask[t]: the checks whose deepest position is t
+    rhs_mask: int
+    links: list  # links[t]: (j, checks holding the pair (free[t], j))
+
+
+def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     pairs = independent_pairs(g)
     base = compat.base.pair_vector(pairs)
-    zbasis = _nullspace(compat.generators, len(pairs))
     checks = []
-    for z in zbasis:
+    for z in _nullspace(compat.generators, len(pairs)):
         support = [k for k in range(len(pairs)) if (z >> k) & 1]
         checks.append((support, (z & base).bit_count() & 1))
-
-    if d == 0:
-        if all(rhs == 0 for _, rhs in checks):
-            return "yes", [0] * m, 1
-        return "no", None, 1
 
     order = _edge_order(g, checks, pairs)
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
-    n = len(free)
     pos = {e: t for t, e in enumerate(free)}
-    reps = _canonical_reps(spec)
 
     # A check fires at the deepest position it involves.  A pair enters the
     # state when its later edge is placed: links[t] maps each earlier edge j
     # to the checks holding the pair (free[t], j).
-    fire_mask = [0] * n
+    fire_mask = [0] * len(free)
     rhs_mask = 0
-    links = [{} for _ in range(n)]
+    forest_fails = False
+    links = [{} for _ in free]
     for c, (support, rhs) in enumerate(checks):
         depth = -1
         for k in support:
@@ -229,24 +241,115 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
             links[pos[i]][j] = links[pos[i]].get(j, 0) ^ (1 << c)
             depth = max(depth, pos[i])
         if depth < 0:  # every pair touches the forest: the sum is 0
-            if rhs:
-                return "no", None, 0
+            forest_fails |= rhs == 1
             continue
         fire_mask[depth] |= 1 << c
         rhs_mask |= rhs << c
-    links = [list(row.items()) for row in links]
+    return _Checks(
+        all(rhs == 0 for _, rhs in checks),
+        forest_fails,
+        free,
+        fire_mask,
+        rhs_mask,
+        [list(row.items()) for row in links],
+    )
 
+
+class _Prepared(CompatibilityClass):
+    """A compatibility class with the checks of the search laid out."""
+
+    def __init__(self, compat: CompatibilityClass, checks: _Checks):
+        super().__init__(compat.graph, compat.base, compat.generators, compat.drawing)
+        self.checks = checks
+
+
+def _prepare(g: Graph, compat: CompatibilityClass = None) -> _Prepared:
+    """The class of g (computed when not given) with its checks laid out.
+    A prepared class passes through, so every search under one top-level
+    call shares one layout."""
+    compat = compat or CompatibilityClass.compute(g)
+    if compat.graph.edges != g.edges:
+        raise ValueError("compatibility class of a different edge set")
+    if isinstance(compat, _Prepared):
+        return compat
+    return _Prepared(compat, _layout_checks(g, compat))
+
+
+def _set_bits(v: int) -> list[int]:
+    return [b for b in range(v.bit_length()) if (v >> b) & 1]
+
+
+def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
+    """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
+    on M_m); returns (status, assignment, nodes).
+
+    Bit c of the int `state` is the running sum of check c (see _Checks)
+    over the pairs whose edges are both placed.  B = spec.form is bilinear,
+    so placing v on an edge XORs into the state the units U[b] for the bits
+    b of v, where U[b] holds the checks that pair the edge with a placed
+    edge j whose J.y_j = spec.dual(y_j) has bit b set.  A candidate passes
+    when every check firing at its position, i.e. involving no later edge,
+    meets its right-hand side.
+
+    Normal form: rerouting a vertex through w adds w to y_e for every edge
+    e at it, a sum of finger moves, so the class test does not change and
+    y_e = 0 may be fixed on a spanning forest.  The forest is taken by
+    Kruskal over the edge order; its pairs drop out of every check
+    (B(0, y) = 0), and the DFS runs over the remaining edges in their
+    relative order.  Zeroing forest edge f moves every vertex of the
+    component f attaches at its place in the order, which changes only f
+    and later edges, so the lexicographically first solution over all
+    edges is zero on the forest.
+
+    Symmetry: every check and the zeros on the forest are kept by every
+    isometry of B, which maps solutions to solutions.  Were the entry of
+    the lexicographically first solution at position t not the least of
+    its orbit under the isometries fixing the earlier entries, the image
+    of the solution under such an isometry would be a smaller solution.
+    So a position need only try candidates that include the least member
+    of every such orbit: on M_m, the least members of the orbits of the
+    ribbon permutations at the first free edge; on S_g, at every position,
+    exactly the least members of the orbits of the pointwise stabiliser
+    in Sp(2g, 2) of the span of the earlier entries (_witt_children).
+
+    This DFS therefore visits a subset of the nodes of the DFS over all
+    edges and all vectors, in the same order, and returns the same
+    assignment.
+    """
+    checks = _prepare(g, compat).checks
+    m = g.edge_count
+    d = spec.ribbon_count
+    if d == 0:
+        return ("yes", [0] * m, 1) if checks.zero_passes else ("no", None, 1)
+    if checks.forest_fails:
+        return "no", None, 0
+    free, fire_mask, rhs_mask, links = checks.free, checks.fire_mask, checks.rhs_mask, checks.links
+    n = len(free)
+
+    # rows[key]: the candidates at a position, each as (v, set bits of v,
+    # set bits of J.v, key of the position after it), filled in as the DFS
+    # reaches the key.  On S_g a key is the reduced basis of the span of the
+    # earlier entries; on M_m it is 0 at the first free edge and 1 after it.
+    if spec.orientable:
+        root = ()
+
+        def candidates(key):
+            return _witt_children(spec, key)
+
+    else:
+        root = 0
+
+        def candidates(key):
+            return [(v, 1) for v in (_crosscap_reps(d) if key == 0 else range(1 << d))]
+
+    rows = {}
     assign = [0] * m
-    dual_bits = [[]]  # dual_bits[v]: the set bits of J.v
-    for b in range(d):
-        image = spec.dual(1 << b).bit_length() - 1
-        dual_bits += [bits + [image] for bits in dual_bits]
-    placed_bits = [None] * m  # dual_bits of each placed edge's vector
+    placed_bits = [None] * m  # the set bits of J.y_j of each placed edge j
     max_nodes = budget.max_nodes
     nodes = 0
     deadline = _start(budget).deadline
 
-    def dfs(t, state):
+    def dfs(t, state, key):
         nonlocal nodes
         if t == n:
             return True
@@ -254,29 +357,31 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
         for j, held in links[t]:
             for b in placed_bits[j]:
                 units[b] ^= held
-        deltas = [0]
-        for u in units:
-            deltas += [x ^ u for x in deltas]
         fires = fire_mask[t]
         want = rhs_mask & fires
         e = free[t]
-        for v in reps if t == 0 else range(len(deltas)):
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in candidates(key)]
+        for v, bits, dual_bits, after_key in row:
             nodes += 1
             if nodes > max_nodes:
                 raise _BudgetExhausted
             if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
                 raise _BudgetExhausted
-            after = state ^ deltas[v]
+            after = state
+            for b in bits:
+                after ^= units[b]
             if after & fires == want:
                 assign[e] = v
-                placed_bits[e] = dual_bits[v]
-                if dfs(t + 1, after):
+                placed_bits[e] = dual_bits
+                if dfs(t + 1, after, after_key):
                     return True
         assign[e] = 0
         return False
 
     try:
-        if dfs(0, 0):
+        if dfs(0, 0, root):
             return "yes", list(assign), nodes
         return "no", None, nodes
     except _BudgetExhausted:
@@ -304,9 +409,7 @@ def _build_witness(g: Graph, spec: SurfaceSpec, assign, compat: CompatibilityCla
 
 def _solve(g: Graph, spec: SurfaceSpec, budget, compat) -> SolveResult:
     budget = _start(budget)
-    compat = compat or CompatibilityClass.compute(g)
-    if compat.graph.edges != g.edges:
-        raise ValueError("compatibility class of a different edge set")
+    compat = _prepare(g, compat)
     status, assign, nodes = _search(g, spec, budget, compat)
     if status != "yes":
         return SolveResult(status, nodes=nodes)
@@ -334,7 +437,7 @@ def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveR
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
     budget = _start(budget)
-    compat = CompatibilityClass.compute(g)
+    compat = _prepare(g)
     rank_cap = 2 - e
     res_o = z2_embeddable_orientable(g, rank_cap // 2, budget, compat)
     if res_o.status == "yes":
@@ -367,7 +470,7 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
         raise ValueError("kind must be orientable or nonorientable")
     budget = _start(budget)
     start = 0 if kind == "orientable" else 1
-    compat = CompatibilityClass.compute(g)
+    compat = _prepare(g)
     for p in range(start, maximum + 1):
         if kind == "orientable":
             res = z2_embeddable_orientable(g, p, budget, compat)

@@ -212,12 +212,28 @@ def test_solve_time_cap(tmp_path, capsys):
         assert "time_cap must be positive" in captured.err
     assert main(["solve", "--graph", g, "--genus", "1", "--time-cap", "60"]) == 0
     assert capsys.readouterr().out.strip() == "YES"
-    # K8 on the torus needs millions of nodes; the cap stops the search at
-    # its first deadline test, after 4096 nodes.
+    # K8 on the torus needs 341,999 nodes; the cap stops the search at its
+    # first deadline test, after 4096 nodes.
     k8 = _write(tmp_path, "k8.g", serialize_graph(complete_graph(8)))
     rc = main(["solve", "--graph", k8, "--genus", "1", "--time-cap", "1e-9", "--structured"])
     assert rc == 2
     assert capsys.readouterr().out.splitlines() == ["result = UNKNOWN", "nodes = 4096"]
+
+
+def test_solve_at_huge_genus_builds_nothing_of_size_two_to_the_d(tmp_path):
+    # K5 on S_99999: d = 199,998 ribbons, so any table over all pass vectors
+    # overflows a 1 GB address space long before the first node.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfembed.cli", "solve", "--graph", _k5(tmp_path), "--genus", "99999"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=300,
+        env={**_ENV, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "YES\n", "")
 
 
 def test_input_errors_exit_three(tmp_path, capsys):
@@ -242,6 +258,15 @@ def test_input_errors_exit_three(tmp_path, capsys):
     twice = _write(tmp_path, "twice.sd", sd + "order : 0 1 2\n")
     assert main(["verify", "--surface-drawing", twice]) == 3
     capsys.readouterr()
+    # an output file in a missing directory: one error line, nothing else
+    k5, missing = _k5(tmp_path), str(tmp_path / "no" / "such" / "out.txt")
+    assert main(["solve", "--graph", k5, "--genus", "1", "--witness-out", missing]) == 3
+    convex = crossing_parity_matrix(convex_drawing(complete_graph(5))).values
+    mat = _write(tmp_path, "k5.m", serialize_bitmatrix(convex))
+    assert main(["realize", "--graph", k5, "--matrix", mat, "--out", missing]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error", "error"]
 
 
 def _install(tmp_path, *pip_args):

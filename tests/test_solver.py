@@ -18,7 +18,7 @@ from surfembed.solver import (
     z2_genus,
 )
 from surfembed.drawing import CompatibilityClass
-from surfembed.solver import _canonical_reps, _edge_order, _nullspace, _search
+from surfembed.solver import _crosscap_reps, _edge_order, _nullspace, _search, _witt_children
 from surfembed.surface import SurfaceSpec, verify_z2
 
 
@@ -111,10 +111,68 @@ def test_form_and_orbit_representatives_match_brute_force():
     specs = [SurfaceSpec("M", m) for m in range(1, 7)] + [SurfaceSpec("S", g) for g in range(4)]
     for spec in specs:
         d = spec.ribbon_count
-        assert _canonical_reps(spec) == _brute_reps(spec), spec
+        if not spec.orientable:
+            assert _crosscap_reps(d) == _brute_reps(spec), spec
         for a in range(1 << min(d, 4)):
             for b in range(1 << min(d, 4)):
                 assert spec.form(a, b) == _brute_form(spec, a, b)
+
+
+def _span(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def _isometries(spec):
+    """Sp(2g, 2) by brute force: every invertible matrix, as the images of
+    the unit vectors, that keeps spec.form (bilinear, so on unit vectors)."""
+    d = spec.ribbon_count
+    units = [1 << k for k in range(d)]
+    return [
+        images
+        for images in itertools.product(range(1 << d), repeat=d)
+        if len(_span(images)) == 1 << d
+        and all(spec.form(images[i], images[j]) == spec.form(units[i], units[j]) for i in range(d) for j in range(d))
+    ]
+
+
+def _image(images, v):
+    x = 0
+    for k, col in enumerate(images):
+        if (v >> k) & 1:
+            x ^= col
+    return x
+
+
+def _reduced_basis(space):
+    """For every top bit met in the subspace, its least member with that
+    top bit: the reduced basis, found without elimination."""
+    tops = {x.bit_length() for x in space if x}
+    return tuple(sorted(min(x for x in space if x.bit_length() == k) for k in tops))
+
+
+def test_witt_candidates_are_the_least_members_of_the_stabiliser_orbits():
+    """For every subspace W at g = 1, 2, the candidates are the least members
+    of the orbits of the pointwise stabiliser of W in Sp(2g, 2), and each
+    comes with the reduced basis of W + <v>."""
+    for g, order in ((1, 6), (2, 720)):
+        spec = SurfaceSpec("S", g)
+        d = spec.ribbon_count
+        group = _isometries(spec)
+        assert len(group) == order
+        subspaces = {frozenset(_span(vs)) for r in range(d + 1) for vs in itertools.combinations(range(1, 1 << d), r)}
+        assert len(subspaces) == (5 if g == 1 else 67)
+        for space in subspaces:
+            basis = _reduced_basis(space)
+            stab = [s for s in group if all(_image(s, w) == w for w in basis)]
+            least = [v for v in range(1 << d) if all(_image(s, v) >= v for s in stab)]
+            children = _witt_children(spec, basis)
+            assert [v for v, _ in children] == least, basis
+            for v, after in children:
+                assert after == _reduced_basis(_span(basis + (v,))), (basis, v)
+    assert [v for v, _ in _witt_children(SurfaceSpec("S", 3), ())] == [0, 1]
 
 
 def test_search_matches_per_candidate_reference():
@@ -173,8 +231,12 @@ def test_kmn_torus_no_within_300k_nodes(m, n):
 
 
 def test_k8_torus_no_within_default_budget():
-    # The Z2-genus of K8 is its genus 2 (Fulek-Pelsmajer-Schaefer).
-    assert z2_embeddable_orientable(complete_graph(8), 1).status == "no"
+    # The Z2-genus of K8 is its genus 2 (Fulek-Pelsmajer-Schaefer).  Pruning
+    # by Sp(2, 2) at every position takes 341,999 nodes (1,492,711 with
+    # coordinate symmetries at the first free edge only).
+    res = z2_embeddable_orientable(complete_graph(8), 1)
+    assert res.status == "no"
+    assert res.nodes <= 400_000
 
 
 @pytest.mark.parametrize(
@@ -199,10 +261,21 @@ def test_one_deadline_for_all_searches_of_a_call(monkeypatch, solve):
     search = solver._search
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     monkeypatch.setattr(solver, "_search", timed_search)
-    # K4,5: S0 and S1 are "no" (9,983 nodes), N2 is "no" (8,191), S2 is "yes".
-    assert solve(complete_bipartite(4, 5), SolverBudget(time_cap=5.0)) == "unknown"
+    # K3,7: S0 is "no" (1 node), S1 is "no" (65,381 nodes) and N2 is "no"
+    # (287,999 nodes), so the second search outlasts a deadline test.
+    assert solve(complete_bipartite(3, 7), SolverBudget(time_cap=5.0)) == "unknown"
     assert runs[-1] == ("unknown", None, 4096)
     assert runs[0][0] == "no"
+
+
+def test_one_layout_of_the_checks_for_all_searches_of_a_call(monkeypatch):
+    layouts = []
+    layout = solver._layout_checks
+    monkeypatch.setattr(solver, "_layout_checks", lambda *args: layouts.append(args) or layout(*args))
+    # K3,3: S0 is "no", S1 is "yes"; K5 at Euler characteristic 1: S0 "no", N1 "yes"
+    assert z2_genus(complete_bipartite(3, 3), "orientable").value == 1
+    assert z2_embeddable_euler(complete_graph(5), 1).status == "yes"
+    assert len(layouts) == 2
 
 
 def test_shared_class_must_match_the_graph():
