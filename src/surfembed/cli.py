@@ -84,6 +84,15 @@ def _write(path, text):
         raise _ArgumentError(f"cannot write {path}: {err}")
 
 
+def _emit_text(out, structured):
+    """Print a file payload as is, or as one `line k = ...` pair per line."""
+    if structured:
+        for ln_no, ln in enumerate(out.rstrip("\n").split("\n")):
+            print(f"line {ln_no} = {ln}")
+    else:
+        print(out, end="")
+
+
 def _emit_pairs(report, structured):
     for (i, j), val in sorted(report.pairs.items()):
         if structured:
@@ -105,11 +114,7 @@ def _cmd_crossings(args):
         out = serialize_intmatrix(signed_crossing_matrix(d))
     else:
         out = serialize_bitmatrix(crossing_parity_matrix(d).values)
-    if args.structured:
-        for ln_no, ln in enumerate(out.rstrip("\n").split("\n")):
-            print(f"line {ln_no} = {ln}")
-    else:
-        print(out, end="")
+    _emit_text(out, args.structured)
     return EXIT_YES
 
 
@@ -159,12 +164,13 @@ def _cmd_realize(args):
 def _cmd_factor(args):
     text = _read(args.matrix)
     if args.mode == "alternating":
-        out = serialize_intmatrix(factor_alternating(parse_intmatrix(text)))
-    elif args.mode == "even":
-        out = serialize_bitmatrix(factor_even(parse_bitmatrix(text)))
-    else:
-        out = serialize_bitmatrix(factor_odd(parse_bitmatrix(text)))
-    print(out, end="")
+        b = factor_alternating(parse_intmatrix(text))
+        _emit_text(serialize_intmatrix(b), args.structured)
+        if args.structured:
+            print(f"passes = {sum(abs(v) for row in b.data for v in row)}")
+        return EXIT_YES
+    factor = factor_even if args.mode == "even" else factor_odd
+    _emit_text(serialize_bitmatrix(factor(parse_bitmatrix(text))), args.structured)
     return EXIT_YES
 
 
@@ -223,7 +229,9 @@ def _cmd_construct(args):
     else:
         y = parse_bitmatrix(_read(args.factor))
         sd = construct_z2_embedding(g, d, y, spec)
-    print(serialize_surface_drawing(sd), end="")
+    _emit_text(serialize_surface_drawing(sd), args.structured)
+    if args.structured:
+        print(f"passes = {sum(abs(x) for vec in sd.passes for x in vec)}")
     return EXIT_YES
 
 
@@ -247,12 +255,10 @@ def _cmd_extract(args):
     sd = parse_surface_drawing(_read(args.surface_drawing), mode=mode)
     a, cert = extract_matrix(sd, mode)
     out = serialize_intmatrix(a) if args.z else serialize_bitmatrix(a)
+    _emit_text(out, args.structured)
     if args.structured:
-        for ln_no, ln in enumerate(out.rstrip("\n").split("\n")):
-            print(f"line {ln_no} = {ln}")
         print(f"compatible = {cert is not None}")
     else:
-        print(out, end="")
         print("COMPATIBLE" if cert is not None else "INCOMPATIBLE")
     return EXIT_YES if cert is not None else EXIT_NO
 

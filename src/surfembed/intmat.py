@@ -1,12 +1,16 @@
 """Exact integer linear algebra: rational rank and the alternating-form
 factorization A = B^T H_g B for skew-symmetric integer matrices.
 
-All arithmetic is arbitrary precision; intermediate swell in the congruence
-reduction is real and expected.
+All arithmetic is arbitrary precision.  The congruence reduction swells its
+entries; the factor it yields is then Sp(2g, Z)-reduced by elementary
+symplectic row moves while its entry sum |B|_1 strictly drops.  A move S
+with S^T H_g S = H_g keeps (SB)^T H_g (SB) = B^T H_g B, so the reduced
+factor is exact, and each unit |B|_1 loses is one tube pass fewer to draw.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -127,6 +131,11 @@ def factor_alternating(a: IntMatrix) -> IntMatrix:
     with a unimodular change of basis, pivoting on the entry of minimal
     nonzero absolute value so that all divisions eventually come out exact.
     The divisors e_i are absorbed into B afterwards.
+
+    The returned B is Sp(2g, Z)-reduced: no elementary symplectic row move
+    (see `_symplectic_moves`) lowers its entry sum |B|_1, the number of tube
+    passes of a Z surface drawing built from it.  Such moves keep B^T H_g B
+    fixed, so the reduction is exact.
     """
     if not a.is_skew():
         raise IntMatrixError("factor_alternating requires a skew-symmetric matrix")
@@ -203,7 +212,64 @@ def factor_alternating(a: IntMatrix) -> IntMatrix:
     for k in range(g):
         out.data[2 * k] = [divisors[k] * v for v in q[2 * k]]
         out.data[2 * k + 1] = list(q[2 * k + 1])
+    _reduce_symplectic(out.data)
     return out
+
+
+def _best_multiplier(u, v) -> int:
+    """An integer k minimizing |u - k*v|_1.
+
+    The sum of |v_t| * |u_t / v_t - k| is convex in k, least at the weighted
+    median of the ratios u_t / v_t (weights |v_t|), so the floor or the
+    ceiling of that median is an integer minimizer.
+    """
+    pts = sorted((Fraction(a, b), abs(b)) for a, b in zip(u, v) if b)
+    if not pts:
+        return 0
+    total, acc = sum(w for _, w in pts), 0
+    for r, w in pts:
+        acc += w
+        if 2 * acc >= total:
+            break
+    lo = math.floor(r)
+    return min((lo, lo + 1), key=lambda k: sum(abs(a - k * b) for a, b in zip(u, v)))
+
+
+def _symplectic_moves(g: int) -> list:
+    """Elementary moves of Sp(2g, Z) on the rows x_h = 2h, y_h = 2h + 1.
+
+    A move is a list of (target, source, sign): row target -= k * sign *
+    row source, all with one k.  Inside a handle: x -= k*y and y -= k*x.
+    Across handles i != j, each pair keeps the sum of the wedges x_h ^ y_h.
+    """
+    moves = []
+    for i in range(g):
+        xi, yi = 2 * i, 2 * i + 1
+        moves += [[(xi, yi, 1)], [(yi, xi, 1)]]
+        for j in range(g):
+            xj, yj = 2 * j, 2 * j + 1
+            if j != i:
+                moves.append([(xi, xj, 1), (yj, yi, -1)])
+            if j > i:
+                moves += [[(xi, yj, 1), (xj, yi, 1)], [(yi, xj, 1), (yj, xi, 1)]]
+    return moves
+
+
+def _reduce_symplectic(rows) -> None:
+    """Apply elementary symplectic moves to rows, each with its best k, as long
+    as the entry sum strictly drops.  Ends: the sum is a non-negative integer."""
+    moves = _symplectic_moves(len(rows) // 2)
+    improved = True
+    while improved:
+        improved = False
+        for move in moves:
+            u = [a for t, _, _ in move for a in rows[t]]
+            v = [c * b for _, s, c in move for b in rows[s]]
+            k = _best_multiplier(u, v)
+            if k and sum(abs(a - k * b) for a, b in zip(u, v)) < sum(map(abs, u)):
+                for t, s, c in move:
+                    rows[t] = [a - k * c * b for a, b in zip(rows[t], rows[s])]
+                improved = True
 
 
 def parse_intmatrix(text: str) -> IntMatrix:

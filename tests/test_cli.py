@@ -152,6 +152,52 @@ def test_z_pipeline_extract_roundtrip(tmp_path, capsys):
     assert lines[6].split()[0] == "-2"
 
 
+def _unstructured(lines):
+    # the payload of `line k = ...` pairs, in order, as the plain output
+    payload = [ln for ln in lines if ln.startswith("line ")]
+    assert [ln.split(" = ", 1)[0] for ln in payload] == [f"line {k}" for k in range(len(payload))]
+    return "".join(ln.split(" = ", 1)[1] + "\n" for ln in payload)
+
+
+def _passes(lines):
+    (line,) = [ln for ln in lines if ln.startswith("passes = ")]
+    return int(line.split(" = ")[1])
+
+
+def test_factor_and_construct_structured(tmp_path, capsys):
+    g4 = _write(tmp_path, "k4.g", serialize_graph(complete_graph(4)))
+    d4 = _write(tmp_path, "k4.d", serialize_drawing(convex_drawing(complete_graph(4))))
+    b = IntMatrix(6, 6)
+    b.data[0][5], b.data[5][0] = 3, -3
+    b.data[1][2], b.data[2][1] = -1, 1
+    mat = _write(tmp_path, "b.m", serialize_intmatrix(b))
+    assert main(["factor", "--mode", "alternating", "--matrix", mat]) == 0
+    plain = capsys.readouterr().out
+    assert main(["factor", "--mode", "alternating", "--matrix", mat, "--structured"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _unstructured(lines) == plain
+    assert _passes(lines) == sum(abs(int(v)) for ln in plain.splitlines()[1:] for v in ln.split())
+    fac = _write(tmp_path, "b.f", plain)
+    args = ["construct", "--graph", g4, "--drawing", d4, "--factor", fac, "--surface", "S:2", "--z"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--structured"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _unstructured(lines) == plain
+    passes = [ln.split(" : ")[1].split() for ln in plain.splitlines() if ln.startswith("passes ")]
+    assert _passes(lines) == sum(abs(int(x)) for vec in passes for x in vec) == 6
+    # the GF(2) factor modes take --structured too, without a pass count
+    a = BitMatrix(2, 2)
+    a.set(0, 1, 1)
+    a.set(1, 0, 1)
+    mat = _write(tmp_path, "a.m", serialize_bitmatrix(a))
+    assert main(["factor", "--mode", "even", "--matrix", mat]) == 0
+    plain = capsys.readouterr().out
+    assert main(["factor", "--mode", "even", "--matrix", mat, "--structured"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _unstructured(lines) == plain and not any(ln.startswith("passes") for ln in lines)
+
+
 def test_verify_rejects_nonzero_pairs(tmp_path, capsys):
     # K5 convex drawing on the sphere has crossing pairs left over
     g5 = _k5(tmp_path)

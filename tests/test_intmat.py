@@ -5,6 +5,7 @@ import pytest
 from surfembed.intmat import (
     IntMatrix,
     IntMatrixError,
+    _best_multiplier,
     factor_alternating,
     parse_intmatrix,
     rank_q,
@@ -68,6 +69,65 @@ def test_factor_alternating_roundtrip_random():
         b = factor_alternating(a)
         assert b.rows == r
         assert b.transpose() @ symplectic_matrix_int(r // 2) @ b == a
+
+
+def _l1(rows):
+    return sum(abs(v) for row in rows for v in row)
+
+
+def _elementary_symplectic(g, k):
+    """Every elementary move of Sp(2g, Z) with multiplier k, as a matrix S
+    acting on the rows x_h = 2h, y_h = 2h + 1 of a factor."""
+    out = []
+
+    def move(*entries):
+        s = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+        for i, j, c in entries:
+            s[i][j] = c
+        out.append(IntMatrix(2 * g, 2 * g, s))
+
+    for i in range(g):
+        xi, yi = 2 * i, 2 * i + 1
+        move((xi, yi, -k))  # x_i -= k y_i
+        move((yi, xi, -k))  # y_i -= k x_i
+        for j in range(g):
+            xj, yj = 2 * j, 2 * j + 1
+            if i != j:
+                move((xi, xj, -k), (yj, yi, k))  # x_i -= k x_j, y_j += k y_i
+                move((xi, yj, -k), (xj, yi, -k))  # x_i -= k y_j, x_j -= k y_i
+                move((yi, xj, -k), (yj, xi, -k))  # y_i -= k x_j, y_j -= k x_i
+    return out
+
+
+def test_factor_alternating_is_symplectically_reduced():
+    rng = random.Random(13)
+    moves = {g: [s for k in range(-3, 4) if k for s in _elementary_symplectic(g, k)] for g in range(4)}
+    for g, ss in moves.items():
+        h = symplectic_matrix_int(g)
+        assert all(s.transpose() @ h @ s == h for s in ss)
+    for _ in range(80):
+        n = rng.randrange(1, 9)
+        g = rng.randrange(0, 4)
+        b0 = IntMatrix(2 * g, n, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(2 * g)])
+        a = b0.transpose() @ symplectic_matrix_int(g) @ b0
+        f = factor_alternating(a)
+        assert f.rows == rank_q(a)
+        assert f.transpose() @ symplectic_matrix_int(f.rows // 2) @ f == a
+        weight = _l1(f.data)
+        assert all(_l1((s @ f).data) >= weight for s in moves[f.rows // 2])
+
+
+def test_best_multiplier_matches_a_scan():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(0, 9)
+        u = [rng.randint(-9, 9) for _ in range(n)]
+        v = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+
+        def cost(k):
+            return sum(abs(a - k * b) for a, b in zip(u, v))
+
+        assert cost(_best_multiplier(u, v)) == min(cost(k) for k in range(-20, 21))
 
 
 def test_factor_alternating_rejects_non_skew():

@@ -370,3 +370,29 @@ def test_geometric_agrees_z_with_random_orientations():
         rep_g = verify_geometric(sd, "z")
         assert rep_c.is_embedding
         assert rep_g.pairs == rep_c.pairs, (trial, orientations)
+
+
+def test_genus_two_z_pipeline_from_reduced_factors():
+    # factor -> construct -> both verifiers, on the inputs of a genus-2 Z
+    # benchmark.  Without the Sp(2g, Z) reduction of factor_alternating
+    # these factors reach 1,910 passes and the loop takes about 7 s of CPU
+    # instead of 0.25 s.
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randrange(5, 8)
+        m = rng.randrange(4, 9)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        g = Graph(n, possible[:m])
+        order = list(range(n))
+        rng.shuffle(order)
+        b = IntMatrix(4, m, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(4)])
+        a = b.transpose() @ symplectic_matrix_int(2) @ b
+        f = factor_alternating(a)
+        assert f.rows == rank_q(a)
+        assert f.transpose() @ symplectic_matrix_int(f.rows // 2) @ f == a
+        sd = construct_z_embedding(g, convex_drawing(g, order), f, SurfaceSpec("S", f.rows // 2))
+        rep_c = verify_z(sd)
+        rep_g = verify_geometric(sd, "z")
+        assert rep_g.pairs == rep_c.pairs
+        assert rep_g.is_embedding == rep_c.is_embedding
