@@ -271,8 +271,8 @@ def convex_drawing(g: Graph, order=None, attempt: int = 0) -> PlanarDrawing:
 
     order[k] is the vertex placed at position k along the curve; two chords
     cross exactly when their position pairs interleave, as on a circle.
-    Integer coordinates keep the exact geometry fast.  Retries with a
-    deterministic perturbation when chords concur.
+    The points are integers, stored as Fractions like every drawing's.
+    Retries with a deterministic perturbation when chords concur.
     """
     n = g.vertex_count
     if order is None:

@@ -10,7 +10,6 @@ factor is exact, and each unit |B|_1 loses is one tube pass fewer to draw.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -221,17 +220,17 @@ def _best_multiplier(u, v) -> int:
 
     The sum of |v_t| * |u_t / v_t - k| is convex in k, least at the weighted
     median of the ratios u_t / v_t (weights |v_t|), so the floor or the
-    ceiling of that median is an integer minimizer.
+    ceiling of that median is an integer minimizer.  Floor is monotone, so
+    the weighted median of the floors u_t // v_t is the floor of the median.
     """
-    pts = sorted((Fraction(a, b), abs(b)) for a, b in zip(u, v) if b)
+    pts = sorted((a // b, abs(b)) for a, b in zip(u, v) if b)
     if not pts:
         return 0
     total, acc = sum(w for _, w in pts), 0
-    for r, w in pts:
+    for lo, w in pts:
         acc += w
         if 2 * acc >= total:
             break
-    lo = math.floor(r)
     return min((lo, lo + 1), key=lambda k: sum(abs(a - k * b) for a, b in zip(u, v)))
 
 

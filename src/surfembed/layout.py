@@ -2,15 +2,17 @@
 
 The surface is drawn immersed in the plane: the disk occupies the lower
 half of the picture, ribbon images are drawn above a horizontal feet line.
-Every edge curve is laid out explicitly with exact rational coordinates:
+Every edge curve is laid out explicitly with exact integer coordinates:
 the core drawing (rescaled into a small box), a corridor rising from an
 attachment point on the edge, horizontal bus runs, vertical risers to the
-ribbon feet, and lane paths through the ribbon images.
+ribbon feet, and lane paths through the ribbon images.  One picture unit
+is S grid steps, with S a positive integer per drawing and attempt that
+is a multiple of every denominator of the layout, so no point needs
+Fraction arithmetic.
 
-Crossings are counted by exact segment intersection on an integer image
-of the picture.  Each segment carries
-the label of the surface piece it lies on ("disk" or a ribbon index);
-only same-label crossings are genuine, crossings between the overlapping
+Crossings are counted by exact segment intersection on that grid.  Each
+segment carries the label of the surface piece it lies on ("disk" or a
+ribbon index); only same-label crossings are genuine, crossings between the overlapping
 images of different ribbons (or different sheets of one twisted ribbon)
 are artifacts of the immersion and discarded.  Untwisted ribbon lanes are
 nested and never cross; twisted-ribbon lanes keep their slot order across
@@ -20,7 +22,8 @@ interleaved chord endpoints in the disk.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+import math
 
 from .geom import box_pairs, classify_segments, crossing_sign, integer_image
 from .graph import independent_pairs
@@ -28,102 +31,89 @@ from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
 DISK = "disk"
 
-_FEET_Y = Fraction(4)
-_RUN_LO = Fraction(2)
-_RUN_SPAN = Fraction(3, 2)
+# Attachment parameters t = num/den, tried at t -+ 1/e with e = 16 << s,
+# s < 6: every den * e divides _T, so the points land on the grid.
+_PARAMS = ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5))
+_T = 15360
 
 
 class LayoutError(RuntimeError):
     """The layout attempt left general position; callers retry or report."""
 
 
-def _transform_core(core, attempt):
-    """Rescale the core drawing into the box [-2,2] x [-1,1], with a small
-    shear so that no attachment segment is vertical."""
-    xs = [p[0] for pl in core.edge_polylines for p in pl] or [Fraction(0)]
-    ys = [p[1] for pl in core.edge_polylines for p in pl] or [Fraction(0)]
-    xs += [p[0] for p in core.vertex_points]
-    ys += [p[1] for p in core.vertex_points]
-    cx = Fraction(min(xs) + max(xs), 2)
-    cy = Fraction(min(ys) + max(ys), 2)
-    w = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))
-    shear = Fraction(1, 3 + attempt)
+def _transform_core(core, k, unit):
+    """The core drawing rescaled into the box [-2,2] x [-1,1], with the
+    shear x += y/k so that no attachment segment is vertical.
+
+    Returns (vertex points, polylines, S): the points are S times the
+    rescaled ones, S = W*k*unit for W the larger span of the core's
+    integer image (at least its denominator)."""
+    den, (vpts, *polys) = integer_image([core.vertex_points, *core.edge_polylines])
+    xs = [p[0] for pl in (vpts, *polys) for p in pl] or [0]
+    ys = [p[1] for pl in (vpts, *polys) for p in pl] or [0]
+    sx, sy = min(xs) + max(xs), min(ys) + max(ys)
+    w = max(max(xs) - min(xs), max(ys) - min(ys), den)
 
     def f(p):
-        y = (p[1] - cy) * 2 / w
-        x = (p[0] - cx) * 2 / w + shear * y
-        return (x, y)
+        y = 2 * p[1] - sy
+        return (((2 * p[0] - sx) * k + y) * unit, y * k * unit)
 
-    vpts = [f(p) for p in core.vertex_points]
-    polys = [[f(p) for p in pl] for pl in core.edge_polylines]
-    return vpts, polys
+    return [f(p) for p in vpts], [[f(p) for p in pl] for pl in polys], w * k * unit
 
 
-def _ribbon_frames(surface):
-    """Fixed horizontal positions of feet and ribbon zones, per ribbon."""
+def _ribbon_frames(surface, s):
+    """Per ribbon, times s: the left ends of its two unit-wide foot zones,
+    and the top and depth of its lane bars."""
     frames = []
-    if surface.orientable:
-        for k in range(surface.ribbon_count):
+    for k in range(surface.ribbon_count):
+        if surface.orientable:
             h, pos = divmod(k, 2)
-            base = Fraction(10 + 6 * h)
-            foot0 = base + Fraction(1, 2) + pos
-            foot1 = base + Fraction(5, 2) + pos
-            bar_lo = Fraction(5 + 2 * pos)
-            frames.append(("staple", foot0, foot1, bar_lo))
-    else:
-        for k in range(surface.ribbon_count):
-            base = Fraction(10 + 6 * k)
-            foot0 = base + Fraction(1, 2)
-            foot1 = base + Fraction(5, 2)
-            frames.append(("band", foot0, foot1, None))
+            left = 10 + 6 * h + pos
+            frames.append(("staple", left * s, (left + 2) * s, (6 + 2 * pos) * s, s))
+        else:
+            left = 10 + 6 * k
+            frames.append(("band", left * s, (left + 2) * s, 8 * s, 3 * s))
     return frames
 
 
-def _slot(center, j, total):
-    return center - Fraction(1, 2) + Fraction(j + 1, total + 1)
-
-
-def _lane_path(frame, j, total, label, attempt):
-    """Polyline of lane j through the ribbon, from foot0 to foot1 at the
-    feet line, with the per-segment ribbon label."""
-    kind = frame[0]
+def _lane_path(frame, j, total, label, feet, s):
+    """Polyline of lane j of total through the ribbon, from foot0 to foot1
+    at the feet line, with the per-segment ribbon label."""
+    kind, left0, left1, top, depth = frame
+    step = s // (total + 1)
+    x_in = left0 + (j + 1) * step
+    bar = top - (j + 1) * (depth // (total + 1))
     if kind == "staple":
-        _, foot0, foot1, bar_lo = frame
-        x_in = _slot(foot0, j, total)
-        x_out = _slot(foot1, total - 1 - j, total)
-        bar = bar_lo + 1 - Fraction(j + 1, total + 1)
-        pts = [(x_in, _FEET_Y), (x_in, bar), (x_out, bar), (x_out, _FEET_Y)]
-        return pts, [label] * 3
-    # Twisted ribbon: slot order is preserved across the two feet, so the
-    # lane arcs are pairwise disjoint on the surface; their rainbow images
-    # cross once per pair in the plane, on different sheets of the immersed
-    # band.  Per-lane labels make those crossings artifacts.
-    _, foot0, foot1, _ = frame
-    x_in = _slot(foot0, j, total)
-    x_out = _slot(foot1, j, total)
-    bar = Fraction(8) - 3 * Fraction(j + 1, total + 1)
-    pts = [(x_in, _FEET_Y), (x_in, bar), (x_out, bar), (x_out, _FEET_Y)]
-    return pts, [(label, j)] * 3
+        x_out = left1 + (total - j) * step
+        labs = [label] * 3
+    else:
+        # Twisted ribbon: slot order is preserved across the two feet, so
+        # the lane arcs are pairwise disjoint on the surface; their rainbow
+        # images cross once per pair in the plane, on different sheets of
+        # the immersed band.  Per-lane labels make those crossings artifacts.
+        x_out = left1 + (j + 1) * step
+        labs = [(label, j)] * 3
+    return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], labs
 
 
 def _pick_attachment(polyline, attach_hint, vpts, own_ends, used_x, attempt):
     """A pair of points on the edge whose vertical corridor strip avoids
     every vertex above it (the edge's own endpoints excepted)."""
     nseg = len(polyline) - 1
-    params = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(3, 5)]
-    rot = attempt % len(params)
+    rot = attempt % len(_PARAMS)
     for ds in range(nseg):
         s = (attach_hint + ds) % nseg
         a, bpt = polyline[s], polyline[s + 1]
         if a[0] == bpt[0]:
             continue
-        for t in params[rot:] + params[:rot]:
+        for num, den in _PARAMS[rot:] + _PARAMS[:rot]:
             for shrink in range(6):
-                eps = Fraction(1, 16 << shrink)
-                if not (0 < t - eps and t + eps < 1):
-                    continue
-                p1 = (a[0] + (t - eps) * (bpt[0] - a[0]), a[1] + (t - eps) * (bpt[1] - a[1]))
-                p2 = (a[0] + (t + eps) * (bpt[0] - a[0]), a[1] + (t + eps) * (bpt[1] - a[1]))
+                # t -+ eps = (num*e -+ den) / (den*e); the divisions are exact.
+                e = 16 << shrink
+                dx, dy = (bpt[0] - a[0]) // (den * e), (bpt[1] - a[1]) // (den * e)
+                lo, hi = num * e - den, num * e + den
+                p1 = (a[0] + lo * dx, a[1] + lo * dy)
+                p2 = (a[0] + hi * dx, a[1] + hi * dy)
                 if p1[0] == p2[0] or p1[0] in used_x or p2[0] in used_x:
                     continue
                 xl, xr = sorted((p1[0], p2[0]))
@@ -143,8 +133,6 @@ def _pick_attachment(polyline, attach_hint, vpts, own_ends, used_x, attempt):
 def _build_curves(sd: SurfaceDrawing, attempt: int):
     """All edge curves as labeled polylines: (points, per-segment labels)."""
     g = sd.core.graph
-    vpts, polys = _transform_core(sd.core, attempt)
-    frames = _ribbon_frames(sd.surface)
     r = sd.surface.ribbon_count
 
     # Enumerate passes: lane indices per ribbon, run counts per edge.
@@ -165,10 +153,14 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         plans[e] = plan
 
     nruns = sum(len(p) + 1 for p in plans.values() if p)
-    run_iter = iter(range(nruns))
-
-    def next_level():
-        return _RUN_LO + _RUN_SPAN * Fraction(next(run_iter) + 1, nruns + 1)
+    # S is a multiple of the lcm, so every lane slot, bar and bus level is an int.
+    unit = _T * math.lcm(2 * (nruns + 1), *(2 * (t + 1) for t in totals))
+    vpts, polys, scale = _transform_core(sd.core, 3 + attempt, unit)
+    frames = _ribbon_frames(sd.surface, scale)
+    feet = 4 * scale
+    # Bus runs sit at the levels 2 + (3/2) * i / (nruns + 1), i = 1..nruns.
+    rise = 3 * (scale // (2 * (nruns + 1)))
+    levels = itertools.count(2 * scale + rise, rise)
 
     curves = []
     labels = []
@@ -187,24 +179,23 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         used_x.add(p2[0])
         pts = list(pl[: s + 1]) + [p1]
         labs = [DISK] * (s + 1)
-        level = next_level()
+        level = next(levels)
         pts.append((p1[0], level))
         labs.append(DISK)
         for idx, (k, direction) in enumerate(plan):
-            frame = frames[k]
             j = lane_of[(e, idx)][1]
-            lane_pts, lane_labs = _lane_path(frame, j, totals[k], ("rib", k), attempt)
+            lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
             if direction < 0:
                 lane_pts = lane_pts[::-1]
                 lane_labs = lane_labs[::-1]
             x_in = lane_pts[0][0]
             pts.append((x_in, level))
             labs.append(DISK)
-            pts.append((x_in, _FEET_Y))
+            pts.append((x_in, feet))
             labs.append(DISK)
             pts.extend(lane_pts[1:])
             labs.extend(lane_labs)
-            level = next_level()
+            level = next(levels)
             pts.append((lane_pts[-1][0], level))
             labs.append(DISK)
         pts.append((p2[0], level))
@@ -221,12 +212,11 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
 def _count_crossings(sd: SurfaceDrawing, vpts, curves, labels):
     """Exact pairwise crossing data with general-position validation.
 
-    Works on the integer image of the curves and classifies only the
-    segment pairs of different curves whose boxes meet (geom.box_pairs).
-    Returns {(i, j): list of (sign, same_label)} for i < j.
+    Works on the int points of _build_curves, in int arithmetic, and
+    classifies only the segment pairs of different curves whose boxes meet
+    (geom.box_pairs).  Returns {(i, j): list of (sign, same_label)} for i < j.
     """
     g = sd.core.graph
-    _, (vpts, *curves) = integer_image([vpts, *curves])
     m = g.edge_count
     # Crossing points are keyed by their reduced integer triples.
     point_log = {}

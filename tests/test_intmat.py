@@ -1,7 +1,10 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from surfembed import intmat
 from surfembed.intmat import (
     IntMatrix,
     IntMatrixError,
@@ -128,6 +131,44 @@ def test_best_multiplier_matches_a_scan():
             return sum(abs(a - k * b) for a, b in zip(u, v))
 
         assert cost(_best_multiplier(u, v)) == min(cost(k) for k in range(-20, 21))
+
+
+def _best_multiplier_fraction(u, v) -> int:
+    """_best_multiplier as it was, with the weighted median taken over
+    Fraction ratios."""
+    pts = sorted((Fraction(a, b), abs(b)) for a, b in zip(u, v) if b)
+    if not pts:
+        return 0
+    total, acc = sum(w for _, w in pts), 0
+    for r, w in pts:
+        acc += w
+        if 2 * acc >= total:
+            break
+    lo = math.floor(r)
+    return min((lo, lo + 1), key=lambda k: sum(abs(a - k * b) for a, b in zip(u, v)))
+
+
+def test_best_multiplier_matches_the_fraction_median():
+    rng = random.Random(15)
+    for _ in range(2000):
+        n = rng.randrange(0, 9)
+        u = [rng.randint(-30, 30) for _ in range(n)]
+        v = [rng.choice((0, rng.randint(-7, 7))) for _ in range(n)]
+        assert _best_multiplier(u, v) == _best_multiplier_fraction(u, v)
+
+
+def test_factor_alternating_is_unchanged_by_the_integer_median(monkeypatch):
+    rng = random.Random(16)
+    cases = []
+    for g in (1, 2, 3):
+        for _ in range(10):
+            n = rng.randrange(2 * g, 9)
+            b0 = IntMatrix(2 * g, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2 * g)])
+            cases.append(b0.transpose() @ symplectic_matrix_int(g) @ b0)
+    got = [factor_alternating(a) for a in cases]
+    monkeypatch.setattr(intmat, "_best_multiplier", _best_multiplier_fraction)
+    assert got == [factor_alternating(a) for a in cases]
+    assert {f.rows for f in got} >= {2, 4, 6}
 
 
 def test_factor_alternating_rejects_non_skew():

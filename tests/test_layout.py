@@ -1,4 +1,5 @@
-"""The layout verifier's crossing count against an all-pairs reference."""
+"""The layout verifier's integer grid against the Fraction layout, and its
+crossing count against an all-pairs reference."""
 
 import itertools
 import random
@@ -11,9 +12,9 @@ from surfembed.drawing import convex_drawing
 from surfembed.geom import classify_segments, crossing_sign, integer_image
 from surfembed.graph import Graph, complete_bipartite, complete_graph
 from surfembed.intmat import IntMatrix, factor_alternating
-from surfembed.layout import DISK, LayoutError, _build_curves, _count_crossings
+from surfembed.layout import DISK, LayoutError, _build_curves, _count_crossings, verify_geometric
 from surfembed.solver import z2_genus
-from surfembed.surface import SurfaceDrawing, SurfaceSpec, construct_z_embedding
+from surfembed.surface import SurfaceDrawing, SurfaceSpec, construct_z_embedding, verify_z
 
 
 def _count_crossings_all_pairs(sd, vpts, curves, labels):
@@ -121,6 +122,208 @@ def test_box_pruned_count_matches_all_pairs_on_witnesses(g):
         got = _outcome(_count_crossings, sd, attempt)
         assert isinstance(got, dict)
         assert got == _outcome(_count_crossings_all_pairs, sd, attempt)
+
+
+# The layout as it was in Fraction arithmetic, kept as the reference for
+# the integer grid of _build_curves.
+def _transform_core_fraction(core, attempt):
+    xs = [p[0] for pl in core.edge_polylines for p in pl] or [Fraction(0)]
+    ys = [p[1] for pl in core.edge_polylines for p in pl] or [Fraction(0)]
+    xs += [p[0] for p in core.vertex_points]
+    ys += [p[1] for p in core.vertex_points]
+    cx = Fraction(min(xs) + max(xs), 2)
+    cy = Fraction(min(ys) + max(ys), 2)
+    w = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))
+    shear = Fraction(1, 3 + attempt)
+
+    def f(p):
+        y = (p[1] - cy) * 2 / w
+        x = (p[0] - cx) * 2 / w + shear * y
+        return (x, y)
+
+    return [f(p) for p in core.vertex_points], [[f(p) for p in pl] for pl in core.edge_polylines]
+
+
+def _ribbon_frames_fraction(surface):
+    frames = []
+    for k in range(surface.ribbon_count):
+        if surface.orientable:
+            h, pos = divmod(k, 2)
+            base = Fraction(10 + 6 * h)
+            frames.append(("staple", base + Fraction(1, 2) + pos, base + Fraction(5, 2) + pos, Fraction(5 + 2 * pos)))
+        else:
+            base = Fraction(10 + 6 * k)
+            frames.append(("band", base + Fraction(1, 2), base + Fraction(5, 2), None))
+    return frames
+
+
+def _slot_fraction(center, j, total):
+    return center - Fraction(1, 2) + Fraction(j + 1, total + 1)
+
+
+def _lane_path_fraction(frame, j, total, label):
+    kind, foot0, foot1, bar_lo = frame
+    feet = Fraction(4)
+    x_in = _slot_fraction(foot0, j, total)
+    if kind == "staple":
+        x_out = _slot_fraction(foot1, total - 1 - j, total)
+        bar = bar_lo + 1 - Fraction(j + 1, total + 1)
+        return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], [label] * 3
+    x_out = _slot_fraction(foot1, j, total)
+    bar = Fraction(8) - 3 * Fraction(j + 1, total + 1)
+    return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], [(label, j)] * 3
+
+
+def _pick_attachment_fraction(polyline, attach_hint, vpts, own_ends, used_x, attempt):
+    nseg = len(polyline) - 1
+    params = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(3, 5)]
+    rot = attempt % len(params)
+    for ds in range(nseg):
+        s = (attach_hint + ds) % nseg
+        a, bpt = polyline[s], polyline[s + 1]
+        if a[0] == bpt[0]:
+            continue
+        for t in params[rot:] + params[:rot]:
+            for shrink in range(6):
+                eps = Fraction(1, 16 << shrink)
+                if not (0 < t - eps and t + eps < 1):
+                    continue
+                p1 = (a[0] + (t - eps) * (bpt[0] - a[0]), a[1] + (t - eps) * (bpt[1] - a[1]))
+                p2 = (a[0] + (t + eps) * (bpt[0] - a[0]), a[1] + (t + eps) * (bpt[1] - a[1]))
+                if p1[0] == p2[0] or p1[0] in used_x or p2[0] in used_x:
+                    continue
+                xl, xr = sorted((p1[0], p2[0]))
+                ymin = min(p1[1], p2[1])
+                if not any(
+                    v not in own_ends and xl <= vp[0] <= xr and vp[1] >= ymin for v, vp in enumerate(vpts)
+                ):
+                    return s, p1, p2
+    raise LayoutError("no valid corridor attachment found")
+
+
+def _build_curves_fraction(sd, attempt):
+    g = sd.core.graph
+    vpts, polys = _transform_core_fraction(sd.core, attempt)
+    frames = _ribbon_frames_fraction(sd.surface)
+    r = sd.surface.ribbon_count
+    lane_of = {}
+    totals = [0] * r
+    plans = {}
+    for e in sd.tube_order:
+        plan = []
+        for k in range(r):
+            c = sd.passes[e][k]
+            direction = 1 if c * sd.core.edge_orientations[e] > 0 else -1
+            for _ in range(abs(c)):
+                lane_of[(e, len(plan))] = (k, totals[k])
+                totals[k] += 1
+                plan.append((k, direction))
+        plans[e] = plan
+    nruns = sum(len(p) + 1 for p in plans.values() if p)
+    run_iter = iter(range(nruns))
+
+    def next_level():
+        return Fraction(2) + Fraction(3, 2) * Fraction(next(run_iter) + 1, nruns + 1)
+
+    feet = Fraction(4)
+    curves = []
+    labels = []
+    used_x = set()
+    for e in range(g.edge_count):
+        pl = polys[e]
+        plan = plans[e]
+        if not plan:
+            curves.append(list(pl))
+            labels.append([DISK] * (len(pl) - 1))
+            continue
+        s, p1, p2 = _pick_attachment_fraction(pl, sd.attach[e], vpts, set(g.edges[e]), used_x, attempt)
+        used_x.add(p1[0])
+        used_x.add(p2[0])
+        pts = list(pl[: s + 1]) + [p1]
+        labs = [DISK] * (s + 1)
+        level = next_level()
+        pts.append((p1[0], level))
+        labs.append(DISK)
+        for idx, (k, direction) in enumerate(plan):
+            j = lane_of[(e, idx)][1]
+            lane_pts, lane_labs = _lane_path_fraction(frames[k], j, totals[k], ("rib", k))
+            if direction < 0:
+                lane_pts = lane_pts[::-1]
+                lane_labs = lane_labs[::-1]
+            x_in = lane_pts[0][0]
+            pts += [(x_in, level), (x_in, feet)]
+            labs += [DISK, DISK]
+            pts.extend(lane_pts[1:])
+            labs.extend(lane_labs)
+            level = next_level()
+            pts.append((lane_pts[-1][0], level))
+            labs.append(DISK)
+        pts += [(p2[0], level), p2]
+        labs += [DISK, DISK]
+        pts.extend(pl[s + 1 :])
+        labs.extend([DISK] * (len(pl) - s - 1))
+        curves.append(pts)
+        labels.append(labs)
+    return vpts, curves, labels
+
+
+def _grid_ratio(sd, attempt):
+    """The integer S with _build_curves = S * _build_curves_fraction, or the
+    LayoutError text both raise."""
+    try:
+        ref = _build_curves_fraction(sd, attempt)
+    except LayoutError as err:
+        with pytest.raises(LayoutError) as got:
+            _build_curves(sd, attempt)
+        assert str(got.value) == str(err)
+        return str(err)
+    vpts, curves, labels = _build_curves(sd, attempt)
+    assert labels == ref[2]
+    assert [len(pl) for pl in curves] == [len(pl) for pl in ref[1]]
+    new = [c for pts in (vpts, *curves) for p in pts for c in p]
+    old = [c for pts in (ref[0], *ref[1]) for p in pts for c in p]
+    assert len(new) == len(old) and all(type(c) is int for c in new)
+    scale = next(Fraction(a) / b for a, b in zip(new, old) if b)
+    assert scale.denominator == 1 and scale > 0
+    assert new == [scale * b for b in old]
+    return scale
+
+
+def test_integer_grid_is_a_multiple_of_the_fraction_layout_on_random_surface_drawings():
+    rng = random.Random(2021)
+    outcomes = set()
+    for sd in _random_surface_drawings(rng, 200):
+        for attempt in range(3):
+            outcomes.add(type(_grid_ratio(sd, attempt)))
+    assert outcomes == {Fraction}
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), complete_bipartite(3, 3), complete_bipartite(4, 4)])
+def test_integer_grid_is_a_multiple_of_the_fraction_layout_on_witnesses(g):
+    sd = z2_genus(g, "orientable").witness.surface_drawing
+    for attempt in range(3):
+        assert isinstance(_grid_ratio(sd, attempt), Fraction)
+
+
+def test_genus_two_z_embeddings_agree_with_the_combinatorial_verifier():
+    # The benchmark's Z half stops at genus 1; here B has four rows.
+    rng = random.Random(2022)
+    genera = set()
+    for _ in range(20):
+        m = rng.randrange(4, 9)
+        n = rng.randrange(5, 8)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        g = Graph(n, possible[:m])
+        order = list(range(n))
+        rng.shuffle(order)
+        b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(4)]
+        f = factor_alternating(IntMatrix(m, m, _skew_product(b, m)))
+        sd = construct_z_embedding(g, convex_drawing(g, order), f, SurfaceSpec("S", f.rows // 2))
+        combo, geo = verify_z(sd), verify_geometric(sd, "z")
+        assert geo.pairs == combo.pairs and geo.is_embedding == combo.is_embedding
+        genera.add(f.rows // 2)
+    assert 2 in genera
 
 
 def _degenerate(vertex_points, curves):
