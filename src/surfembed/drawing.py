@@ -21,7 +21,7 @@ from .geom import (
     integer_image,
     strictly_inside_segment,
 )
-from .gf2 import BitMatrix, Gf2Elimination, in_affine_span
+from .gf2 import BitMatrix, Gf2Elimination, solve_gf2
 from .graph import Graph, independent_pairs
 from .intmat import IntMatrix
 
@@ -235,22 +235,28 @@ class ParityMatrix:
                 b.set(pr.j, pr.i, 1)
         return cls(graph, b)
 
-    def equal_on_independent_pairs(self, other: "ParityMatrix") -> bool:
-        pairs = independent_pairs(self.graph)
-        return self.pair_vector(pairs) == other.pair_vector(pairs)
+
+def _target_vector(g: Graph, pairs, target: ParityMatrix) -> int:
+    """The target's bits over g's independent pairs; the target must be
+    indexed by g's edge set."""
+    if target.graph.edges != g.edges:
+        raise ValueError("target indexed by a different edge set")
+    return target.pair_vector(pairs)
+
+
+def _parity_vector(d: PlanarDrawing, pairs) -> int:
+    """d's crossing parities packed in the order of the pair list."""
+    table = d.crossings()
+    acc = 0
+    for k, pr in enumerate(pairs):
+        if len(table[(pr.i, pr.j)]) & 1:
+            acc |= 1 << k
+    return acc
 
 
 def crossing_parity_matrix(d: PlanarDrawing) -> ParityMatrix:
-    g = d.graph
-    m = g.edge_count
-    b = BitMatrix(m, m)
-    table = d.crossings()
-    for pr in independent_pairs(g):
-        parity = len(table[(pr.i, pr.j)]) & 1
-        if parity:
-            b.set(pr.i, pr.j, 1)
-            b.set(pr.j, pr.i, 1)
-    return ParityMatrix(g, b)
+    pairs = independent_pairs(d.graph)
+    return ParityMatrix.from_pair_vector(d.graph, pairs, _parity_vector(d, pairs))
 
 
 def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
@@ -266,7 +272,7 @@ def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
     return out
 
 
-def convex_drawing(g: Graph, order=None, attempt: int = 0) -> PlanarDrawing:
+def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
     """Straight-chord drawing with vertices in convex position on a parabola.
 
     order[k] is the vertex placed at position k along the curve; two chords
@@ -279,7 +285,7 @@ def convex_drawing(g: Graph, order=None, attempt: int = 0) -> PlanarDrawing:
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
-    for k in range(attempt, attempt + 64):
+    for k in range(64):
         pts = [None] * n
         for pos, w in enumerate(order):
             x = 101 * pos + (k * (pos * pos + 1)) % 101
@@ -326,36 +332,34 @@ def finger_move_generators(g: Graph) -> list[int]:
 
 @dataclass
 class CompatibilityClass:
-    """The affine family of realizable crossing-parity vectors of a graph."""
+    """The affine GF(2) class of the crossing parities of g's drawings.
+
+    Vectors are ints packed over pairs, g's independent pairs.  base holds
+    the parities of one drawing; every drawing's are base plus a sum of
+    finger-move generators.
+    """
 
     graph: Graph
-    base: ParityMatrix
+    pairs: list
+    base: int
     generators: list[int]
-    drawing: PlanarDrawing = None  # the drawing of g whose parities are base
 
     @classmethod
     def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
-        """The class through the given drawing of g, or the convex drawing."""
+        """The class, its base read from the given drawing or the convex one."""
         if drawing is None:
             drawing = convex_drawing(g)
-        base = crossing_parity_matrix(drawing)
-        return cls(g, base, finger_move_generators(g), drawing)
+        pairs = independent_pairs(g)
+        return cls(g, pairs, _parity_vector(drawing, pairs), finger_move_generators(g))
 
     def membership(self, target: ParityMatrix):
-        """Finger-move coefficients reaching the target, or None."""
-        pairs = independent_pairs(self.graph)
-        return in_affine_span(
-            target.pair_vector(pairs),
-            self.base.pair_vector(pairs),
-            self.generators,
-            len(pairs),
-        )
+        """Finger-move coefficients taking base to the target, or None."""
+        tvec = _target_vector(self.graph, self.pairs, target)
+        return solve_gf2(self.generators, self.base ^ tvec, len(self.pairs))
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):
     """Coefficient certificate over finger moves, or None when incompatible."""
-    if target.graph.edges != g.edges:
-        raise ValueError("target indexed by a different edge set")
     return CompatibilityClass.compute(g).membership(target)
 
 
@@ -483,28 +487,35 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 
 
-def _lightest_convex_order(g: Graph, pairs, elim: Gf2Elimination, target: int):
-    """(weight, order) of a convex vertex order with a light certificate.
+def _chord_parities(ends, order) -> int:
+    """Packed crossing parities of the convex drawing of a vertex order.
 
-    Chords on a convex curve cross exactly when their end positions
-    interleave, so an order's base parities, and the weight of its light
-    certificate towards the target, need no geometry.  First-improvement
-    hill-climbing over transpositions, from the identity order.  Every
-    drawing of g lies in one compatibility class, so every order is
-    solvable.
+    ends[k] holds the four ends of the k-th pair's edges.  Chords on a
+    convex curve cross exactly when their end positions interleave, so
+    this needs no geometry.
     """
-    ends = [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
+    pos = [0] * len(order)
+    for k, w in enumerate(order):
+        pos[w] = k
+    acc = 0
+    for k, (a, b, c, d) in enumerate(ends):
+        lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+        if (lo < pos[c] < hi) != (lo < pos[d] < hi):
+            acc |= 1 << k
+    return acc
+
+
+def _lightest_convex_order(g: Graph, ends, elim: Gf2Elimination, target: int):
+    """A convex vertex order with a light certificate towards the target.
+
+    First-improvement hill-climbing over transpositions from the identity
+    order; an order's score is the weight of its light certificate (see
+    solve_gf2), read off one elimination.  Every drawing of g lies in one
+    compatibility class, so every order is solvable once the identity is.
+    """
 
     def weight(order):
-        pos = [0] * len(order)
-        for k, w in enumerate(order):
-            pos[w] = k
-        base = 0
-        for k, (a, b, c, d) in enumerate(ends):
-            lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
-            if (lo < pos[c] < hi) != (lo < pos[d] < hi):
-                base |= 1 << k
-        return sum(elim.solve(base ^ target, light=True))
+        return sum(elim.solve(_chord_parities(ends, order) ^ target, light=True))
 
     order = list(range(g.vertex_count))
     best = weight(order)
@@ -519,38 +530,29 @@ def _lightest_convex_order(g: Graph, pairs, elim: Gf2Elimination, target: int):
                     best, improved = w, True
                 else:
                     order[a], order[b] = order[b], order[a]
-    return best, order
+    return order
 
 
-def realize_parity(g: Graph, target: ParityMatrix, compat: CompatibilityClass = None) -> PlanarDrawing:
-    """A drawing whose parity matrix equals the target on independent pairs.
+def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
+    """A drawing of g whose parities equal the target on independent pairs.
 
-    The starting drawing is the one whose light certificate (see
-    solve_gf2) has the fewest finger moves: the drawing of compat
-    (computed from the convex drawing when not given), or the convex
-    drawing of the vertex order found by _lightest_convex_order, built only
-    when its certificate is strictly lighter.  One elimination of the
-    finger-move generators scores every candidate.  The certificate that
-    is applied comes from the chosen drawing's own crossing table.  The
-    table stays up to date move by move and the result is checked against
-    the target from it.  Finger moves build new drawings, so the class's
-    drawing can be shared by many calls.
+    Every drawing of g lies in one compatibility class, so the chord
+    parities of the identity convex order decide compatibility before the
+    order search.  The start is the convex drawing of the order found by
+    _lightest_convex_order.  The certificate applied to it comes from its
+    own crossing table, which stays up to date move by move; the result is
+    checked against the target from it.
     """
-    if compat is None:
-        compat = CompatibilityClass.compute(g)
     pairs = independent_pairs(g)
-    elim = Gf2Elimination(compat.generators, len(pairs))
-    tvec = target.pair_vector(pairs)
-    d = compat.drawing
-    cert = elim.solve(compat.base.pair_vector(pairs) ^ tvec, light=True)
-    if cert is None:
+    tvec = _target_vector(g, pairs, target)
+    elim = Gf2Elimination(finger_move_generators(g), len(pairs))
+    ends = [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
+    if elim.solve(_chord_parities(ends, range(g.vertex_count)) ^ tvec) is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
-    weight, order = _lightest_convex_order(g, pairs, elim, tvec)
-    if weight < sum(cert):
-        d = convex_drawing(g, order)
-        cert = elim.solve(crossing_parity_matrix(d).pair_vector(pairs) ^ tvec, light=True)
-        if cert is None:
-            raise RealizationError("convex drawing outside the compatibility class")
+    d = convex_drawing(g, _lightest_convex_order(g, ends, elim, tvec))
+    cert = elim.solve(_parity_vector(d, pairs) ^ tvec, light=True)
+    if cert is None:
+        raise RealizationError("convex drawing outside the compatibility class")
     labels = finger_move_labels(g)
     nesting: dict[int, int] = {}
     for k, c in enumerate(cert):
@@ -559,8 +561,7 @@ def realize_parity(g: Graph, target: ParityMatrix, compat: CompatibilityClass = 
         e, v = labels[k]
         d = apply_finger_move(d, e, v, shrink=nesting.get(v, 0))
         nesting[v] = nesting.get(v, 0) + 1
-    got = crossing_parity_matrix(d)
-    if not got.equal_on_independent_pairs(target):
+    if _parity_vector(d, pairs) != tvec:
         raise RealizationError("post-verification mismatch in realize_parity")
     return d
 

@@ -62,8 +62,6 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
       ("touch", point)    -- single common point involving an endpoint
       ("overlap", None)   -- collinear segments sharing more than one point
     """
-    if bbox_disjoint(p1, p2, q1, q2):
-        return ("none", None)
     o1 = orient(p1, p2, q1)
     o2 = orient(p1, p2, q2)
     o3 = orient(q1, q2, p1)

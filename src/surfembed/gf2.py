@@ -131,17 +131,7 @@ class BitMatrix:
 
 
 def rank_gf2(a: BitMatrix) -> int:
-    rows = [r for r in a.data if r]
-    rank = 0
-    pivots = []  # (pivot bit, reduced row)
-    for r in rows:
-        for pb, pr in pivots:
-            if (r >> pb) & 1:
-                r ^= pr
-        if r:
-            pivots.append((r.bit_length() - 1, r))
-            rank += 1
-    return rank
+    return len(Gf2Elimination(a.data, a.cols).pivots)
 
 
 def hyperbolic_matrix_gf2(g: int) -> BitMatrix:
@@ -326,14 +316,6 @@ def solve_gf2(columns: list[int], rhs: int, nbits: int, light: bool = False):
     None when no solution exists; light=True returns a lighter solution.
     """
     return Gf2Elimination(columns, nbits).solve(rhs, light)
-
-
-def in_affine_span(target: int, base: int, generators: list[int], nbits: int):
-    """Coefficients c with base + sum c_i gen_i = target, or None.
-
-    All vectors are packed ints of nbits bits.
-    """
-    return solve_gf2(generators, base ^ target, nbits)
 
 
 def parse_bitmatrix(text: str) -> BitMatrix:

@@ -21,7 +21,7 @@ from .drawing import (
     realize_parity,
 )
 from .gf2 import BitMatrix
-from .graph import Graph, independent_pairs
+from .graph import Graph
 from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
 
 
@@ -211,8 +211,7 @@ class _Checks:
 
 
 def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
-    pairs = independent_pairs(g)
-    base = compat.base.pair_vector(pairs)
+    pairs, base = compat.pairs, compat.base
     checks = []
     for z in _nullspace(compat.generators, len(pairs)):
         support = [k for k in range(len(pairs)) if (z >> k) & 1]
@@ -259,7 +258,7 @@ class _Prepared(CompatibilityClass):
     """A compatibility class with the checks of the search laid out."""
 
     def __init__(self, compat: CompatibilityClass, checks: _Checks):
-        super().__init__(compat.graph, compat.base, compat.generators, compat.drawing)
+        super().__init__(compat.graph, compat.pairs, compat.base, compat.generators)
         self.checks = checks
 
 
@@ -392,14 +391,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _build_witness(g: Graph, spec: SurfaceSpec, assign, compat: CompatibilityClass) -> Witness:
+def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
     m = g.edge_count
     y = BitMatrix(spec.ribbon_count, m)
     for e in range(m):
         for k in range(spec.ribbon_count):
             y.set(k, e, (assign[e] >> k) & 1)
     a = spec.gram(assign)
-    f = realize_parity(g, ParityMatrix(g, a), compat)
+    f = realize_parity(g, ParityMatrix(g, a))
     sd = construct_z2_embedding(g, f, y, spec)
     report = verify_z2(sd)
     if not report.is_embedding:
@@ -413,20 +412,22 @@ def _solve(g: Graph, spec: SurfaceSpec, budget, compat) -> SolveResult:
     status, assign, nodes = _search(g, spec, budget, compat)
     if status != "yes":
         return SolveResult(status, nodes=nodes)
-    return SolveResult("yes", _build_witness(g, spec, assign, compat), nodes)
+    return SolveResult("yes", _build_witness(g, spec, assign), nodes)
 
 
 def z2_embeddable_orientable(
     g: Graph, genus: int, budget: SolverBudget = None, compat: CompatibilityClass = None
 ) -> SolveResult:
-    """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
+    """compat, when given, is CompatibilityClass.compute(g), shared by the
+    searches of a scan; witnesses need no class (realize_parity)."""
     return _solve(g, SurfaceSpec("S", genus), budget, compat)
 
 
 def z2_embeddable_nonorientable(
     g: Graph, m: int, budget: SolverBudget = None, compat: CompatibilityClass = None
 ) -> SolveResult:
-    """compat, when given, is CompatibilityClass.compute(g), shared by calls."""
+    """compat, when given, is CompatibilityClass.compute(g), shared by the
+    searches of a scan; witnesses need no class (realize_parity)."""
     return _solve(g, SurfaceSpec("M", m), budget, compat)
 
 

@@ -234,7 +234,7 @@ def test_realize_parity_roundtrip_50():
         g = graphs[trial % len(graphs)]
         cls = CompatibilityClass.compute(g)
         pairs = independent_pairs(g)
-        vec = cls.base.pair_vector(pairs)
+        vec = cls.base
         for gen in cls.generators:
             if rng.getrandbits(1):
                 vec ^= gen

@@ -180,34 +180,50 @@ def test_realize_roundtrip_random_targets():
                 continue
             done += 1
             d = realize_parity(g, target)
-            got = crossing_parity_matrix(d)
-            assert got.equal_on_independent_pairs(target)
+            assert crossing_parity_matrix(d).pair_vector(pairs) == vec
 
 
-def test_realize_from_shared_class_leaves_its_drawing_alone():
-    # the solver hands one class, and so one base drawing, to every
-    # realize_parity of a genus scan; finger moves must build new drawings
+def test_realize_is_deterministic():
+    # two calls on one target give the same drawing, with the target's parities
     rng = random.Random(23)
     for g in (complete_graph(5), complete_bipartite(3, 4)):
         pairs = independent_pairs(g)
         cls = CompatibilityClass.compute(g)
-        base_text = serialize_drawing(cls.drawing)
-        base_table = {k: list(v) for k, v in cls.drawing.crossings().items()}
         done = 0
         while done < 3:
-            target = ParityMatrix.from_pair_vector(g, pairs, rng.getrandbits(len(pairs)))
+            vec = rng.getrandbits(len(pairs))
+            target = ParityMatrix.from_pair_vector(g, pairs, vec)
             if cls.membership(target) is None:
                 continue
             done += 1
-            first = realize_parity(g, target, cls)
-            second = realize_parity(g, target, cls)
-            assert first is not cls.drawing
-            assert serialize_drawing(first) == serialize_drawing(second)
+            first = realize_parity(g, target)
             assert serialize_drawing(first) == serialize_drawing(realize_parity(g, target))
-            assert crossing_parity_matrix(first).equal_on_independent_pairs(target)
-            assert serialize_drawing(cls.drawing) == base_text
-            assert cls.drawing.crossings() == base_table
-            assert crossing_parity_matrix(cls.drawing).pair_vector(pairs) == cls.base.pair_vector(pairs)
+            assert crossing_parity_matrix(first).pair_vector(pairs) == vec
+
+
+def test_class_base_is_the_chord_interleaving_of_the_identity_order():
+    # the class's base, read off the convex drawing's crossing table, is
+    # what realize_parity tests compatibility against without geometry
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        pairs = independent_pairs(g)
+        odd = convex_crossing_oracle(g, list(range(n)))
+        expected = sum(1 << k for k, pr in enumerate(pairs) if (pr.i, pr.j) in odd)
+        assert CompatibilityClass.compute(g).base == expected
+
+
+def test_target_on_another_edge_set_is_refused():
+    # K4 and the 6-cycle both have six edges; a target must name g's own
+    k4 = complete_graph(4)
+    c6 = Graph(6, [(k, (k + 1) % 6) for k in range(6)])
+    for g, other in ((k4, c6), (c6, k4)):
+        target = zero_target(other)
+        with pytest.raises(ValueError, match="different edge set"):
+            is_compatible_mod2(g, target)
+        with pytest.raises(ValueError, match="different edge set"):
+            realize_parity(g, target)
 
 
 def test_compatibility_closed_under_finger_moves():
@@ -302,7 +318,7 @@ def test_light_certificate_reaches_target_with_no_more_moves():
     for g in (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4), complete_graph(6)):
         pairs = independent_pairs(g)
         cls = CompatibilityClass.compute(g)
-        base = cls.base.pair_vector(pairs)
+        base = cls.base
         for _ in range(10):
             vec = base
             for gen in cls.generators:
@@ -333,7 +349,7 @@ def _count_finger_moves(monkeypatch):
 
 
 def test_realize_never_uses_more_moves_than_the_identity_order(monkeypatch):
-    # the chosen start is the class drawing or a strictly lighter convex order
+    # the start is the identity convex order or a strictly lighter one
     rng = random.Random(46)
     moves = _count_finger_moves(monkeypatch)
     saved = 0
@@ -343,14 +359,14 @@ def test_realize_never_uses_more_moves_than_the_identity_order(monkeypatch):
         g = Graph(n, edges)
         pairs = independent_pairs(g)
         cls = CompatibilityClass.compute(g)
-        base = vec = cls.base.pair_vector(pairs)
+        base = vec = cls.base
         for gen in cls.generators:
             if rng.getrandbits(1):
                 vec ^= gen
         target = ParityMatrix.from_pair_vector(g, pairs, vec)
         identity = sum(solve_gf2(cls.generators, base ^ vec, len(pairs), light=True))
         moves[0] = 0
-        d = realize_parity(g, target, cls)
+        d = realize_parity(g, target)
         assert crossing_parity_matrix(d).pair_vector(pairs) == vec
         assert moves[0] <= identity
         saved += identity - moves[0]

@@ -48,6 +48,8 @@ def test_box_pairs_are_the_meeting_boxes_in_nested_order(pls, data):
 def test_classify_segments_on_integer_points(pts):
     p1, p2, q1, q2 = pts
     kind, got = classify_segments(p1, p2, q1, q2)
+    if bbox_disjoint(p1, p2, q1, q2):
+        assert kind == "none"
     on_other = {e for e, a, b in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)) if on_segment(e, a, b)}
     if kind == "none":
         assert not on_other

@@ -9,7 +9,6 @@ from surfembed.gf2 import (
     factor_even,
     factor_odd,
     hyperbolic_matrix_gf2,
-    in_affine_span,
     solve_gf2,
     parse_bitmatrix,
     rank_gf2,
@@ -165,12 +164,13 @@ def test_alternate_rank_bound_property():
 
 
 def test_in_affine_span():
+    # coefficients c with base + sum c_i gens_i = target solve gens . c = base ^ target
     rng = random.Random(5)
     nbits = 10
     # target = base: zero coefficients work.
     gens = [rng.getrandbits(nbits) for _ in range(4)]
     base = rng.getrandbits(nbits)
-    coeffs = in_affine_span(base, base, gens, nbits)
+    coeffs = solve_gf2(gens, base ^ base, nbits)
     acc = base
     for c, g in zip(coeffs, gens):
         if c:
@@ -181,7 +181,7 @@ def test_in_affine_span():
     for _ in range(20):
         t = rng.getrandbits(nbits)
         b = rng.getrandbits(nbits)
-        coeffs = in_affine_span(t, b, basis, nbits)
+        coeffs = solve_gf2(basis, b ^ t, nbits)
         assert coeffs is not None
         acc = b
         for c, g in zip(coeffs, basis):
@@ -198,7 +198,7 @@ def test_in_affine_span():
         for c, g in zip(chosen, gens):
             if c:
                 t ^= g
-        coeffs = in_affine_span(t, base, gens, nbits)
+        coeffs = solve_gf2(gens, base ^ t, nbits)
         assert coeffs is not None
         acc = base
         for c, g in zip(coeffs, gens):
@@ -208,7 +208,7 @@ def test_in_affine_span():
 
 
 def test_in_affine_span_unsolvable():
-    assert in_affine_span(0b11, 0b00, [0b01], 2) is None
+    assert solve_gf2([0b01], 0b00 ^ 0b11, 2) is None
 
 
 def test_parse_serialize_roundtrip():

@@ -65,7 +65,7 @@ def _reference_search(g, spec, max_nodes):
     d = spec.ribbon_count
     pairs = independent_pairs(g)
     cls = CompatibilityClass.compute(g)
-    base = cls.base.pair_vector(pairs)
+    base = cls.base
     checks = []
     for z in _nullspace(cls.generators, len(pairs)):
         support = [k for k in range(len(pairs)) if (z >> k) & 1]

@@ -2,16 +2,17 @@
 
 surfbench/spans.py wraps package functions from outside, in every module
 that binds them.  A refactor that stops calling `classify_segments`,
-`intersection_point` or `finger_polyline` through those module globals
-would make its counters read zero; these tests notice without a benchmark
-run.
+`intersection_point`, `finger_polyline` or `solve_gf2` through those
+module globals, or that turns `CompatibilityClass.compute` into something
+other than a classmethod, would make its counters read zero; these tests
+notice without a benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
 import surfembed
-from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix
+from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix, is_compatible_mod2
 from surfembed.graph import complete_graph
 from surfembed.solver import z2_embeddable_orientable
 
@@ -55,3 +56,20 @@ def test_tracer_counts_layout_segment_tests_and_intersection_points():
     assert counts["layout.verify_geometric.calls"] == 1
     assert counts["geom.segment_tests.layout"] > 0
     assert counts["geom.intersection_points"] > 0
+
+
+def test_tracer_counts_one_class_and_one_solve_per_compatibility_test():
+    g = complete_graph(5)
+    target = crossing_parity_matrix(apply_finger_move(convex_drawing(g), 0, 3))
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        cert = surfembed.drawing.is_compatible_mod2(g, target)
+    finally:
+        tracer.uninstall()
+    assert cert is not None
+    assert surfembed.drawing.is_compatible_mod2 is is_compatible_mod2
+    _, _, counts = tracer.summary()
+    assert counts["drawing.is_compatible.calls"] == 1
+    assert counts["drawing.class_compute.calls"] == 1
+    assert counts["gf2.solve.calls"] == 1
