@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from fractions import Fraction
 
 from .drawing import (
@@ -20,7 +21,7 @@ from .drawing import (
     ParityMatrix,
     realize_parity,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, Gf2Elimination
 from .graph import Graph
 from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
 
@@ -70,34 +71,30 @@ class SolveResult:
     nodes: int = 0
 
 
+def _kernel(columns, nrows, coords):
+    """Basis of the kernel of z -> sum of columns[k] over the k in z, the
+    columns packed as ints of nrows bits, each basis vector as the list of
+    its coordinates.  The basis is in echelon form over the order coords:
+    each vector has a coordinate of its own, its last in that order, and
+    every other coordinate it holds is one that no basis vector owns."""
+    tags = Gf2Elimination([columns[k] for k in coords], nrows).kernel
+    return [[coords[i] for i in _set_bits(tag)] for tag in tags]
+
+
 def _nullspace(vectors, nbits):
-    """Basis of {z : z . v = 0 for every v}, vectors packed as ints."""
-    rows = []  # fully reduced: (pivot bit, vector), no pivot bit shared
-    for v in vectors:
-        for pb, pv in rows:
-            if (v >> pb) & 1:
-                v ^= pv
-        if v:
-            pb = v.bit_length() - 1
-            rows = [(qb, qv ^ v if (qv >> pb) & 1 else qv) for qb, qv in rows]
-            rows.append((pb, v))
-    pivot_bits = {pb for pb, _ in rows}
-    basis = []
-    for free in range(nbits):
-        if free in pivot_bits:
-            continue
-        z = 1 << free
-        for pb, pv in rows:
-            if (pv >> free) & 1:
-                z |= 1 << pb
-        basis.append(z)
-    return basis
+    """The reduced basis of {z : z . v = 0 for every v}, vectors packed as
+    ints: one vector per free coordinate, in increasing order of it; a
+    vector's free coordinate is its lowest bit."""
+    columns = BitMatrix(len(vectors), nbits, vectors).transpose().data
+    kernel = _kernel(columns, len(vectors), range(nbits - 1, -1, -1))
+    return [sum(1 << k for k in z) for z in reversed(kernel)]
 
 
 def _crosscap_reps(m: int):
     """Lexicographically minimal orbit representatives of the pass vectors
-    of M_m under ribbon permutations: an orbit is fixed by the weight."""
-    return [(1 << k) - 1 for k in range(m + 1)]
+    of M_m under ribbon permutations: an orbit is fixed by the weight.
+    Lazy, like every candidate row: the search reads at most its budget."""
+    return ((1 << k) - 1 for k in range(m + 1))
 
 
 def _witt_children(spec: SurfaceSpec, basis: tuple):
@@ -113,7 +110,7 @@ def _witt_children(spec: SurfaceSpec, basis: tuple):
     """
     d, r = spec.ribbon_count, len(basis)
     if r == d:
-        return [(v, basis) for v in range(1 << d)]
+        return ((v, basis) for v in range(1 << d))
     span = [0]
     for w in basis:
         span += [x ^ w for x in span]
@@ -145,31 +142,29 @@ def _witt_children(spec: SurfaceSpec, basis: tuple):
 
 
 def _edge_order(g: Graph, checks, pairs):
-    """Assignment order that completes the parity checks early."""
+    """Assignment order that completes the parity checks early: next the
+    edge that completes the most checks, then the one in the most checks,
+    then the lowest.  checks are (pair indices, right-hand side)."""
     m = g.edge_count
+    check_edges = [{e for k in support for e in (pairs[k].i, pairs[k].j)} for support, _ in checks]
+    holding = [[] for _ in range(m)]  # holding[e]: the checks involving e
+    for c, edges in enumerate(check_edges):
+        for e in edges:
+            holding[e].append(c)
+    missing = [len(edges) for edges in check_edges]  # edges not yet placed
+    gain = [0] * m  # gain[e]: the checks that placing e completes
+    placed = [False] * m
     remaining = list(range(m))
     order = []
-    placed = set()
-    check_edges = []
-    for support, _ in checks:
-        edges = set()
-        for k in support:
-            edges.add(pairs[k].i)
-            edges.add(pairs[k].j)
-        check_edges.append(edges)
     while remaining:
-        best = None
-        best_gain = (-1, 0)
-        for e in remaining:
-            would = placed | {e}
-            gain = sum(1 for edges in check_edges if edges <= would and not edges <= placed)
-            tie = sum(1 for edges in check_edges if e in edges)
-            if (gain, tie) > best_gain:
-                best_gain = (gain, tie)
-                best = e
+        best = max(remaining, key=lambda e: (gain[e], len(holding[e])))
         order.append(best)
-        placed.add(best)
+        placed[best] = True
         remaining.remove(best)
+        for c in holding[best]:
+            missing[c] -= 1
+            if missing[c] == 1:
+                gain[next(e for e in check_edges[c] if not placed[e])] += 1
     return order
 
 
@@ -211,16 +206,27 @@ class _Checks:
 
 
 def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
-    pairs, base = compat.pairs, compat.base
-    checks = []
-    for z in _nullspace(compat.generators, len(pairs)):
-        support = [k for k in range(len(pairs)) if (z >> k) & 1]
-        checks.append((support, (z & base).bit_count() & 1))
+    """The edge order and the forest come from the reduced basis of the
+    checks, the kernel over the pairs in decreasing order (_nullspace's
+    basis).  The DFS then prunes with a basis in echelon form by
+    depth: pairs touching the forest first, then each pair by the position
+    of its later free edge.  Each check fires at the depth of its own
+    coordinate, so the checks firing by position t span every check on the
+    first t + 1 free edges, and every check on forest pairs alone is one of
+    the basis.  No parity check can prune more at any position."""
+    pairs, base, generators = compat.pairs, compat.base, compat.generators
+    columns = BitMatrix(len(generators), len(pairs), generators).transpose().data
 
-    order = _edge_order(g, checks, pairs)
+    def checks_over(coords):  # (pair indices, right-hand side) of each check
+        basis = _kernel(columns, len(generators), coords)
+        return [(z, sum((base >> k) & 1 for k in z) & 1) for z in basis]
+
+    order = _edge_order(g, checks_over(range(len(pairs) - 1, -1, -1)), pairs)
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
+    depth = [-1 if p.i in forest or p.j in forest else max(pos[p.i], pos[p.j]) for p in pairs]
+    checks = checks_over(sorted(range(len(pairs)), key=depth.__getitem__))
 
     # A check fires at the deepest position it involves.  A pair enters the
     # state when its later edge is placed: links[t] maps each earlier edge j
@@ -230,19 +236,16 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     forest_fails = False
     links = [{} for _ in free]
     for c, (support, rhs) in enumerate(checks):
-        depth = -1
         for k in support:
-            i, j = pairs[k].i, pairs[k].j
-            if i in forest or j in forest:
-                continue
-            if pos[i] < pos[j]:
-                i, j = j, i
-            links[pos[i]][j] = links[pos[i]].get(j, 0) ^ (1 << c)
-            depth = max(depth, pos[i])
-        if depth < 0:  # every pair touches the forest: the sum is 0
+            t = depth[k]
+            if t >= 0:
+                j = min(pairs[k].i, pairs[k].j, key=pos.__getitem__)
+                links[t][j] = links[t].get(j, 0) ^ (1 << c)
+        t = max(depth[k] for k in support)
+        if t < 0:  # every pair touches the forest: the sum is 0
             forest_fails |= rhs == 1
             continue
-        fire_mask[depth] |= 1 << c
+        fire_mask[t] |= 1 << c
         rhs_mask |= rhs << c
     return _Checks(
         all(rhs == 0 for _, rhs in checks),
@@ -275,7 +278,7 @@ def _prepare(g: Graph, compat: CompatibilityClass = None) -> _Prepared:
 
 
 def _set_bits(v: int) -> list[int]:
-    return [b for b in range(v.bit_length()) if (v >> b) & 1]
+    return [b for b, c in enumerate(bin(v)[:1:-1]) if c == "1"]
 
 
 def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
@@ -339,7 +342,7 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
         root = 0
 
         def candidates(key):
-            return [(v, 1) for v in (_crosscap_reps(d) if key == 0 else range(1 << d))]
+            return ((v, 1) for v in (_crosscap_reps(d) if key == 0 else range(1 << d)))
 
     rows = {}
     assign = [0] * m
@@ -361,7 +364,10 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
         e = free[t]
         row = rows.get(key)
         if row is None:
-            row = rows[key] = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in candidates(key)]
+            # nodes only grows, so a row longer than the budget left plus
+            # one is never read to its end: 2^d candidates cost nothing.
+            todo = islice(candidates(key), max_nodes - nodes + 1)
+            row = rows[key] = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in todo]
         for v, bits, dual_bits, after_key in row:
             nodes += 1
             if nodes > max_nodes:

@@ -258,7 +258,7 @@ def test_solve_time_cap(tmp_path, capsys):
         assert "time_cap must be positive" in captured.err
     assert main(["solve", "--graph", g, "--genus", "1", "--time-cap", "60"]) == 0
     assert capsys.readouterr().out.strip() == "YES"
-    # K8 on the torus needs 341,999 nodes; the cap stops the search at its
+    # K8 on the torus needs 36,259 nodes; the cap stops the search at its
     # first deadline test, after 4096 nodes.
     k8 = _write(tmp_path, "k8.g", serialize_graph(complete_graph(8)))
     rc = main(["solve", "--graph", k8, "--genus", "1", "--time-cap", "1e-9", "--structured"])
@@ -280,6 +280,29 @@ def test_solve_at_huge_genus_builds_nothing_of_size_two_to_the_d(tmp_path):
         env={**_ENV, "PYTHONPATH": str(ROOT / "src")},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "YES\n", "")
+
+
+@pytest.mark.parametrize(
+    "surface, out",
+    [(["--crosscaps", "100000", "--budget-nodes", "1000"], "result = UNKNOWN\nnodes = 1001\n"),
+     (["--euler", "-100000", "--budget-nodes", "10"], "result = UNKNOWN\nnodes = 22\n")],
+    ids=["crosscaps", "euler"],
+)
+def test_budget_bounds_the_candidates_built_at_huge_crosscap_number(tmp_path, surface, out):
+    # K5 on M_100000: the 2^d candidates after the first free edge, or the
+    # 100,001 representatives of weight up to d at it, overflow a 1 GB
+    # address space, but the search reads no more than its budget of them.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfembed.cli", "solve", "--graph", _k5(tmp_path), *surface, "--structured"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=300,
+        env={**_ENV, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, out, "")
 
 
 def test_input_errors_exit_three(tmp_path, capsys):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from surfembed import solver
-from surfembed.gf2 import rank_gf2
+from surfembed.gf2 import BitMatrix, rank_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
 from surfembed.solver import (
@@ -112,7 +112,7 @@ def test_form_and_orbit_representatives_match_brute_force():
     for spec in specs:
         d = spec.ribbon_count
         if not spec.orientable:
-            assert _crosscap_reps(d) == _brute_reps(spec), spec
+            assert list(_crosscap_reps(d)) == _brute_reps(spec), spec
         for a in range(1 << min(d, 4)):
             for b in range(1 << min(d, 4)):
                 assert spec.form(a, b) == _brute_form(spec, a, b)
@@ -231,12 +231,28 @@ def test_kmn_torus_no_within_300k_nodes(m, n):
 
 
 def test_k8_torus_no_within_default_budget():
-    # The Z2-genus of K8 is its genus 2 (Fulek-Pelsmajer-Schaefer).  Pruning
-    # by Sp(2, 2) at every position takes 341,999 nodes (1,492,711 with
-    # coordinate symmetries at the first free edge only).
-    res = z2_embeddable_orientable(complete_graph(8), 1)
+    # The Z2-genus of K8 is its genus 2 (Fulek-Pelsmajer-Schaefer).  With
+    # the checks in echelon form by depth this takes 36,259 nodes (341,999
+    # with the reduced basis, 1,492,711 with coordinate symmetries at the
+    # first free edge only); relabelled copies took at most 57,698 over the
+    # 80 labellings of seeds 1 and 9 of the search benchmark.
+    base = complete_graph(8)
+    res = z2_embeddable_orientable(base, 1)
     assert res.status == "no"
-    assert res.nodes <= 400_000
+    assert res.nodes <= 60_000
+    rng = random.Random(8)
+    for _ in range(10):
+        g = _relabelled(base, rng)
+        res = z2_embeddable_orientable(g, 1, SolverBudget(max_nodes=300_000))
+        assert res.status == "no", g.edges
+
+
+@pytest.mark.parametrize("m, n", [(5, 6), (6, 6)])
+def test_kmn_genus_two_no_within_default_budget(m, n):
+    # K5,6 embeds in S3 (Ringel), so this "no" puts its Z2-genus at 3, above
+    # kmn_lower_bound(5, 6) = 2.  K6,6 is left at 3 or 4.
+    res = z2_embeddable_orientable(complete_bipartite(m, n), 2)
+    assert res.status == "no"
 
 
 @pytest.mark.parametrize(
@@ -291,6 +307,85 @@ def test_high_genus_setup_stays_small():
     assert res.status == "yes"
     assert verify_z2(res.witness.surface_drawing).is_embedding
     assert verify_geometric(res.witness.surface_drawing, "z2").is_embedding
+
+
+def _set_edge_order(g, checks, pairs):
+    """The edge order as first written, with a set per check recounted for
+    every candidate edge at every step."""
+    m = g.edge_count
+    remaining = list(range(m))
+    order = []
+    placed = set()
+    check_edges = []
+    for support, _ in checks:
+        edges = set()
+        for k in support:
+            edges.add(pairs[k].i)
+            edges.add(pairs[k].j)
+        check_edges.append(edges)
+    while remaining:
+        best = None
+        best_gain = (-1, 0)
+        for e in remaining:
+            would = placed | {e}
+            gain = sum(1 for edges in check_edges if edges <= would and not edges <= placed)
+            tie = sum(1 for edges in check_edges if e in edges)
+            if (gain, tie) > best_gain:
+                best_gain = (gain, tie)
+                best = e
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    return order
+
+
+def _random_graphs(rng, count, sizes):
+    for _ in range(count):
+        n = rng.randrange(*sizes)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        yield Graph(n, sorted(possible[: rng.randrange(n, min(len(possible), 3 * n) + 1)]))
+
+
+def test_edge_order_matches_the_set_based_order():
+    rng = random.Random(44)
+    for g in [complete_graph(8), complete_bipartite(3, 7)] + list(_random_graphs(rng, 20, (4, 10))):
+        cls = CompatibilityClass.compute(g)
+        pairs = cls.pairs
+        checks = [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in _nullspace(cls.generators, len(pairs))]
+        assert _edge_order(g, checks, pairs) == _set_edge_order(g, checks, pairs), g.edges
+        # random supports tie more often than real checks do
+        fake = [(rng.sample(range(len(pairs)), rng.randrange(1, 4)), 0) for _ in range(rng.randrange(len(pairs) + 1))]
+        assert _edge_order(g, fake, pairs) == _set_edge_order(g, fake, pairs), g.edges
+
+
+def test_checks_fire_as_early_as_any_check_can():
+    """The checks firing at or before position t (t = -1: those on forest
+    pairs alone) are as many as the checks on the first t + 1 free edges,
+    len(pairs) - rank(generators + the pairs deeper than t); each check
+    fires at the deepest position whose links hold it."""
+    rng = random.Random(45)
+    for g in [complete_graph(8), complete_bipartite(4, 5)] + list(_random_graphs(rng, 20, (4, 10))):
+        cls = CompatibilityClass.compute(g)
+        checks = solver._layout_checks(g, cls)
+        pairs, gens = cls.pairs, cls.generators
+        pos = {e: t for t, e in enumerate(checks.free)}
+        depth = [max(pos[p.i], pos[p.j]) if p.i in pos and p.j in pos else -1 for p in pairs]
+        total = len(pairs) - rank_gf2(BitMatrix(len(gens), len(pairs), gens))
+        later = sum(mask.bit_count() for mask in checks.fire_mask)
+        for t in range(-1, len(checks.free)):
+            deeper = [1 << k for k in range(len(pairs)) if depth[k] > t]
+            span = rank_gf2(BitMatrix(len(gens) + len(deeper), len(pairs), gens + deeper))
+            assert total - later == len(pairs) - span, (g.edges, t)
+            if t + 1 < len(checks.free):
+                later -= checks.fire_mask[t + 1].bit_count()
+        held = 0
+        for t in reversed(range(len(checks.free))):
+            here = 0
+            for _, mask in checks.links[t]:
+                here |= mask
+            assert checks.fire_mask[t] == here & ~held, (g.edges, t)
+            held |= here
 
 
 def test_nullspace_oracle():
