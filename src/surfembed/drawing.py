@@ -189,7 +189,7 @@ def _compute_crossings(d: PlanarDrawing):
         raise GeneralPositionError("coincident vertex points")
     for i in range(m):
         _check_vertices_on_edge(d, i)
-    table = _edge_crossings(d)
+    table = _image_crossings(*_integer_view(d))
     self_points = [table.pop((i, i)) for i in range(m)]
     point_log = Counter(p for pts in self_points for p in pts)
     for hits in table.values():
@@ -419,8 +419,9 @@ def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
 def _integer_view(d: PlanarDrawing):
     """(lcm, d's graph and points scaled to ints by the lcm of their denominators).
 
-    The view serves the local checks and _edge_crossings, which read only
-    graph, vertex_points and edge_polylines; see geom.integer_image.
+    The view serves _edge_crossings, for the full table and for a finger
+    move's row, and a finger move's local checks; they read only graph,
+    vertex_points and edge_polylines.  See geom.integer_image.
     """
     den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
     return den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
@@ -430,6 +431,18 @@ def _unscale(p, den: int) -> Point:
     """The point of d for a crossing triple (X, Y, D) of its integer view."""
     x, y, dd = p
     return (Fraction(x, dd * den), Fraction(y, dd * den))
+
+
+def _image_crossings(den: int, image, only: int = None) -> dict:
+    """_edge_crossings of a drawing, run on its integer view (den, image),
+    with every point mapped back to the drawing."""
+    found = _edge_crossings(image, only)
+    for (i, j), hits in found.items():
+        if i == j:
+            found[(i, j)] = [_unscale(p, den) for p in hits]
+        else:
+            found[(i, j)] = [(_unscale(p, den), sgn) for p, sgn in hits]
+    return found
 
 
 def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> PlanarDrawing:
@@ -465,9 +478,8 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
             den, image = _integer_view(cand)
             _check_polyline_shape(image, e)
             _check_vertices_on_edge(image, e)
-            found = _edge_crossings(image, only=e)
-            self_points = [_unscale(p, den) for p in found.pop((e, e))]
-            row = {key: [(_unscale(p, den), sgn) for p, sgn in hits] for key, hits in found.items()}
+            row = _image_crossings(den, image, only=e)
+            self_points = row.pop((e, e))
             point_log = Counter(self_points)
             for key, hits in row.items():
                 independent = not g.edges_adjacent(key[0], key[1])

@@ -257,10 +257,13 @@ class Gf2Elimination:
 
     Vectors are packed ints of nbits bits.  Each column is tagged with its
     own index bit above the low nbits, so a reduced row carries the
-    combination of columns it stands for.  The rows that keep low bits are
-    the pivots, sorted by pivot bit (each row's leading bit), highest
-    first; the columns that eliminate to zero leave kernel vectors of the
-    column map in their tags.
+    combination of columns it stands for.  A column is reduced from its
+    leading bit down by the pivot holding that bit, until it is zero in the
+    low bits or leads with a bit of no pivot; then it becomes the pivot of
+    that bit.  The pivots are sorted by pivot bit, highest first; the
+    columns that eliminate to zero leave kernel vectors of the column map
+    in their tags.  Each tag is the column's unique combination over the
+    earlier pivot columns, so it does not depend on the order of the XORs.
     """
 
     __slots__ = ("count", "nbits", "pivots", "kernel")
@@ -269,18 +272,20 @@ class Gf2Elimination:
         self.count = len(columns)
         self.nbits = nbits
         mask = (1 << nbits) - 1
-        pivots: list[tuple[int, int]] = []
+        pivots: dict[int, int] = {}
         self.kernel: list[int] = []
         for i, v in enumerate(columns):
             v |= 1 << (nbits + i)
-            for pb, pv in pivots:
-                if (v >> pb) & 1:
-                    v ^= pv
-            if v & mask:
-                pivots.append(((v & mask).bit_length() - 1, v))
+            while v & mask:
+                pb = (v & mask).bit_length() - 1
+                pv = pivots.get(pb)
+                if pv is None:
+                    pivots[pb] = v
+                    break
+                v ^= pv
             else:
                 self.kernel.append(v >> nbits)
-        self.pivots = sorted(pivots, reverse=True)
+        self.pivots = sorted(pivots.items(), reverse=True)
 
     def solve(self, rhs: int, light: bool = False):
         """Coefficients c with sum c_i * columns[i] = rhs, or None.

@@ -40,14 +40,17 @@ class SolverBudget:
 
 @dataclass
 class _Started(SolverBudget):
-    """A budget whose time cap counts from one fixed instant."""
+    """A budget whose time cap counts from one fixed instant and whose
+    node count is spent by every search that runs under it."""
 
     deadline: float = None
+    nodes_used: int = 0
 
 
 def _start(budget: SolverBudget = None) -> _Started:
     """The budget with its deadline fixed now.  A started budget passes
-    through, so every search under one top-level call shares one deadline."""
+    through, so every search under one top-level call shares one deadline
+    and one node budget."""
     budget = budget or SolverBudget()
     if isinstance(budget, _Started):
         return budget
@@ -283,7 +286,8 @@ def _set_bits(v: int) -> list[int]:
 
 def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
     """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
-    on M_m); returns (status, assignment, nodes).
+    on M_m); returns (status, assignment, nodes).  The search may visit
+    the nodes its budget has left, plus the one that finds them spent.
 
     Bit c of the int `state` is the running sum of check c (see _Checks)
     over the pairs whose edges are both placed.  B = spec.form is bilinear,
@@ -347,9 +351,10 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
     rows = {}
     assign = [0] * m
     placed_bits = [None] * m  # the set bits of J.y_j of each placed edge j
-    max_nodes = budget.max_nodes
+    budget = _start(budget)
+    max_nodes = budget.max_nodes - budget.nodes_used
     nodes = 0
-    deadline = _start(budget).deadline
+    deadline = budget.deadline
 
     def dfs(t, state, key):
         nonlocal nodes
@@ -415,7 +420,10 @@ def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
 def _solve(g: Graph, spec: SurfaceSpec, budget, compat) -> SolveResult:
     budget = _start(budget)
     compat = _prepare(g, compat)
+    if budget.nodes_used > budget.max_nodes:  # an earlier search exhausted it
+        return SolveResult("unknown")
     status, assign, nodes = _search(g, spec, budget, compat)
+    budget.nodes_used += nodes
     if status != "yes":
         return SolveResult(status, nodes=nodes)
     return SolveResult("yes", _build_witness(g, spec, assign), nodes)
@@ -440,7 +448,7 @@ def z2_embeddable_nonorientable(
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:
     """Z2-embeddability into some surface of Euler characteristic e, via the
     rank bound 2-e: the union of the even search and the odd search, under
-    one deadline."""
+    one deadline and one node budget."""
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
     budget = _start(budget)
@@ -471,7 +479,7 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
 
     Scanning upward is sound: embeddability into a surface implies
     embeddability into every larger one of the same kind.  The searches of
-    the scan share one deadline.
+    the scan share one deadline and one node budget.
     """
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")

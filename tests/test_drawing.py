@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from surfembed import drawing as drawing_module
 from surfembed.drawing import (
     CompatibilityClass,
+    GeneralPositionError,
     IncompatibleTargetError,
     ParityMatrix,
     PlanarDrawing,
@@ -19,7 +22,10 @@ from surfembed.drawing import (
     realize_parity,
     serialize_drawing,
     signed_crossing_matrix,
+    _check_polyline_shape,
+    _check_vertices_on_edge,
     _compute_crossings,
+    _edge_crossings,
 )
 from surfembed.gf2 import BitMatrix, solve_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
@@ -404,3 +410,132 @@ def test_witnesses_of_the_nine_genus_one_graphs_use_few_finger_moves(monkeypatch
         assert verify_z2(sd).is_embedding
         assert verify_geometric(sd, "z2").is_embedding
     assert moves[0] <= 40
+
+
+def _fraction_crossings(d):
+    """_compute_crossings as it stood when its segment pass ran on d's
+    Fraction points."""
+    m = d.graph.edge_count
+    for i in range(m):
+        _check_polyline_shape(d, i)
+    pts = d.vertex_points
+    if len(set(pts)) != len(pts):
+        raise GeneralPositionError("coincident vertex points")
+    for i in range(m):
+        _check_vertices_on_edge(d, i)
+    table = _edge_crossings(d)
+    self_points = [table.pop((i, i)) for i in range(m)]
+    point_log = Counter(p for pts in self_points for p in pts)
+    for hits in table.values():
+        point_log.update(p for p, _ in hits)
+    for p, cnt in point_log.items():
+        if cnt > 1:
+            raise GeneralPositionError(f"multiple crossings through one point {p}")
+    return table, point_log, self_points
+
+
+def _assert_same_table(d):
+    fresh = PlanarDrawing(d.graph, d.vertex_points, d.edge_polylines, d.edge_orientations)
+    table, points, self_points = _compute_crossings(fresh)
+    ref_table, ref_points, ref_self = _fraction_crossings(fresh)
+    assert table == ref_table
+    assert list(points.items()) == list(ref_points.items())
+    assert self_points == ref_self
+    assert all(type(c) is Fraction for p in points for c in p)
+
+
+def _affine(d, rng):
+    """d under (x, y) -> (a x + b, c y + e), a and c positive rationals with
+    random denominators, so every orientation and incidence is kept."""
+    a, c = (Fraction(rng.randrange(1, 40), rng.randrange(1, 40)) for _ in range(2))
+    b, e = (Fraction(rng.randrange(-50, 50), rng.randrange(1, 40)) for _ in range(2))
+
+    def f(p):
+        return (a * p[0] + b, c * p[1] + e)
+
+    return PlanarDrawing(d.graph, [f(p) for p in d.vertex_points], [[f(p) for p in pl] for pl in d.edge_polylines])
+
+
+def test_integer_table_equals_fraction_table_on_convex_drawings():
+    rng = random.Random(47)
+    for g in (complete_graph(6), complete_graph(7), complete_bipartite(4, 4), complete_bipartite(3, 5)):
+        for _ in range(4):
+            order = list(range(g.vertex_count))
+            rng.shuffle(order)
+            d = convex_drawing(g, order)
+            _assert_same_table(d)
+            _assert_same_table(_affine(d, rng))
+    # verify-style cores: random graphs on 5-7 vertices in shuffled convex order
+    for _ in range(30):
+        n = rng.randrange(5, 8)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        g = Graph(n, possible[: rng.randrange(4, 9)])
+        order = list(range(n))
+        rng.shuffle(order)
+        _assert_same_table(convex_drawing(g, order))
+
+
+def test_integer_table_equals_fraction_table_on_finger_moved_drawings():
+    rng = random.Random(48)
+    for g in (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4), complete_graph(6)):
+        d = convex_drawing(g)
+        used = {}
+        for _ in range(5):
+            e = rng.randrange(g.edge_count)
+            v = rng.choice([w for w in range(g.vertex_count) if w not in g.edges[e]])
+            d = apply_finger_move(d, e, v, shrink=used.get(v, 0))
+            used[v] = used.get(v, 0) + 1
+            # re-parsed from text: no table carried over from the moves
+            back = parse_drawing(serialize_drawing(d), g)
+            assert back._crossings is None
+            _assert_same_table(back)
+            _assert_same_table(_affine(back, rng))
+    for graph in (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(4, 4)):
+        witness = z2_genus(graph).witness.drawing
+        _assert_same_table(parse_drawing(serialize_drawing(witness), graph))
+
+
+def _three_lines_through(p):
+    """Three chords through the rational point p."""
+    dirs = [(1, 0), (0, 1), (1, 1)]
+    pts = []
+    for dx, dy in dirs:
+        pts += [(p[0] + dx, p[1] + dy), (p[0] - dx, p[1] - dy)]
+    g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    return PlanarDrawing(g, pts, [[pts[u], pts[v]] for u, v in g.edges])
+
+
+def _thirds(vertex_points, edges, polylines):
+    """A drawing with every coordinate divided by 3."""
+    def f(p):
+        return (Fraction(p[0], 3), Fraction(p[1], 3))
+
+    g = Graph(len(vertex_points), edges)
+    return PlanarDrawing(g, [f(p) for p in vertex_points], [[f(p) for p in pl] for pl in polylines])
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # edge 1 leaves their common vertex along edge 0
+        _thirds([(0, 0), (4, 0), (2, 1)], [(0, 1), (0, 2)],
+                [[(0, 0), (4, 0)], [(0, 0), (1, 0), (2, 1)]]),
+        # edge 1 bends on edge 0 and turns back
+        _thirds([(0, 0), (4, 0), (1, 1), (3, 1)], [(0, 1), (2, 3)],
+                [[(0, 0), (4, 0)], [(1, 1), (2, 0), (3, 1)]]),
+        # vertex 2 inside edge 0
+        _thirds([(0, 0), (4, 0), (2, 0), (3, 1)], [(0, 1), (2, 3)],
+                [[(0, 0), (4, 0)], [(2, 0), (3, 1)]]),
+        # edge 0 overlaps itself
+        _thirds([(0, 0), (4, 0)], [(0, 1)], [[(0, 0), (3, 0), (1, 0), (4, 0)]]),
+        _three_lines_through((Fraction(1, 2), Fraction(1, 3))),
+    ],
+    ids=["overlap", "bend-tangency", "vertex-inside", "self-overlap", "three-through-a-point"],
+)
+def test_integer_table_raises_as_the_fraction_table(d):
+    with pytest.raises(GeneralPositionError) as ref:
+        _fraction_crossings(d)
+    with pytest.raises(GeneralPositionError) as got:
+        _compute_crossings(d)
+    assert str(got.value) == str(ref.value)

@@ -301,3 +301,88 @@ def test_split_solver_matches_the_one_call_reference():
             else:
                 solvable += 1
     assert solvable > 100 and unsolvable > 100
+
+
+class _ReferenceElimination:
+    """Gf2Elimination as it stood when every column was tested against
+    every pivot, in the order the pivots were found."""
+
+    __slots__ = ("count", "nbits", "pivots", "kernel")
+
+    def __init__(self, columns: list[int], nbits: int):
+        self.count = len(columns)
+        self.nbits = nbits
+        mask = (1 << nbits) - 1
+        pivots: list[tuple[int, int]] = []
+        self.kernel: list[int] = []
+        for i, v in enumerate(columns):
+            v |= 1 << (nbits + i)
+            for pb, pv in pivots:
+                if (v >> pb) & 1:
+                    v ^= pv
+            if v & mask:
+                pivots.append(((v & mask).bit_length() - 1, v))
+            else:
+                self.kernel.append(v >> nbits)
+        self.pivots = sorted(pivots, reverse=True)
+
+    def solve(self, rhs: int, light: bool = False):
+        mask = (1 << self.nbits) - 1
+        target = rhs
+        coeff = 0
+        for pb, pv in self.pivots:
+            if (target >> pb) & 1:
+                target ^= pv & mask
+                coeff ^= pv >> self.nbits
+        if target:
+            return None
+        if light:
+            improved = True
+            while improved:
+                improved = False
+                for z in self.kernel:
+                    if (coeff ^ z).bit_count() < coeff.bit_count():
+                        coeff ^= z
+                        improved = True
+        return [(coeff >> i) & 1 for i in range(self.count)]
+
+
+def test_elimination_from_the_top_bit_matches_the_all_pivots_reference():
+    # Same pivot bits, pivot columns, kernel tags and solutions, also with
+    # no columns, no bits and columns of low rank.
+    rng = random.Random(46)
+    deficient = 0
+    for case in range(600):
+        nbits = rng.randrange(0, 16)
+        count = rng.randrange(0, 24) if case % 10 else 0
+        if case % 3 == 0 and nbits:
+            # columns from a span of few generators: rank well below both
+            gens = [rng.getrandbits(nbits) for _ in range(rng.randrange(1, 4))]
+            cols = []
+            for _ in range(count):
+                c = 0
+                for gv in gens:
+                    if rng.getrandbits(1):
+                        c ^= gv
+                cols.append(c)
+        else:
+            cols = [rng.getrandbits(nbits) if nbits else 0 for _ in range(count)]
+        ref = _ReferenceElimination(cols, nbits)
+        elim = Gf2Elimination(cols, nbits)
+        assert [pb for pb, _ in elim.pivots] == [pb for pb, _ in ref.pivots]
+        assert sorted((pv >> nbits).bit_length() for _, pv in elim.pivots) == sorted(
+            (pv >> nbits).bit_length() for _, pv in ref.pivots
+        )
+        assert elim.kernel == ref.kernel
+        assert rank_gf2(BitMatrix(count, nbits, cols)) == len(ref.pivots)
+        deficient += len(ref.pivots) < min(count, nbits)
+        for _ in range(3):
+            rhs = rng.getrandbits(nbits) if nbits else 0
+            if rng.getrandbits(1):
+                rhs = 0
+                for c in cols:
+                    if rng.getrandbits(1):
+                        rhs ^= c
+            for light in (False, True):
+                assert elim.solve(rhs, light) == ref.solve(rhs, light)
+    assert deficient > 100

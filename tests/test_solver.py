@@ -284,6 +284,28 @@ def test_one_deadline_for_all_searches_of_a_call(monkeypatch, solve):
     assert runs[0][0] == "no"
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, budget: z2_embeddable_euler(g, 0, budget).status,
+        lambda g, budget: z2_genus(g, "orientable", 2, budget).status,
+    ],
+    ids=["euler", "genus"],
+)
+@pytest.mark.parametrize("max_nodes", [1_000, 70_000])
+def test_one_node_budget_for_all_searches_of_a_call(monkeypatch, solve, max_nodes):
+    # K3,7: S0 is "no" (1 node), S1 is "no" (65,381 nodes), and neither N2
+    # nor S2 ends within 70,000 nodes.  The call spends max_nodes + 1 nodes
+    # over all its searches, and no search starts once they are spent.
+    runs = []
+    search = solver._search
+    monkeypatch.setattr(solver, "_search", lambda *args: runs.append(search(*args)) or runs[-1])
+    assert solve(complete_bipartite(3, 7), SolverBudget(max_nodes=max_nodes)) == "unknown"
+    assert runs[-1][0] == "unknown"
+    assert all(run[0] == "no" for run in runs[:-1])
+    assert sum(run[2] for run in runs) == max_nodes + 1
+
+
 def test_one_layout_of_the_checks_for_all_searches_of_a_call(monkeypatch):
     layouts = []
     layout = solver._layout_checks

@@ -12,7 +12,14 @@ import importlib.util
 from pathlib import Path
 
 import surfembed
-from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix, is_compatible_mod2
+from surfembed.drawing import (
+    CompatibilityClass,
+    apply_finger_move,
+    convex_drawing,
+    crossing_parity_matrix,
+    is_compatible_mod2,
+)
+from surfembed.geom import box_pairs
 from surfembed.graph import complete_graph
 from surfembed.solver import z2_embeddable_orientable
 
@@ -73,3 +80,21 @@ def test_tracer_counts_one_class_and_one_solve_per_compatibility_test():
     assert counts["drawing.is_compatible.calls"] == 1
     assert counts["drawing.class_compute.calls"] == 1
     assert counts["gf2.solve.calls"] == 1
+
+
+def test_tracer_sees_every_segment_pair_of_the_class_table():
+    # The table's segment pass runs on the integer image of the drawing; it
+    # still classifies, through the module global, exactly the pairs whose
+    # boxes meet among the Fraction polylines.
+    g = complete_graph(6)
+    d = convex_drawing(g)
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        CompatibilityClass.compute(g)
+    finally:
+        tracer.uninstall()
+    _, _, counts = tracer.summary()
+    assert counts["drawing.class_compute.calls"] == 1
+    assert counts["geom.segment_tests.drawing"] == len(box_pairs(d.edge_polylines))
+    assert counts["geom.intersection_points"] == sum(len(hits) for hits in d.crossings().values())
