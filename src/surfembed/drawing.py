@@ -7,6 +7,7 @@ modulo 2 with witness construction.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +73,8 @@ class PlanarDrawing:
             raise GeneralPositionError("orientations must be +1/-1")
         self._crossings = None
         # Filled with the table: crossing point -> count over all pair and
-        # self-crossings, and each edge's self-crossing points.
+        # self-crossings, and each edge's self-crossing points.  A crossing
+        # point is the reduced triple (X, Y, Q), Q > 0, of (X/Q, Y/Q).
         self._points = None
         self._self_points = None
 
@@ -180,7 +182,8 @@ def _check_vertices_on_edge(d: PlanarDrawing, i: int):
 
 
 def _compute_crossings(d: PlanarDrawing):
-    """(pair table, crossing point -> count, self-crossing points per edge)."""
+    """(pair table, crossing point -> count, self-crossing points per edge),
+    every point as its reduced triple (see _unscale)."""
     m = d.graph.edge_count
     for i in range(m):
         _check_polyline_shape(d, i)
@@ -196,7 +199,10 @@ def _compute_crossings(d: PlanarDrawing):
         point_log.update(p for p, _ in hits)
     for p, cnt in point_log.items():
         if cnt > 1:
-            raise GeneralPositionError(f"multiple crossings through one point {p}")
+            x, y, q = p
+            raise GeneralPositionError(
+                f"multiple crossings through one point {(Fraction(x, q), Fraction(y, q))}"
+            )
     return table, point_log, self_points
 
 
@@ -385,20 +391,32 @@ def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
     """Reroute a polyline with a finger around the point vpt.
 
     Splits the first segment at p- / p+ and inserts a detour that walks a
-    small square loop around vpt.  Purely geometric; the caller checks the
-    parity effect and general position and retries with other parameters.
+    small rectangular loop around vpt.  Purely geometric; the caller checks
+    the parity effect and general position and retries with other
+    parameters.
+
+    Every parameter is dyadic and the scale alpha is a power of two, so a
+    finger on a drawing with dyadic coordinates (a convex drawing's are
+    integers) adds only dyadic points.  The common denominator of a drawing
+    then grows by a few bits per nesting level; rational parameters would
+    multiply it with every move, and every later segment test pays for its
+    size.
     """
     s0, t0 = polyline[0], polyline[1]
-    lam = Fraction(1 + attempt, 3 + 2 * attempt)
-    delta = Fraction(1, 64 + 8 * attempt)
+    lam = Fraction(2 ** (attempt + 1) - 1, 2 ** (attempt + 2))
+    delta = Fraction(1, 64 << attempt // 4)
     pm = (s0[0] + (lam - delta) * (t0[0] - s0[0]), s0[1] + (lam - delta) * (t0[1] - s0[1]))
     pp = (s0[0] + (lam + delta) * (t0[0] - s0[0]), s0[1] + (lam + delta) * (t0[1] - s0[1]))
     pc = (s0[0] + lam * (t0[0] - s0[0]), s0[1] + lam * (t0[1] - s0[1]))
     u = (pc[0] - vpt[0], pc[1] - vpt[1])
     if u == (Fraction(0), Fraction(0)):
         raise DegeneracyError("finger base point at the vertex")
-    side = Fraction(1, 8) / (2 ** shrink)
-    alpha = side / max(abs(u[0]), abs(u[1]))
+    side = Fraction(1, 8 << shrink)
+    # The largest power of two alpha with alpha * max|u| <= side.
+    ratio = side / max(abs(u[0]), abs(u[1]))
+    alpha = Fraction(2) ** (ratio.numerator.bit_length() - ratio.denominator.bit_length())
+    if alpha > ratio:
+        alpha /= 2
     mouth = (vpt[0] + alpha * Fraction(17, 16) * u[0], vpt[1] + alpha * Fraction(17, 16) * u[1])
     rho = alpha / 16
     b1 = (mouth[0] - rho * u[1], mouth[1] + rho * u[0])
@@ -406,7 +424,7 @@ def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
     # Rectangle around vpt; the aspect ratio varies with the attempt so a
     # corner cannot stay aligned with any fixed line through vpt.
     w = side * Fraction(9, 8)
-    h = w * (1 + Fraction(attempt, attempt + 8))
+    h = w * Fraction(32 + attempt, 32)
     vecs = [(w, h), (-w, h), (-w, -h), (w, -h)]
     start = _loop_start(u, vecs)
     corners = [
@@ -427,16 +445,22 @@ def _integer_view(d: PlanarDrawing):
     return den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
 
 
-def _unscale(p, den: int) -> Point:
-    """The point of d for a crossing triple (X, Y, D) of its integer view."""
-    x, y, dd = p
-    return (Fraction(x, dd * den), Fraction(y, dd * den))
+def _unscale(p, den: int):
+    """The reduced triple (X, Y, Q) of d's point (X/Q, Y/Q) for a crossing
+    triple (x, y, q) of its integer view, which stands for x/(q*den),
+    y/(q*den)."""
+    x, y, q = p
+    q *= den
+    g = math.gcd(x, y, q)
+    return (x // g, y // g, q // g)
 
 
 def _image_crossings(den: int, image, only: int = None) -> dict:
     """_edge_crossings of a drawing, run on its integer view (den, image),
-    with every point mapped back to the drawing."""
+    with every point mapped back to the drawing's reduced triple."""
     found = _edge_crossings(image, only)
+    if den == 1:
+        return found  # the image is the drawing
     for (i, j), hits in found.items():
         if i == j:
             found[(i, j)] = [_unscale(p, den) for p in hits]

@@ -61,14 +61,27 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
                              the point as intersection_point gives it
       ("touch", point)    -- single common point involving an endpoint
       ("overlap", None)   -- collinear segments sharing more than one point
+
+    The orientations are computed inline, and the test returns "none" as
+    soon as both ends of one segment lie strictly on one side of the
+    other's line, which decides most pairs whose boxes meet.
     """
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+    (ax, ay), (bx, by) = p1, p2
+    (cx, cy), (dx, dy) = q1, q2
+    ux, uy = bx - ax, by - ay
+    v1 = ux * (cy - ay) - uy * (cx - ax)
+    v2 = ux * (dy - ay) - uy * (dx - ax)
+    if (v1 > 0 and v2 > 0) or (v1 < 0 and v2 < 0):
+        return ("none", None)
+    wx, wy = dx - cx, dy - cy
+    v3 = wx * (ay - cy) - wy * (ax - cx)
+    v4 = wx * (by - cy) - wy * (bx - cx)
+    if (v3 > 0 and v4 > 0) or (v3 < 0 and v4 < 0):
+        return ("none", None)
+    if v1 and v2 and v3 and v4:
+        # No zero and no pair of equal signs left: a proper crossing.
         return ("proper", intersection_point(p1, p2, q1, q2))
-    if o1 == o2 == 0:
+    if v1 == v2 == 0:
         # Collinear; count shared points.
         pts = [q for q in (q1, q2) if on_segment(q, p1, p2)]
         pts += [p for p in (p1, p2) if on_segment(p, q1, q2) and p not in pts]
@@ -84,8 +97,8 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
     # Non-collinear with some orientation zero: possible endpoint touch.
     # An endpoint lies on the other segment iff its orientation is zero
     # and it is inside that segment's box.
-    for o, p, a, b in ((o3, p1, q1, q2), (o4, p2, q1, q2), (o1, q1, p1, p2), (o2, q2, p1, p2)):
-        if o == 0 and _in_box(p, a, b):
+    for v, p, a, b in ((v3, p1, q1, q2), (v4, p2, q1, q2), (v1, q1, p1, p2), (v2, q2, p1, p2)):
+        if v == 0 and _in_box(p, a, b):
             return ("touch", p)
     return ("none", None)
 

@@ -281,7 +281,14 @@ def _prepare(g: Graph, compat: CompatibilityClass = None) -> _Prepared:
 
 
 def _set_bits(v: int) -> list[int]:
-    return [b for b, c in enumerate(bin(v)[:1:-1]) if c == "1"]
+    """The positions of v's set bits, ascending; peels off the lowest set
+    bit, so the cost follows the number of set bits, not the length."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):

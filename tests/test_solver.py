@@ -18,7 +18,7 @@ from surfembed.solver import (
     z2_genus,
 )
 from surfembed.drawing import CompatibilityClass
-from surfembed.solver import _crosscap_reps, _edge_order, _nullspace, _search, _witt_children
+from surfembed.solver import _crosscap_reps, _edge_order, _nullspace, _search, _set_bits, _witt_children
 from surfembed.surface import SurfaceSpec, verify_z2
 
 
@@ -379,6 +379,15 @@ def test_edge_order_matches_the_set_based_order():
         # random supports tie more often than real checks do
         fake = [(rng.sample(range(len(pairs)), rng.randrange(1, 4)), 0) for _ in range(rng.randrange(len(pairs) + 1))]
         assert _edge_order(g, fake, pairs) == _set_edge_order(g, fake, pairs), g.edges
+
+
+def test_set_bits_matches_the_string_scan():
+    rng = random.Random(45)
+    values = [0, 1, 2, 1 << 209, (1 << 210) - 1]
+    values += [rng.getrandbits(rng.randrange(1, 211)) for _ in range(300)]
+    values += [sum(1 << rng.randrange(210) for _ in range(rng.randrange(1, 8))) for _ in range(300)]
+    for v in values:
+        assert _set_bits(v) == [b for b, c in enumerate(bin(v)[:1:-1]) if c == "1"]
 
 
 def test_checks_fire_as_early_as_any_check_can():

@@ -19,7 +19,7 @@ from surfembed.drawing import (
     crossing_parity_matrix,
     is_compatible_mod2,
 )
-from surfembed.geom import box_pairs
+from surfembed.geom import box_pairs, integer_image
 from surfembed.graph import complete_graph
 from surfembed.solver import z2_embeddable_orientable
 
@@ -48,6 +48,22 @@ def test_tracer_counts_finger_attempts_and_drawing_segment_tests():
     assert counts["drawing.finger_attempts"] > 0
     assert counts["geom.segment_tests.drawing"] > 0
     assert surfembed.drawing.classify_segments is classify
+    # The row of a finger move that succeeds at its first attempt is
+    # classified once, pair by pair, on the candidate's integer image.  The
+    # call goes through the module global, whose span holds the counts.
+    d = convex_drawing(g)
+    e, v = 0, 3
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        moved = surfembed.drawing.apply_finger_move(d, e, v)
+    finally:
+        tracer.uninstall()
+    _, _, counts = tracer.summary()
+    assert counts["drawing.finger_move.calls"] == 1
+    assert counts["drawing.finger_attempts"] == 1
+    _, image = integer_image(moved.edge_polylines)
+    assert counts["geom.segment_tests.drawing"] == len(box_pairs(image, only=e))
 
 
 def test_tracer_counts_layout_segment_tests_and_intersection_points():
