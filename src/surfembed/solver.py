@@ -11,6 +11,7 @@ surface drawing checked by the combinatorial verifier.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -32,30 +33,12 @@ class SolverBudget:
     time_cap: float = None
 
     def __post_init__(self):
+        if not isinstance(self.max_nodes, int):
+            raise ValueError("max_nodes must be an integer")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         if self.time_cap is not None and not self.time_cap > 0:  # NaN too
             raise ValueError("time_cap must be positive")
-
-
-@dataclass
-class _Started(SolverBudget):
-    """A budget whose time cap counts from one fixed instant and whose
-    node count is spent by every search that runs under it."""
-
-    deadline: float = None
-    nodes_used: int = 0
-
-
-def _start(budget: SolverBudget = None) -> _Started:
-    """The budget with its deadline fixed now.  A started budget passes
-    through, so every search under one top-level call shares one deadline
-    and one node budget."""
-    budget = budget or SolverBudget()
-    if isinstance(budget, _Started):
-        return budget
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    return _Started(budget.max_nodes, budget.time_cap, deadline)
 
 
 @dataclass
@@ -260,24 +243,16 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     )
 
 
-class _Prepared(CompatibilityClass):
-    """A compatibility class with the checks of the search laid out."""
+class _Call:
+    """What every search of one top-level call shares: one deadline, fixed
+    first, one node budget, and one layout of the checks of g.  The
+    caller's budget is read, never written."""
 
-    def __init__(self, compat: CompatibilityClass, checks: _Checks):
-        super().__init__(compat.graph, compat.pairs, compat.base, compat.generators)
-        self.checks = checks
-
-
-def _prepare(g: Graph, compat: CompatibilityClass = None) -> _Prepared:
-    """The class of g (computed when not given) with its checks laid out.
-    A prepared class passes through, so every search under one top-level
-    call shares one layout."""
-    compat = compat or CompatibilityClass.compute(g)
-    if compat.graph.edges != g.edges:
-        raise ValueError("compatibility class of a different edge set")
-    if isinstance(compat, _Prepared):
-        return compat
-    return _Prepared(compat, _layout_checks(g, compat))
+    def __init__(self, g: Graph, budget: SolverBudget = None):
+        budget = budget or SolverBudget()
+        self.deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
+        self.nodes_left = budget.max_nodes  # -1 once a search found them spent
+        self.checks = _layout_checks(g, CompatibilityClass.compute(g))
 
 
 def _set_bits(v: int) -> list[int]:
@@ -291,10 +266,12 @@ def _set_bits(v: int) -> list[int]:
     return out
 
 
-def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: CompatibilityClass):
+def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
-    on M_m); returns (status, assignment, nodes).  The search may visit
-    the nodes its budget has left, plus the one that finds them spent.
+    on M_m) with the checks call laid out for g; returns (status,
+    assignment, nodes).  The search may visit the call's nodes left, plus
+    the one that finds them spent, and stops at the first deadline test
+    past the call's deadline; it spends nothing itself (see _solve).
 
     Bit c of the int `state` is the running sum of check c (see _Checks)
     over the pairs whose edges are both placed.  B = spec.form is bilinear,
@@ -329,7 +306,7 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
     edges and all vectors, in the same order, and returns the same
     assignment.
     """
-    checks = _prepare(g, compat).checks
+    checks = call.checks
     m = g.edge_count
     d = spec.ribbon_count
     if d == 0:
@@ -358,10 +335,9 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
     rows = {}
     assign = [0] * m
     placed_bits = [None] * m  # the set bits of J.y_j of each placed edge j
-    budget = _start(budget)
-    max_nodes = budget.max_nodes - budget.nodes_used
+    max_nodes = call.nodes_left
     nodes = 0
-    deadline = budget.deadline
+    deadline = call.deadline
 
     def dfs(t, state, key):
         nonlocal nodes
@@ -378,7 +354,8 @@ def _search(g: Graph, spec: SurfaceSpec, budget: SolverBudget, compat: Compatibi
         if row is None:
             # nodes only grows, so a row longer than the budget left plus
             # one is never read to its end: 2^d candidates cost nothing.
-            todo = islice(candidates(key), max_nodes - nodes + 1)
+            # islice takes no stop above sys.maxsize; no row reaches it.
+            todo = islice(candidates(key), min(max_nodes - nodes + 1, sys.maxsize))
             row = rows[key] = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in todo]
         for v, bits, dual_bits, after_key in row:
             nodes += 1
@@ -424,54 +401,44 @@ def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
     return Witness(a, y, f, sd, report)
 
 
-def _solve(g: Graph, spec: SurfaceSpec, budget, compat) -> SolveResult:
-    budget = _start(budget)
-    compat = _prepare(g, compat)
-    if budget.nodes_used > budget.max_nodes:  # an earlier search exhausted it
+def _solve(g: Graph, spec: SurfaceSpec, budget) -> SolveResult:
+    """One search on spec and its witness.  budget is a SolverBudget, which
+    starts a call of its own, or the started call of a scan, whose
+    searches then share its deadline, nodes and checks; the search's nodes
+    are spent from the call."""
+    call = budget if isinstance(budget, _Call) else _Call(g, budget)
+    if call.nodes_left < 0:  # an earlier search of the call spent them
         return SolveResult("unknown")
-    status, assign, nodes = _search(g, spec, budget, compat)
-    budget.nodes_used += nodes
+    status, assign, nodes = _search(g, spec, call)
+    call.nodes_left -= nodes
     if status != "yes":
         return SolveResult(status, nodes=nodes)
     return SolveResult("yes", _build_witness(g, spec, assign), nodes)
 
 
-def z2_embeddable_orientable(
-    g: Graph, genus: int, budget: SolverBudget = None, compat: CompatibilityClass = None
-) -> SolveResult:
-    """compat, when given, is CompatibilityClass.compute(g), shared by the
-    searches of a scan; witnesses need no class (realize_parity)."""
-    return _solve(g, SurfaceSpec("S", genus), budget, compat)
+def z2_embeddable_orientable(g: Graph, genus: int, budget: SolverBudget = None) -> SolveResult:
+    """Z2-embeddability of g into S_genus."""
+    return _solve(g, SurfaceSpec("S", genus), budget)
 
 
-def z2_embeddable_nonorientable(
-    g: Graph, m: int, budget: SolverBudget = None, compat: CompatibilityClass = None
-) -> SolveResult:
-    """compat, when given, is CompatibilityClass.compute(g), shared by the
-    searches of a scan; witnesses need no class (realize_parity)."""
-    return _solve(g, SurfaceSpec("M", m), budget, compat)
+def z2_embeddable_nonorientable(g: Graph, m: int, budget: SolverBudget = None) -> SolveResult:
+    """Z2-embeddability of g into M_m."""
+    return _solve(g, SurfaceSpec("M", m), budget)
 
 
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:
     """Z2-embeddability into some surface of Euler characteristic e, via the
     rank bound 2-e: the union of the even search and the odd search, under
-    one deadline and one node budget."""
+    one deadline and one node budget; nodes counts both searches."""
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
-    budget = _start(budget)
-    compat = _prepare(g)
-    rank_cap = 2 - e
-    res_o = z2_embeddable_orientable(g, rank_cap // 2, budget, compat)
-    if res_o.status == "yes":
-        return res_o
-    if rank_cap >= 1:
-        res_n = z2_embeddable_nonorientable(g, rank_cap, budget, compat)
-        if res_n.status == "yes":
-            return res_n
-        if "unknown" in (res_o.status, res_n.status):
-            return SolveResult("unknown", nodes=res_o.nodes + res_n.nodes)
-        return SolveResult("no", nodes=res_o.nodes + res_n.nodes)
-    return res_o
+    call = _Call(g, budget)
+    even = z2_embeddable_orientable(g, (2 - e) // 2, call)
+    if even.status == "yes" or e == 2:
+        return even
+    odd = z2_embeddable_nonorientable(g, 2 - e, call)
+    status = even.status if odd.status == "no" else odd.status
+    return SolveResult(status, odd.witness, even.nodes + odd.nodes)
 
 
 @dataclass
@@ -490,14 +457,13 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
     """
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")
-    budget = _start(budget)
+    call = _Call(g, budget)
     start = 0 if kind == "orientable" else 1
-    compat = _prepare(g)
     for p in range(start, maximum + 1):
         if kind == "orientable":
-            res = z2_embeddable_orientable(g, p, budget, compat)
+            res = z2_embeddable_orientable(g, p, call)
         else:
-            res = z2_embeddable_nonorientable(g, p, budget, compat)
+            res = z2_embeddable_nonorientable(g, p, call)
         if res.status == "yes":
             return GenusResult("found", p, res.witness)
         if res.status == "unknown":

@@ -230,6 +230,21 @@ def test_solve_nonpositive_budget_exit_three(tmp_path, capsys):
         assert "max_nodes must be positive" in captured.err
 
 
+def test_solve_float_budget_exit_three(tmp_path, capsys):
+    rc = main(["solve", "--graph", _k5(tmp_path), "--genus", "1", "--budget-nodes", "1e6"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: '1e6'" in captured.err
+
+
+def test_solve_any_positive_int_budget(tmp_path, capsys):
+    # Above sys.maxsize - 1, the search's row bound once overflowed islice.
+    rc = main(["solve", "--graph", _k5(tmp_path), "--genus", "1", "--budget-nodes", str(10**20)])
+    assert rc == 0
+    assert capsys.readouterr().out == "YES\n"
+
+
 def test_solve_yes_needs_the_geometric_verifier_too(tmp_path, capsys, monkeypatch):
     seen = []
 

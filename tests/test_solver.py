@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,7 @@ from surfembed.solver import (
     z2_genus,
 )
 from surfembed.drawing import CompatibilityClass
-from surfembed.solver import _crosscap_reps, _edge_order, _nullspace, _search, _set_bits, _witt_children
+from surfembed.solver import _Call, _crosscap_reps, _edge_order, _nullspace, _search, _set_bits, _witt_children
 from surfembed.surface import SurfaceSpec, verify_z2
 
 
@@ -195,8 +196,7 @@ def test_search_matches_per_candidate_reference():
     seen = set()
     confirmed = 0
     for g, spec, max_nodes in cases:
-        cls = CompatibilityClass.compute(g)
-        status, assign, nodes = _search(g, spec, SolverBudget(max_nodes=max_nodes), cls)
+        status, assign, nodes = _search(g, spec, _Call(g, SolverBudget(max_nodes=max_nodes)))
         ref = _reference_search(g, spec, max_nodes)
         assert nodes <= ref[2], (g.edges, spec)
         if status == "unknown":
@@ -316,9 +316,38 @@ def test_one_layout_of_the_checks_for_all_searches_of_a_call(monkeypatch):
     assert len(layouts) == 2
 
 
-def test_shared_class_must_match_the_graph():
-    with pytest.raises(ValueError):
-        z2_embeddable_orientable(complete_graph(4), 1, compat=CompatibilityClass.compute(complete_graph(5)))
+def test_one_budget_object_serves_two_calls():
+    # The call's state lives on the call, never on the caller's budget.
+    budget = SolverBudget(max_nodes=40_000)
+    first = z2_embeddable_orientable(complete_graph(8), 1, budget)
+    second = z2_embeddable_orientable(complete_graph(8), 1, budget)
+    assert (first.status, first.nodes) == (second.status, second.nodes) == ("no", 36_259)
+    assert budget == SolverBudget(40_000)
+
+
+def test_euler_counts_both_searches_on_yes():
+    # K5 at Euler characteristic 1: S0 is "no" in 1 node, N1 "yes" in 28.
+    g = complete_graph(5)
+    even = z2_embeddable_orientable(g, 0)
+    odd = z2_embeddable_nonorientable(g, 1)
+    assert (even.status, odd.status) == ("no", "yes")
+    res = z2_embeddable_euler(g, 1)
+    assert res.status == "yes"
+    assert res.nodes == even.nodes + odd.nodes == 29
+    assert verify_z2(res.witness.surface_drawing).is_embedding
+
+
+def test_node_budget_must_be_an_int():
+    with pytest.raises(ValueError, match="max_nodes must be an integer"):
+        SolverBudget(max_nodes=1e6)
+
+
+def test_any_positive_int_node_budget():
+    # The row bound of the search is clamped below islice's limit.
+    res = z2_embeddable_orientable(complete_graph(5), 1, SolverBudget(max_nodes=10**20))
+    assert res.status == "yes"
+    huge = SolverBudget(max_nodes=sys.maxsize + 1)
+    assert z2_embeddable_orientable(complete_bipartite(3, 7), 1, huge).status == "no"
 
 
 def test_high_genus_setup_stays_small():

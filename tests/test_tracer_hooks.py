@@ -3,13 +3,19 @@
 surfbench/spans.py wraps package functions from outside, in every module
 that binds them.  A refactor that stops calling `classify_segments`,
 `intersection_point`, `finger_polyline` or `solve_gf2` through those
-module globals, or that turns `CompatibilityClass.compute` into something
-other than a classmethod, would make its counters read zero; these tests
-notice without a benchmark run.
+module globals, that has `z2_genus` or `z2_embeddable_euler` reach a
+search other than through `z2_embeddable_orientable` and
+`z2_embeddable_nonorientable` (the `solver.solve` spans, which count
+`solver.nodes`) and `_search` (the `solver.search` spans), or that turns
+`CompatibilityClass.compute` into something other than a classmethod,
+would make its counters read zero; these tests notice without a benchmark
+run.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import surfembed
 from surfembed.drawing import (
@@ -20,8 +26,8 @@ from surfembed.drawing import (
     is_compatible_mod2,
 )
 from surfembed.geom import box_pairs, integer_image
-from surfembed.graph import complete_graph
-from surfembed.solver import z2_embeddable_orientable
+from surfembed.graph import complete_bipartite, complete_graph
+from surfembed.solver import z2_embeddable_euler, z2_embeddable_orientable, z2_genus
 
 SPANS = Path(__file__).resolve().parents[1] / "surfbench" / "spans.py"
 
@@ -114,3 +120,27 @@ def test_tracer_sees_every_segment_pair_of_the_class_table():
     assert counts["drawing.class_compute.calls"] == 1
     assert counts["geom.segment_tests.drawing"] == len(box_pairs(d.edge_polylines))
     assert counts["geom.intersection_points"] == sum(len(hits) for hits in d.crossings().values())
+
+
+@pytest.mark.parametrize(
+    "call, counts",
+    [
+        # S0 is "no" in 1 node, S1 "yes" in 20
+        (lambda: z2_genus(complete_bipartite(3, 3), "orientable"), (2, 2, 21, 1)),
+        # S0 is "no" in 1 node, N1 "yes" in 28
+        (lambda: z2_embeddable_euler(complete_graph(5), 1), (2, 2, 29, 1)),
+    ],
+    ids=["genus", "euler"],
+)
+def test_tracer_sees_every_search_and_one_class_per_call(call, counts):
+    # Every search of the call is a solver.solve span around a
+    # solver.search span, and the class of the graph is computed once.
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    _, _, seen = tracer.summary()
+    names = ("solver.solve.calls", "solver.search.calls", "solver.nodes", "drawing.class_compute.calls")
+    assert tuple(seen[name] for name in names) == counts
