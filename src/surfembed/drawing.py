@@ -323,17 +323,30 @@ def finger_move_generators(g: Graph) -> list[int]:
     Rerouting edge e around vertex v flips the crossing parity with every
     edge incident to v and independent of e.
     """
-    pairs = independent_pairs(g)
+    return _generators(g, independent_pairs(g))
+
+
+def _generators(g: Graph, pairs) -> list[int]:
+    """finger_move_generators over the given list of g's independent pairs."""
     index = {(p.i, p.j): k for k, p in enumerate(pairs)}
+    incident = [[] for _ in range(g.vertex_count)]
+    for f, (a, b) in enumerate(g.edges):
+        incident[a].append(f)
+        incident[b].append(f)
     out = []
     for e, v in finger_move_labels(g):
         vec = 0
-        for f in g.incident_edges(v):
-            key = (min(e, f), max(e, f))
-            if key in index:
-                vec |= 1 << index[key]
+        for f in incident[v]:
+            k = index.get((e, f) if e < f else (f, e))
+            if k is not None:
+                vec |= 1 << k
         out.append(vec)
     return out
+
+
+def _pair_ends(g: Graph, pairs) -> list[tuple[int, int, int, int]]:
+    """The four ends of each pair's edges, as _chord_parities reads them."""
+    return [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
 
 
 @dataclass
@@ -342,7 +355,9 @@ class CompatibilityClass:
 
     Vectors are ints packed over pairs, g's independent pairs.  base holds
     the parities of one drawing; every drawing's are base plus a sum of
-    finger-move generators.
+    finger-move generators.  Without a drawing, base is the parity vector
+    of the convex drawing of the identity order, read off chord
+    interleaving (_chord_parities) with no geometry.
     """
 
     graph: Graph
@@ -352,11 +367,14 @@ class CompatibilityClass:
 
     @classmethod
     def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
-        """The class, its base read from the given drawing or the convex one."""
-        if drawing is None:
-            drawing = convex_drawing(g)
+        """The class, its base read from the given drawing's crossing table,
+        or from chord interleaving when none is given."""
         pairs = independent_pairs(g)
-        return cls(g, pairs, _parity_vector(drawing, pairs), finger_move_generators(g))
+        if drawing is None:
+            base = _chord_parities(_pair_ends(g, pairs), range(g.vertex_count))
+        else:
+            base = _parity_vector(drawing, pairs)
+        return cls(g, pairs, base, _generators(g, pairs))
 
     def membership(self, target: ParityMatrix):
         """Finger-move coefficients taking base to the target, or None."""
@@ -365,8 +383,14 @@ class CompatibilityClass:
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):
-    """Coefficient certificate over finger moves, or None when incompatible."""
-    return CompatibilityClass.compute(g).membership(target)
+    """Coefficient certificate over finger moves, or None when incompatible.
+
+    The class's base is read from the crossing table of the convex drawing,
+    built and validated in exact arithmetic, rather than from chord
+    interleaving as CompatibilityClass.compute(g) does; both give the same
+    base.
+    """
+    return CompatibilityClass.compute(g, convex_drawing(g)).membership(target)
 
 
 def _loop_start(u: Point, vecs) -> int:
@@ -581,8 +605,8 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     """
     pairs = independent_pairs(g)
     tvec = _target_vector(g, pairs, target)
-    elim = Gf2Elimination(finger_move_generators(g), len(pairs))
-    ends = [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
+    elim = Gf2Elimination(_generators(g, pairs), len(pairs))
+    ends = _pair_ends(g, pairs)
     if elim.solve(_chord_parities(ends, range(g.vertex_count)) ^ tvec) is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
     d = convex_drawing(g, _lightest_convex_order(g, ends, elim, tvec))

@@ -209,8 +209,8 @@ def test_realize_is_deterministic():
 
 
 def test_class_base_is_the_chord_interleaving_of_the_identity_order():
-    # the class's base, read off the convex drawing's crossing table, is
-    # what realize_parity tests compatibility against without geometry
+    # the class's base is read off chord interleaving, as realize_parity
+    # tests compatibility, without geometry
     rng = random.Random(24)
     for _ in range(300):
         n = rng.randrange(2, 9)
@@ -219,6 +219,35 @@ def test_class_base_is_the_chord_interleaving_of_the_identity_order():
         odd = convex_crossing_oracle(g, list(range(n)))
         expected = sum(1 << k for k, pr in enumerate(pairs) if (pr.i, pr.j) in odd)
         assert CompatibilityClass.compute(g).base == expected
+
+
+def test_chord_base_equals_the_convex_drawing_base():
+    # While is_compatible_mod2 reads the base off the convex drawing's exact
+    # crossing table, both bases must agree, and so must both answers.  K9
+    # and K5,5 need the perturbed retry of convex_drawing (a vertex leaves
+    # its unperturbed point 101 * position).
+    rng = random.Random(25)
+    retried = [complete_graph(9), complete_bipartite(5, 5)]
+    graphs = [Graph(0, []), Graph(4, []), Graph(6, [(1, 3), (3, 4)])] + retried
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]))
+    for g in graphs:
+        d = convex_drawing(g)
+        if g in retried:
+            assert d.vertex_points[1] != (101, 101 * 101)
+        cls = CompatibilityClass.compute(g)
+        assert cls.base == CompatibilityClass.compute(g, d).base
+        for t in range(4):
+            vec = rng.getrandbits(len(cls.pairs))
+            if t % 2:  # a compatible target: base plus some generators
+                vec = cls.base
+                for gen in cls.generators:
+                    vec ^= gen if rng.random() < 0.5 else 0
+            target = ParityMatrix.from_pair_vector(g, cls.pairs, vec)
+            assert is_compatible_mod2(g, target) == cls.membership(target)
+            if t % 2:
+                assert cls.membership(target) is not None
 
 
 def test_target_on_another_edge_set_is_refused():

@@ -19,7 +19,6 @@ import pytest
 
 import surfembed
 from surfembed.drawing import (
-    CompatibilityClass,
     apply_finger_move,
     convex_drawing,
     crossing_parity_matrix,
@@ -105,21 +104,41 @@ def test_tracer_counts_one_class_and_one_solve_per_compatibility_test():
 
 
 def test_tracer_sees_every_segment_pair_of_the_class_table():
-    # The table's segment pass runs on the integer image of the drawing; it
-    # still classifies, through the module global, exactly the pairs whose
-    # boxes meet among the Fraction polylines.
+    # is_compatible_mod2 reads its class's base off the convex drawing's
+    # crossing table.  The table's segment pass runs on the integer image
+    # of the drawing; it still classifies, through the module global,
+    # exactly the pairs whose boxes meet among the Fraction polylines.
     g = complete_graph(6)
     d = convex_drawing(g)
+    target = crossing_parity_matrix(d)
     tracer = _tracer()
     tracer.install(surfembed)
     try:
-        CompatibilityClass.compute(g)
+        surfembed.drawing.is_compatible_mod2(g, target)
     finally:
         tracer.uninstall()
     _, _, counts = tracer.summary()
     assert counts["drawing.class_compute.calls"] == 1
     assert counts["geom.segment_tests.drawing"] == len(box_pairs(d.edge_polylines))
     assert counts["geom.intersection_points"] == sum(len(hits) for hits in d.crossings().values())
+
+
+def test_a_search_that_answers_no_uses_no_geometry():
+    # The solver's class takes its base from chord interleaving: a "no"
+    # builds no drawing, so it classifies no segment pair, and it lists
+    # the independent pairs once, in its one class computation.
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        res = surfembed.solver.z2_embeddable_orientable(complete_graph(8), 1)
+    finally:
+        tracer.uninstall()
+    assert res.status == "no"
+    _, _, counts = tracer.summary()
+    assert counts["drawing.class_compute.calls"] == 1
+    assert counts["graph.independent_pairs_calls"] == 1
+    assert counts["geom.segment_tests.drawing"] == 0
+    assert counts["drawing.crossings.calls"] == 0
 
 
 @pytest.mark.parametrize(
