@@ -23,7 +23,7 @@ from .geom import (
     strictly_inside_segment,
 )
 from .gf2 import BitMatrix, Gf2Elimination, solve_gf2
-from .graph import Graph, independent_pairs
+from .graph import Graph
 from .intmat import IntMatrix
 
 
@@ -223,46 +223,46 @@ class ParityMatrix:
     def get(self, i: int, j: int) -> int:
         return self.values.get(i, j)
 
-    def pair_vector(self, pairs) -> int:
-        """Bits packed in the order of the given independent-pair list."""
+    def pair_vector(self) -> int:
+        """The bits of the independent pairs, packed in the order of
+        graph.pairs: bit k is the slot of graph.pairs[k]."""
         acc = 0
-        for k, pr in enumerate(pairs):
+        for k, pr in enumerate(self.graph.pairs):
             if self.values.get(pr.i, pr.j):
                 acc |= 1 << k
         return acc
 
     @classmethod
-    def from_pair_vector(cls, graph: Graph, pairs, vec: int) -> "ParityMatrix":
+    def from_pair_vector(cls, graph: Graph, vec: int) -> "ParityMatrix":
         m = graph.edge_count
         b = BitMatrix(m, m)
-        for k, pr in enumerate(pairs):
+        for k, pr in enumerate(graph.pairs):
             if (vec >> k) & 1:
                 b.set(pr.i, pr.j, 1)
                 b.set(pr.j, pr.i, 1)
         return cls(graph, b)
 
 
-def _target_vector(g: Graph, pairs, target: ParityMatrix) -> int:
+def _target_vector(g: Graph, target: ParityMatrix) -> int:
     """The target's bits over g's independent pairs; the target must be
     indexed by g's edge set."""
     if target.graph.edges != g.edges:
         raise ValueError("target indexed by a different edge set")
-    return target.pair_vector(pairs)
+    return target.pair_vector()
 
 
-def _parity_vector(d: PlanarDrawing, pairs) -> int:
-    """d's crossing parities packed in the order of the pair list."""
+def _parity_vector(d: PlanarDrawing) -> int:
+    """d's crossing parities packed in the order of d.graph.pairs."""
     table = d.crossings()
     acc = 0
-    for k, pr in enumerate(pairs):
+    for k, pr in enumerate(d.graph.pairs):
         if len(table[(pr.i, pr.j)]) & 1:
             acc |= 1 << k
     return acc
 
 
 def crossing_parity_matrix(d: PlanarDrawing) -> ParityMatrix:
-    pairs = independent_pairs(d.graph)
-    return ParityMatrix.from_pair_vector(d.graph, pairs, _parity_vector(d, pairs))
+    return ParityMatrix.from_pair_vector(d.graph, _parity_vector(d))
 
 
 def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
@@ -270,7 +270,7 @@ def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
     m = g.edge_count
     out = IntMatrix(m, m)
     table = d.crossings()
-    for pr in independent_pairs(g):
+    for pr in g.pairs:
         total = sum(s for _, s in table[(pr.i, pr.j)])
         total *= d.edge_orientations[pr.i] * d.edge_orientations[pr.j]
         out.data[pr.i][pr.j] = total
@@ -318,17 +318,13 @@ def finger_move_labels(g: Graph) -> list[tuple[int, int]]:
 
 
 def finger_move_generators(g: Graph) -> list[int]:
-    """Parity-change vectors over the independent-pair index set.
+    """Parity-change vectors packed over g.pairs, one per finger_move_labels
+    entry.
 
     Rerouting edge e around vertex v flips the crossing parity with every
     edge incident to v and independent of e.
     """
-    return _generators(g, independent_pairs(g))
-
-
-def _generators(g: Graph, pairs) -> list[int]:
-    """finger_move_generators over the given list of g's independent pairs."""
-    index = {(p.i, p.j): k for k, p in enumerate(pairs)}
+    index = {(p.i, p.j): k for k, p in enumerate(g.pairs)}
     incident = [[] for _ in range(g.vertex_count)]
     for f, (a, b) in enumerate(g.edges):
         incident[a].append(f)
@@ -344,42 +340,42 @@ def _generators(g: Graph, pairs) -> list[int]:
     return out
 
 
-def _pair_ends(g: Graph, pairs) -> list[tuple[int, int, int, int]]:
+def _pair_ends(g: Graph) -> list[tuple[int, int, int, int]]:
     """The four ends of each pair's edges, as _chord_parities reads them."""
-    return [(*g.edges[p.i], *g.edges[p.j]) for p in pairs]
+    return [(*g.edges[p.i], *g.edges[p.j]) for p in g.pairs]
 
 
 @dataclass
 class CompatibilityClass:
-    """The affine GF(2) class of the crossing parities of g's drawings.
+    """The affine GF(2) class of the crossing parities of a graph's drawings.
 
-    Vectors are ints packed over pairs, g's independent pairs.  base holds
-    the parities of one drawing; every drawing's are base plus a sum of
-    finger-move generators.  Without a drawing, base is the parity vector
-    of the convex drawing of the identity order, read off chord
+    Vectors are ints packed over graph.pairs.  base holds the parities of
+    one drawing; every drawing's are base plus a sum of the generators,
+    finger_move_generators(graph).  Without a drawing, base is the parity
+    vector of the convex drawing of the identity order, read off chord
     interleaving (_chord_parities) with no geometry.
     """
 
     graph: Graph
-    pairs: list
     base: int
     generators: list[int]
 
     @classmethod
     def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
-        """The class, its base read from the given drawing's crossing table,
+        """The class, its base read from the given drawing of g's edge set,
         or from chord interleaving when none is given."""
-        pairs = independent_pairs(g)
         if drawing is None:
-            base = _chord_parities(_pair_ends(g, pairs), range(g.vertex_count))
+            base = _chord_parities(_pair_ends(g), range(g.vertex_count))
+        elif drawing.graph.edges != g.edges:
+            raise ValueError("drawing indexed by a different edge set")
         else:
-            base = _parity_vector(drawing, pairs)
-        return cls(g, pairs, base, _generators(g, pairs))
+            base = _parity_vector(drawing)
+        return cls(g, base, finger_move_generators(g))
 
     def membership(self, target: ParityMatrix):
         """Finger-move coefficients taking base to the target, or None."""
-        tvec = _target_vector(self.graph, self.pairs, target)
-        return solve_gf2(self.generators, self.base ^ tvec, len(self.pairs))
+        tvec = _target_vector(self.graph, target)
+        return solve_gf2(self.generators, self.base ^ tvec, len(self.graph.pairs))
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):
@@ -570,8 +566,9 @@ def _lightest_convex_order(g: Graph, ends, elim: Gf2Elimination, target: int):
 
     First-improvement hill-climbing over transpositions from the identity
     order; an order's score is the weight of its light certificate (see
-    solve_gf2), read off one elimination.  Every drawing of g lies in one
-    compatibility class, so every order is solvable once the identity is.
+    Gf2Elimination.solve), read off one elimination.  Every drawing of g
+    lies in one compatibility class, so every order is solvable once the
+    identity is.
     """
 
     def weight(order):
@@ -603,14 +600,13 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     own crossing table, which stays up to date move by move; the result is
     checked against the target from it.
     """
-    pairs = independent_pairs(g)
-    tvec = _target_vector(g, pairs, target)
-    elim = Gf2Elimination(_generators(g, pairs), len(pairs))
-    ends = _pair_ends(g, pairs)
+    tvec = _target_vector(g, target)
+    elim = Gf2Elimination(finger_move_generators(g), len(g.pairs))
+    ends = _pair_ends(g)
     if elim.solve(_chord_parities(ends, range(g.vertex_count)) ^ tvec) is None:
         raise IncompatibleTargetError("target parity matrix is not compatible")
     d = convex_drawing(g, _lightest_convex_order(g, ends, elim, tvec))
-    cert = elim.solve(_parity_vector(d, pairs) ^ tvec, light=True)
+    cert = elim.solve(_parity_vector(d) ^ tvec, light=True)
     if cert is None:
         raise RealizationError("convex drawing outside the compatibility class")
     labels = finger_move_labels(g)
@@ -621,7 +617,7 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
         e, v = labels[k]
         d = apply_finger_move(d, e, v, shrink=nesting.get(v, 0))
         nesting[v] = nesting.get(v, 0) + 1
-    if _parity_vector(d, pairs) != tvec:
+    if _parity_vector(d) != tvec:
         raise RealizationError("post-verification mismatch in realize_parity")
     return d
 

@@ -314,13 +314,13 @@ class Gf2Elimination:
         return [(coeff >> i) & 1 for i in range(self.count)]
 
 
-def solve_gf2(columns: list[int], rhs: int, nbits: int, light: bool = False):
+def solve_gf2(columns: list[int], rhs: int, nbits: int):
     """Solve sum_i c_i * columns[i] = rhs over GF(2); see Gf2Elimination.
 
     Vectors are packed ints of nbits bits.  Returns a coefficient list or
-    None when no solution exists; light=True returns a lighter solution.
+    None when no solution exists.
     """
-    return Gf2Elimination(columns, nbits).solve(rhs, light)
+    return Gf2Elimination(columns, nbits).solve(rhs)
 
 
 def parse_bitmatrix(text: str) -> BitMatrix:

@@ -8,6 +8,7 @@ accepted: no loops, no parallel edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -41,6 +42,12 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def pairs(self) -> tuple[EdgePair, ...]:
+        """independent_pairs(self), listed on first use and kept: the index
+        set of every parity vector, matrix slot and finger move of g."""
+        return tuple(independent_pairs(self))
 
     def incident_edges(self, v: int) -> list[int]:
         return [i for i, (a, b) in enumerate(self.edges) if v in (a, b)]

@@ -26,7 +26,6 @@ import itertools
 import math
 
 from .geom import box_pairs, classify_segments, crossing_sign, integer_image
-from .graph import independent_pairs
 from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
 DISK = "disk"
@@ -96,13 +95,12 @@ def _lane_path(frame, j, total, label, feet, s):
     return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], labs
 
 
-def _pick_attachment(polyline, attach_hint, vpts, own_ends, used_x, attempt):
+def _pick_attachment(polyline, vpts, own_ends, used_x, attempt):
     """A pair of points on the edge whose vertical corridor strip avoids
     every vertex above it (the edge's own endpoints excepted)."""
     nseg = len(polyline) - 1
     rot = attempt % len(_PARAMS)
-    for ds in range(nseg):
-        s = (attach_hint + ds) % nseg
+    for s in range(nseg):
         a, bpt = polyline[s], polyline[s + 1]
         if a[0] == bpt[0]:
             continue
@@ -172,9 +170,7 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
             curves.append(list(pl))
             labels.append([DISK] * (len(pl) - 1))
             continue
-        s, p1, p2 = _pick_attachment(
-            pl, sd.attach[e], vpts, set(g.edges[e]), used_x, attempt
-        )
+        s, p1, p2 = _pick_attachment(pl, vpts, set(g.edges[e]), used_x, attempt)
         used_x.add(p1[0])
         used_x.add(p2[0])
         pts = list(pl[: s + 1]) + [p1]
@@ -270,7 +266,7 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
             continue
         out = {}
         ok = True
-        for pr in independent_pairs(g):
+        for pr in g.pairs:
             hits = table[(pr.i, pr.j)]
             if mode == "z2":
                 val = sum(1 for _, same in hits if same) & 1

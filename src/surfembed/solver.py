@@ -127,11 +127,12 @@ def _witt_children(spec: SurfaceSpec, basis: tuple):
     return out
 
 
-def _edge_order(g: Graph, checks, pairs):
+def _edge_order(g: Graph, checks):
     """Assignment order that completes the parity checks early: next the
     edge that completes the most checks, then the one in the most checks,
     then the lowest.  checks are (pair indices, right-hand side)."""
     m = g.edge_count
+    pairs = g.pairs
     check_edges = [{e for k in support for e in (pairs[k].i, pairs[k].j)} for support, _ in checks]
     holding = [[] for _ in range(m)]  # holding[e]: the checks involving e
     for c, edges in enumerate(check_edges):
@@ -200,14 +201,14 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     coordinate, so the checks firing by position t span every check on the
     first t + 1 free edges, and every check on forest pairs alone is one of
     the basis.  No parity check can prune more at any position."""
-    pairs, base, generators = compat.pairs, compat.base, compat.generators
+    pairs, base, generators = g.pairs, compat.base, compat.generators
     columns = BitMatrix(len(generators), len(pairs), generators).transpose().data
 
     def checks_over(coords):  # (pair indices, right-hand side) of each check
         basis = _kernel(columns, len(generators), coords)
         return [(z, sum((base >> k) & 1 for k in z) & 1) for z in basis]
 
-    order = _edge_order(g, checks_over(range(len(pairs) - 1, -1, -1)), pairs)
+    order = _edge_order(g, checks_over(range(len(pairs) - 1, -1, -1)))
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}

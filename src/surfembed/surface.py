@@ -4,7 +4,7 @@ An orientable surface S_g is a disk with g interlacing pairs of untwisted
 ribbons; a nonorientable surface M_m is a disk with m twisted, pairwise
 non-interlacing ribbons.  A drawing on such a surface is stored as a planar
 core drawing plus, per edge, the list of net pass counts through each
-ribbon, a tube nesting order, and an attachment position.
+ribbon and a tube nesting order.
 
 Verification counts crossings by the combinatorial rule: the exact planar
 crossings of the core, plus one crossing for every pass pair through
@@ -27,7 +27,6 @@ from .drawing import (
     signed_crossing_matrix,
 )
 from .gf2 import BitMatrix
-from .graph import independent_pairs
 from .intmat import IntMatrix
 
 
@@ -124,15 +123,13 @@ class SurfaceDrawing:
     ribbon k; bits in z2 mode, signed integers in z mode.  Passes are
     counted along the edge's orientation (core.edge_orientations[e]), not
     along the direction in which its polyline is stored.  tube_order
-    fixes the radial nesting of the tubes; attach[e] is the index of the
-    core polyline segment carrying the connector.
+    fixes the radial nesting of the tubes.
     """
 
     surface: SurfaceSpec
     core: PlanarDrawing
     passes: list
     tube_order: list
-    attach: list = None
     mode: str = "z2"
 
     def __post_init__(self):
@@ -151,10 +148,6 @@ class SurfaceDrawing:
                     raise SurfaceError("z2 pass vectors must be bit vectors")
         if sorted(self.tube_order) != list(range(m)):
             raise SurfaceError("tube_order must be a permutation of the edges")
-        if self.attach is None:
-            self.attach = [0] * m
-        if len(self.attach) != m:
-            raise SurfaceError("one attach index per edge required")
 
 
 @dataclass
@@ -207,7 +200,7 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     ys = _packed(sd.passes)
     out = {}
     ok = True
-    for pr in independent_pairs(g):
+    for pr in g.pairs:
         parity = core.get(pr.i, pr.j) ^ sd.surface.form(ys[pr.i], ys[pr.j])
         out[(pr.i, pr.j)] = parity
         ok = ok and parity == 0
@@ -228,7 +221,7 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     core = signed_crossing_matrix(sd.core)
     out = {}
     ok = True
-    for pr in independent_pairs(g):
+    for pr in g.pairs:
         total = core.data[pr.i][pr.j] - sd.surface.form_z(sd.passes[pr.i], sd.passes[pr.j])
         out[(pr.i, pr.j)] = total
         ok = ok and total == 0

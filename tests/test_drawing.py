@@ -28,7 +28,7 @@ from surfembed.drawing import (
     _compute_crossings,
     _edge_crossings,
 )
-from surfembed.gf2 import BitMatrix, solve_gf2
+from surfembed.gf2 import BitMatrix, Gf2Elimination
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
 from surfembed.solver import z2_genus
@@ -182,12 +182,12 @@ def test_realize_roundtrip_random_targets():
         done = 0
         while done < 8:
             vec = rng.getrandbits(len(pairs))
-            target = ParityMatrix.from_pair_vector(g, pairs, vec)
+            target = ParityMatrix.from_pair_vector(g, vec)
             if cls.membership(target) is None:
                 continue
             done += 1
             d = realize_parity(g, target)
-            assert crossing_parity_matrix(d).pair_vector(pairs) == vec
+            assert crossing_parity_matrix(d).pair_vector() == vec
 
 
 def test_realize_is_deterministic():
@@ -199,13 +199,13 @@ def test_realize_is_deterministic():
         done = 0
         while done < 3:
             vec = rng.getrandbits(len(pairs))
-            target = ParityMatrix.from_pair_vector(g, pairs, vec)
+            target = ParityMatrix.from_pair_vector(g, vec)
             if cls.membership(target) is None:
                 continue
             done += 1
             first = realize_parity(g, target)
             assert serialize_drawing(first) == serialize_drawing(realize_parity(g, target))
-            assert crossing_parity_matrix(first).pair_vector(pairs) == vec
+            assert crossing_parity_matrix(first).pair_vector() == vec
 
 
 def test_class_base_is_the_chord_interleaving_of_the_identity_order():
@@ -239,12 +239,12 @@ def test_chord_base_equals_the_convex_drawing_base():
         cls = CompatibilityClass.compute(g)
         assert cls.base == CompatibilityClass.compute(g, d).base
         for t in range(4):
-            vec = rng.getrandbits(len(cls.pairs))
+            vec = rng.getrandbits(len(g.pairs))
             if t % 2:  # a compatible target: base plus some generators
                 vec = cls.base
                 for gen in cls.generators:
                     vec ^= gen if rng.random() < 0.5 else 0
-            target = ParityMatrix.from_pair_vector(g, cls.pairs, vec)
+            target = ParityMatrix.from_pair_vector(g, vec)
             assert is_compatible_mod2(g, target) == cls.membership(target)
             if t % 2:
                 assert cls.membership(target) is not None
@@ -260,6 +260,17 @@ def test_target_on_another_edge_set_is_refused():
             is_compatible_mod2(g, target)
         with pytest.raises(ValueError, match="different edge set"):
             realize_parity(g, target)
+
+
+def test_class_of_a_drawing_of_another_edge_set_is_refused():
+    # h has K3,3's vertex and edge counts, so its crossing table holds
+    # every key of K3,3's pairs; read under them, it would put the zero
+    # target in K3,3's class
+    g = complete_bipartite(3, 3)
+    h = Graph(6, [(0, 3), (2, 3), (3, 4), (0, 2), (0, 5), (2, 5), (1, 4), (1, 5), (0, 4)])
+    with pytest.raises(ValueError, match="different edge set"):
+        CompatibilityClass.compute(g, convex_drawing(h))
+    assert CompatibilityClass.compute(g).membership(zero_target(g)) is None
 
 
 def test_compatibility_closed_under_finger_moves():
@@ -283,8 +294,8 @@ def test_parity_matrix_roundtrip_via_pair_vector():
     rng = random.Random(22)
     for _ in range(20):
         vec = rng.getrandbits(len(pairs))
-        pm = ParityMatrix.from_pair_vector(g, pairs, vec)
-        assert pm.pair_vector(pairs) == vec
+        pm = ParityMatrix.from_pair_vector(g, vec)
+        assert pm.pair_vector() == vec
 
 
 def test_drawing_serialize_roundtrip_exact():
@@ -360,9 +371,9 @@ def test_light_certificate_reaches_target_with_no_more_moves():
             for gen in cls.generators:
                 if rng.getrandbits(1):
                     vec ^= gen
-            target = ParityMatrix.from_pair_vector(g, pairs, vec)
+            target = ParityMatrix.from_pair_vector(g, vec)
             full = cls.membership(target)
-            light = solve_gf2(cls.generators, base ^ vec, len(pairs), light=True)
+            light = Gf2Elimination(cls.generators, len(pairs)).solve(base ^ vec, light=True)
             got = base
             for c, gen in zip(light, cls.generators):
                 if c:
@@ -399,11 +410,11 @@ def test_realize_never_uses_more_moves_than_the_identity_order(monkeypatch):
         for gen in cls.generators:
             if rng.getrandbits(1):
                 vec ^= gen
-        target = ParityMatrix.from_pair_vector(g, pairs, vec)
-        identity = sum(solve_gf2(cls.generators, base ^ vec, len(pairs), light=True))
+        target = ParityMatrix.from_pair_vector(g, vec)
+        identity = sum(Gf2Elimination(cls.generators, len(pairs)).solve(base ^ vec, light=True))
         moves[0] = 0
         d = realize_parity(g, target)
-        assert crossing_parity_matrix(d).pair_vector(pairs) == vec
+        assert crossing_parity_matrix(d).pair_vector() == vec
         assert moves[0] <= identity
         saved += identity - moves[0]
     assert saved > 0
@@ -455,8 +466,8 @@ def test_finger_moves_keep_the_common_denominator_small():
     for gen in cls.generators:
         if rng.getrandbits(1):
             vec ^= gen
-    d = realize_parity(g, ParityMatrix.from_pair_vector(g, cls.pairs, vec))
-    assert crossing_parity_matrix(d).pair_vector(cls.pairs) == vec
+    d = realize_parity(g, ParityMatrix.from_pair_vector(g, vec))
+    assert crossing_parity_matrix(d).pair_vector() == vec
     dens = {c.denominator for pts in [d.vertex_points, *d.edge_polylines] for p in pts for c in p}
     assert all(q & (q - 1) == 0 for q in dens)
     assert math.lcm(*dens).bit_length() <= 64

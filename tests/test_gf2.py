@@ -230,7 +230,7 @@ def test_light_solution_solves_and_weighs_no_more():
             if rng.getrandbits(1):
                 rhs ^= c
         full = solve_gf2(cols, rhs, nbits)
-        light = solve_gf2(cols, rhs, nbits, light=True)
+        light = Gf2Elimination(cols, nbits).solve(rhs, light=True)
         acc = 0
         for bit, c in zip(light, cols):
             if bit:
@@ -295,7 +295,8 @@ def test_split_solver_matches_the_one_call_reference():
             for light in (False, True):
                 expect = _reference_solve_gf2(cols, rhs, nbits, light)
                 assert elim.solve(rhs, light) == expect
-                assert solve_gf2(cols, rhs, nbits, light) == expect
+                assert Gf2Elimination(cols, nbits).solve(rhs, light) == expect
+            assert solve_gf2(cols, rhs, nbits) == elim.solve(rhs)
             if expect is None:
                 unsolvable += 1
             else:

@@ -20,6 +20,17 @@ def test_path_two_edges_has_no_independent_pairs():
     assert independent_pairs(g) == []
 
 
+def test_pairs_are_the_independent_pairs_listed_once():
+    g = complete_bipartite(3, 4)
+    before = (repr(g), hash(g))
+    assert g.pairs == tuple(independent_pairs(g))
+    assert g.pairs is g.pairs
+    assert (repr(g), hash(g)) == before
+    assert g == complete_bipartite(3, 4)
+    with pytest.raises(AttributeError):
+        g.pairs = ()
+
+
 def test_k4_independent_pairs_are_the_three_matchings():
     g = complete_graph(4)
     pairs = independent_pairs(g)

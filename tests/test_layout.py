@@ -236,7 +236,7 @@ def _build_curves_fraction(sd, attempt):
             curves.append(list(pl))
             labels.append([DISK] * (len(pl) - 1))
             continue
-        s, p1, p2 = _pick_attachment_fraction(pl, sd.attach[e], vpts, set(g.edges[e]), used_x, attempt)
+        s, p1, p2 = _pick_attachment_fraction(pl, 0, vpts, set(g.edges[e]), used_x, attempt)
         used_x.add(p1[0])
         used_x.add(p2[0])
         pts = list(pl[: s + 1]) + [p1]

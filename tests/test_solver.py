@@ -73,7 +73,7 @@ def _reference_search(g, spec, max_nodes):
         checks.append((support, (z & base).bit_count() & 1))
     if d == 0:
         return ("yes", [0] * m, 1) if all(rhs == 0 for _, rhs in checks) else ("no", None, 1)
-    order = _edge_order(g, checks, pairs)
+    order = _edge_order(g, checks)
     pos = {e: t for t, e in enumerate(order)}
     table = [[_brute_form(spec, a, b) for b in range(1 << d)] for a in range(1 << d)]
     reps = _brute_reps(spec)
@@ -402,12 +402,12 @@ def test_edge_order_matches_the_set_based_order():
     rng = random.Random(44)
     for g in [complete_graph(8), complete_bipartite(3, 7)] + list(_random_graphs(rng, 20, (4, 10))):
         cls = CompatibilityClass.compute(g)
-        pairs = cls.pairs
+        pairs = g.pairs
         checks = [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in _nullspace(cls.generators, len(pairs))]
-        assert _edge_order(g, checks, pairs) == _set_edge_order(g, checks, pairs), g.edges
+        assert _edge_order(g, checks) == _set_edge_order(g, checks, pairs), g.edges
         # random supports tie more often than real checks do
         fake = [(rng.sample(range(len(pairs)), rng.randrange(1, 4)), 0) for _ in range(rng.randrange(len(pairs) + 1))]
-        assert _edge_order(g, fake, pairs) == _set_edge_order(g, fake, pairs), g.edges
+        assert _edge_order(g, fake) == _set_edge_order(g, fake, pairs), g.edges
 
 
 def test_set_bits_matches_the_string_scan():
@@ -428,7 +428,7 @@ def test_checks_fire_as_early_as_any_check_can():
     for g in [complete_graph(8), complete_bipartite(4, 5)] + list(_random_graphs(rng, 20, (4, 10))):
         cls = CompatibilityClass.compute(g)
         checks = solver._layout_checks(g, cls)
-        pairs, gens = cls.pairs, cls.generators
+        pairs, gens = g.pairs, cls.generators
         pos = {e: t for t, e in enumerate(checks.free)}
         depth = [max(pos[p.i], pos[p.j]) if p.i in pos and p.j in pos else -1 for p in pairs]
         total = len(pairs) - rank_gf2(BitMatrix(len(gens), len(pairs), gens))

@@ -2,8 +2,9 @@
 
 surfbench/spans.py wraps package functions from outside, in every module
 that binds them.  A refactor that stops calling `classify_segments`,
-`intersection_point`, `finger_polyline` or `solve_gf2` through those
-module globals, that has `z2_genus` or `z2_embeddable_euler` reach a
+`intersection_point`, `finger_polyline`, `solve_gf2` or
+`independent_pairs` (which `Graph.pairs` calls) through those module
+globals, that has `z2_genus` or `z2_embeddable_euler` reach a
 search other than through `z2_embeddable_orientable` and
 `z2_embeddable_nonorientable` (the `solver.solve` spans, which count
 `solver.nodes`) and `_search` (the `solver.search` spans), or that turns
@@ -139,6 +140,23 @@ def test_a_search_that_answers_no_uses_no_geometry():
     assert counts["graph.independent_pairs_calls"] == 1
     assert counts["geom.segment_tests.drawing"] == 0
     assert counts["drawing.crossings.calls"] == 0
+
+
+def test_a_witness_and_both_verifiers_list_the_pairs_once():
+    # The solver, realize_parity and both verifiers read the pairs off the
+    # graph, which lists them on first use through the module global.
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        res = surfembed.solver.z2_genus(complete_graph(6), "orientable")
+        sd = res.witness.surface_drawing
+        assert surfembed.surface.verify_z2(sd).is_embedding
+        assert surfembed.layout.verify_geometric(sd, "z2").is_embedding
+    finally:
+        tracer.uninstall()
+    assert (res.status, res.value) == ("found", 1)
+    _, _, counts = tracer.summary()
+    assert counts["graph.independent_pairs_calls"] == 1
 
 
 @pytest.mark.parametrize(
