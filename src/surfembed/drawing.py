@@ -322,21 +322,44 @@ def finger_move_generators(g: Graph) -> list[int]:
     entry.
 
     Rerouting edge e around vertex v flips the crossing parity with every
-    edge incident to v and independent of e.
+    edge incident to v and independent of e: the generator of (e, v) is
+    at_edge[e] & at_vertex[v], the pairs that contain e and the pairs that
+    have v as an end.  v is no end of e, so the pair's other edge has it.
     """
-    index = {(p.i, p.j): k for k, p in enumerate(g.pairs)}
-    incident = [[] for _ in range(g.vertex_count)]
-    for f, (a, b) in enumerate(g.edges):
-        incident[a].append(f)
-        incident[b].append(f)
+    at_edge = [0] * g.edge_count
+    at_vertex = [0] * g.vertex_count
+    edges = g.edges
+    for k, p in enumerate(g.pairs):
+        bit = 1 << k
+        at_edge[p.i] |= bit
+        at_edge[p.j] |= bit
+        for v in edges[p.i] + edges[p.j]:
+            at_vertex[v] |= bit
+    return [at_edge[e] & at_vertex[v] for e, v in finger_move_labels(g)]
+
+
+def finger_move_columns(g: Graph) -> list[int]:
+    """For each pair of g.pairs, the finger moves that flip it, packed over
+    the indices of finger_move_labels(g): the transpose of
+    finger_move_generators(g), built without it.
+
+    Pair (i, j) lies in exactly four generators: (i, each end of j) and
+    (j, each end of i).  The labels run over the edges and, for each edge,
+    over the n - 2 vertices off it in increasing order, so the label of
+    (e, v), e = (a, b) with a < b, is e (n - 2) + v - [v > a] - [v > b].
+    """
+    n2 = g.vertex_count - 2
+    edges = g.edges
     out = []
-    for e, v in finger_move_labels(g):
-        vec = 0
-        for f in incident[v]:
-            k = index.get((e, f) if e < f else (f, e))
-            if k is not None:
-                vec |= 1 << k
-        out.append(vec)
+    for p in g.pairs:
+        (a, b), (c, d) = edges[p.i], edges[p.j]
+        i, j = p.i * n2, p.j * n2
+        out.append(
+            1 << (i + c - (c > a) - (c > b))
+            | 1 << (i + d - (d > a) - (d > b))
+            | 1 << (j + a - (a > c) - (a > d))
+            | 1 << (j + b - (b > c) - (b > d))
+        )
     return out
 
 
@@ -565,14 +588,14 @@ def _lightest_convex_order(g: Graph, ends, elim: Gf2Elimination, target: int):
     """A convex vertex order with a light certificate towards the target.
 
     First-improvement hill-climbing over transpositions from the identity
-    order; an order's score is the weight of its light certificate (see
-    Gf2Elimination.solve), read off one elimination.  Every drawing of g
-    lies in one compatibility class, so every order is solvable once the
-    identity is.
+    order; an order's score is the weight of its light certificate, the
+    popcount of Gf2Elimination.solve_packed off one elimination.  Every
+    drawing of g lies in one compatibility class, so every order is
+    solvable once the identity is.
     """
 
     def weight(order):
-        return sum(elim.solve(_chord_parities(ends, order) ^ target, light=True))
+        return elim.solve_packed(_chord_parities(ends, order) ^ target, light=True).bit_count()
 
     order = list(range(g.vertex_count))
     best = weight(order)

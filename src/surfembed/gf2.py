@@ -264,6 +264,9 @@ class Gf2Elimination:
     columns that eliminate to zero leave kernel vectors of the column map
     in their tags.  Each tag is the column's unique combination over the
     earlier pivot columns, so it does not depend on the order of the XORs.
+    So kernel is a basis of the kernel packed over the column indices, in
+    echelon form over the column order: each vector owns its highest bit,
+    and every other bit it holds is a pivot column, which no vector owns.
     """
 
     __slots__ = ("count", "nbits", "pivots", "kernel")
@@ -288,7 +291,16 @@ class Gf2Elimination:
         self.pivots = sorted(pivots.items(), reverse=True)
 
     def solve(self, rhs: int, light: bool = False):
-        """Coefficients c with sum c_i * columns[i] = rhs, or None.
+        """Coefficients c with sum c_i * columns[i] = rhs as a list, or
+        None; see solve_packed."""
+        coeff = self.solve_packed(rhs, light)
+        if coeff is None:
+            return None
+        return [(coeff >> i) & 1 for i in range(self.count)]
+
+    def solve_packed(self, rhs: int, light: bool = False):
+        """Coefficients c with sum c_i * columns[i] = rhs packed as an int
+        (bit i is c_i), or None.
 
         One descending pass over the pivots solves.  With light=True the
         solution is then made lighter: kernel vectors are XORed in while
@@ -311,7 +323,7 @@ class Gf2Elimination:
                     if (coeff ^ z).bit_count() < coeff.bit_count():
                         coeff ^= z
                         improved = True
-        return [(coeff >> i) & 1 for i in range(self.count)]
+        return coeff
 
 
 def solve_gf2(columns: list[int], rhs: int, nbits: int):

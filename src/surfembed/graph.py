@@ -8,7 +8,6 @@ accepted: no loops, no parallel edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -38,16 +37,23 @@ class Graph:
             norm.append(key)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(norm))
+        # Set in __init__ so the instance dict keeps its compact form: on
+        # CPython 3.11 a later first write of a new attribute (as
+        # functools.cached_property makes) materialises it, and every
+        # attribute load on g gets slower.
+        object.__setattr__(self, "_pairs", None)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[EdgePair, ...]:
         """independent_pairs(self), listed on first use and kept: the index
         set of every parity vector, matrix slot and finger move of g."""
-        return tuple(independent_pairs(self))
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", tuple(independent_pairs(self)))
+        return self._pairs
 
     def incident_edges(self, v: int) -> list[int]:
         return [i for i, (a, b) in enumerate(self.edges) if v in (a, b)]
@@ -66,11 +72,12 @@ class EdgePair:
 
 def independent_pairs(g: Graph) -> list[EdgePair]:
     """All unordered pairs of edges sharing no vertex, lexicographic by (i, j)."""
+    edges = g.edges
     out = []
-    m = g.edge_count
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not g.edges_adjacent(i, j):
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if a != c and a != d and b != c and b != d:
                 out.append(EdgePair(i, j))
     return out
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .drawing import (
     CompatibilityClass,
     ParityMatrix,
+    finger_move_columns,
     realize_parity,
 )
 from .gf2 import BitMatrix, Gf2Elimination
@@ -57,23 +58,15 @@ class SolveResult:
     nodes: int = 0
 
 
-def _kernel(columns, nrows, coords):
-    """Basis of the kernel of z -> sum of columns[k] over the k in z, the
-    columns packed as ints of nrows bits, each basis vector as the list of
-    its coordinates.  The basis is in echelon form over the order coords:
-    each vector has a coordinate of its own, its last in that order, and
-    every other coordinate it holds is one that no basis vector owns."""
-    tags = Gf2Elimination([columns[k] for k in coords], nrows).kernel
-    return [[coords[i] for i in _set_bits(tag)] for tag in tags]
-
-
 def _nullspace(vectors, nbits):
     """The reduced basis of {z : z . v = 0 for every v}, vectors packed as
     ints: one vector per free coordinate, in increasing order of it; a
     vector's free coordinate is its lowest bit."""
     columns = BitMatrix(len(vectors), nbits, vectors).transpose().data
-    kernel = _kernel(columns, len(vectors), range(nbits - 1, -1, -1))
-    return [sum(1 << k for k in z) for z in reversed(kernel)]
+    # Fed from the last coordinate down, bit i of a tag is coordinate
+    # nbits - 1 - i and each tag owns its highest bit (Gf2Elimination).
+    tags = Gf2Elimination(columns[::-1], len(vectors)).kernel
+    return [int(f"{z:0{nbits}b}"[::-1], 2) for z in reversed(tags)]
 
 
 def _crosscap_reps(m: int):
@@ -127,13 +120,11 @@ def _witt_children(spec: SurfaceSpec, basis: tuple):
     return out
 
 
-def _edge_order(g: Graph, checks):
-    """Assignment order that completes the parity checks early: next the
-    edge that completes the most checks, then the one in the most checks,
-    then the lowest.  checks are (pair indices, right-hand side)."""
-    m = g.edge_count
-    pairs = g.pairs
-    check_edges = [{e for k in support for e in (pairs[k].i, pairs[k].j)} for support, _ in checks]
+def _edge_order(m: int, check_edges):
+    """Assignment order of the m edges that completes the parity checks
+    early: next the edge that completes the most checks, then the one in
+    the most checks, then the lowest.  check_edges[c] holds the edges that
+    check c involves."""
     holding = [[] for _ in range(m)]  # holding[e]: the checks involving e
     for c, edges in enumerate(check_edges):
         for e in edges:
@@ -180,7 +171,10 @@ class _Checks:
     """The parity checks laid out for the DFS over the non-forest edges.
 
     A check is a parity condition: the sum of B(y_i, y_j) over a set of
-    independent pairs equals its right-hand side.  Nothing here depends on
+    independent pairs equals its right-hand side.  Check c is bit c of
+    every mask here.  The layout reads each check's own pairs as a packed
+    mask over g.pairs, in the column order of the elimination that found
+    it, and keeps only the per-check bits below.  Nothing here depends on
     the surface, so one layout serves every search of a genus scan.
     """
 
@@ -197,45 +191,63 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     checks, the kernel over the pairs in decreasing order (_nullspace's
     basis).  The DFS then prunes with a basis in echelon form by
     depth: pairs touching the forest first, then each pair by the position
-    of its later free edge.  Each check fires at the depth of its own
-    coordinate, so the checks firing by position t span every check on the
-    first t + 1 free edges, and every check on forest pairs alone is one of
-    the basis.  No parity check can prune more at any position."""
-    pairs, base, generators = g.pairs, compat.base, compat.generators
-    columns = BitMatrix(len(generators), len(pairs), generators).transpose().data
+    of its later free edge.  Each check fires at the deepest position it
+    involves, the depth of its own coordinate, so the checks firing by
+    position t span every check on the first t + 1 free edges, and every
+    check on forest pairs alone is one of the basis.  No parity check can
+    prune more at any position.
 
-    def checks_over(coords):  # (pair indices, right-hand side) of each check
-        basis = _kernel(columns, len(generators), coords)
-        return [(z, sum((base >> k) & 1 for k in z) & 1) for z in basis]
+    Each basis is the kernel of one elimination of the finger moves' pair
+    columns (finger_move_columns), fed in the order of that basis, so each
+    check comes out as a packed mask over g.pairs in that order (see
+    Gf2Elimination), and its right-hand side is its parity on the class's
+    base taken in the same order."""
+    pairs, base, m = g.pairs, compat.base, g.edge_count
+    columns = finger_move_columns(g)
+    nrows = len(compat.generators)
 
-    order = _edge_order(g, checks_over(range(len(pairs) - 1, -1, -1)))
+    # at_edge[e]: the pairs holding edge e, in decreasing order.
+    at_edge = [0] * m
+    for i, p in enumerate(reversed(pairs)):
+        at_edge[p.i] |= 1 << i
+        at_edge[p.j] |= 1 << i
+    reduced = Gf2Elimination(columns[::-1], nrows).kernel
+    order = _edge_order(m, [[e for e in range(m) if z & at_edge[e]] for z in reduced])
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
-    depth = [-1 if p.i in forest or p.j in forest else max(pos[p.i], pos[p.j]) for p in pairs]
-    checks = checks_over(sorted(range(len(pairs)), key=depth.__getitem__))
+    depth = [max(pos[p.i], pos[p.j]) if p.i in pos and p.j in pos else -1 for p in pairs]
+    coords = sorted(range(len(pairs)), key=depth.__getitem__)
+    checks = Gf2Elimination([columns[k] for k in coords], nrows).kernel
 
-    # A check fires at the deepest position it involves.  A pair enters the
-    # state when its later edge is placed: links[t] maps each earlier edge j
-    # to the checks holding the pair (free[t], j).
+    # A check fires at the deepest position it involves, the depth of its
+    # highest bit.  A pair enters the state when its later edge is placed:
+    # links[t] maps each earlier edge j to the checks holding the pair
+    # (free[t], j).  The first `low` coordinates are the pairs touching the
+    # forest, which add nothing to any sum.
+    links = [{} for _ in free]
+    low = depth.count(-1)
+    entry = []  # entry[i]: (links row, earlier edge) of coordinate low + i
+    for k in coords[low:]:
+        p = pairs[k]
+        entry.append((links[depth[k]], p.i if pos[p.i] < pos[p.j] else p.j))
+    sorted_base = sum(1 << i for i, k in enumerate(coords) if (base >> k) & 1)
     fire_mask = [0] * len(free)
     rhs_mask = 0
     forest_fails = False
-    links = [{} for _ in free]
-    for c, (support, rhs) in enumerate(checks):
-        for k in support:
-            t = depth[k]
-            if t >= 0:
-                j = min(pairs[k].i, pairs[k].j, key=pos.__getitem__)
-                links[t][j] = links[t].get(j, 0) ^ (1 << c)
-        t = max(depth[k] for k in support)
-        if t < 0:  # every pair touches the forest: the sum is 0
+    for c, z in enumerate(checks):
+        bit = 1 << c
+        rhs = (z & sorted_base).bit_count() & 1
+        if z >> low == 0:  # every pair touches the forest: the sum is 0
             forest_fails |= rhs == 1
             continue
-        fire_mask[t] |= 1 << c
+        for i in _set_bits(z >> low):
+            row, j = entry[i]
+            row[j] = row.get(j, 0) ^ bit
+        fire_mask[depth[coords[z.bit_length() - 1]]] |= bit
         rhs_mask |= rhs << c
     return _Checks(
-        all(rhs == 0 for _, rhs in checks),
+        rhs_mask == 0 and not forest_fails,
         forest_fails,
         free,
         fire_mask,

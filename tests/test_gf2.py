@@ -277,7 +277,8 @@ def _reference_solve_gf2(columns, rhs, nbits, light=False):
 
 def test_split_solver_matches_the_one_call_reference():
     # one elimination, many right-hand sides: the same coefficient lists as
-    # the reference, light and full, for solvable and unsolvable systems
+    # the reference, light and full, for solvable and unsolvable systems,
+    # and the same coefficients packed
     rng = random.Random(45)
     solvable = unsolvable = 0
     for _ in range(300):
@@ -296,6 +297,8 @@ def test_split_solver_matches_the_one_call_reference():
                 expect = _reference_solve_gf2(cols, rhs, nbits, light)
                 assert elim.solve(rhs, light) == expect
                 assert Gf2Elimination(cols, nbits).solve(rhs, light) == expect
+                packed = elim.solve_packed(rhs, light)
+                assert packed == (None if expect is None else sum(c << i for i, c in enumerate(expect)))
             assert solve_gf2(cols, rhs, nbits) == elim.solve(rhs)
             if expect is None:
                 unsolvable += 1

@@ -18,7 +18,7 @@ from surfembed.solver import (
     z2_embeddable_orientable,
     z2_genus,
 )
-from surfembed.drawing import CompatibilityClass
+from surfembed.drawing import CompatibilityClass, finger_move_columns, finger_move_generators, finger_move_labels
 from surfembed.solver import _Call, _crosscap_reps, _edge_order, _nullspace, _search, _set_bits, _witt_children
 from surfembed.surface import SurfaceSpec, verify_z2
 
@@ -73,7 +73,7 @@ def _reference_search(g, spec, max_nodes):
         checks.append((support, (z & base).bit_count() & 1))
     if d == 0:
         return ("yes", [0] * m, 1) if all(rhs == 0 for _, rhs in checks) else ("no", None, 1)
-    order = _edge_order(g, checks)
+    order = _edge_order(m, _check_edges(checks, pairs))
     pos = {e: t for t, e in enumerate(order)}
     table = [[_brute_form(spec, a, b) for b in range(1 << d)] for a in range(1 << d)]
     reps = _brute_reps(spec)
@@ -390,6 +390,11 @@ def _set_edge_order(g, checks, pairs):
     return order
 
 
+def _check_edges(checks, pairs):
+    """The edges each check of (pair indices, right-hand side) involves."""
+    return [{e for k in support for e in (pairs[k].i, pairs[k].j)} for support, _ in checks]
+
+
 def _random_graphs(rng, count, sizes):
     for _ in range(count):
         n = rng.randrange(*sizes)
@@ -404,10 +409,10 @@ def test_edge_order_matches_the_set_based_order():
         cls = CompatibilityClass.compute(g)
         pairs = g.pairs
         checks = [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in _nullspace(cls.generators, len(pairs))]
-        assert _edge_order(g, checks) == _set_edge_order(g, checks, pairs), g.edges
+        assert _edge_order(g.edge_count, _check_edges(checks, pairs)) == _set_edge_order(g, checks, pairs), g.edges
         # random supports tie more often than real checks do
         fake = [(rng.sample(range(len(pairs)), rng.randrange(1, 4)), 0) for _ in range(rng.randrange(len(pairs) + 1))]
-        assert _edge_order(g, fake) == _set_edge_order(g, fake, pairs), g.edges
+        assert _edge_order(g.edge_count, _check_edges(fake, pairs)) == _set_edge_order(g, fake, pairs), g.edges
 
 
 def test_set_bits_matches_the_string_scan():
@@ -446,6 +451,127 @@ def test_checks_fire_as_early_as_any_check_can():
                 here |= mask
             assert checks.fire_mask[t] == here & ~held, (g.edges, t)
             held |= here
+
+
+def _setup_graphs(rng, count):
+    """Random graphs of 4-9 vertices, in turn: at least n edges, a forest,
+    two parts of two or more vertices with no edge between them, and a
+    star or a triangle (no independent pair), each relabelled at random."""
+    for r in range(count):
+        n = rng.randrange(4, 10)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        kind = r % 4
+        if kind == 0:
+            edges = possible[: rng.randrange(n, min(len(possible), 3 * n) + 1)]
+        elif kind == 1:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        elif kind == 2:
+            k = rng.randrange(2, n - 1)
+            edges = [(u, v) for u, v in possible if (u < k) == (v < k)]
+            edges = edges[: rng.randrange(len(edges) + 1)]
+        elif rng.random() < 0.5:
+            edges = [(0, v) for v in range(1, n) if rng.random() < 0.7]
+        else:
+            edges = [(0, 1), (1, 2), (0, 2)][: rng.randrange(4)]
+        p = list(range(n))
+        rng.shuffle(p)
+        yield Graph(n, [(p[u], p[v]) for u, v in edges])
+
+
+def _echelon_over(basis, coords):
+    """The basis of span(basis) in echelon form over the order coords, by
+    plain elimination and back-substitution: each vector owns its last
+    coordinate in that order and no other vector holds an owned one; the
+    vectors in the order of their own coordinates."""
+    rank = {k: r for r, k in enumerate(coords)}
+    rows = {}  # own position in coords -> row, bit r standing for coords[r]
+    for z in basis:
+        x = sum(1 << rank[k] for k in range(z.bit_length()) if (z >> k) & 1)
+        while x and x.bit_length() - 1 in rows:
+            x ^= rows[x.bit_length() - 1]
+        if x:
+            rows[x.bit_length() - 1] = x
+    for top in sorted(rows):
+        for other in rows:
+            if other != top and (rows[other] >> top) & 1:
+                rows[other] ^= rows[top]
+    return [sum(1 << coords[r] for r in range(rows[t].bit_length()) if (rows[t] >> r) & 1) for t in sorted(rows)]
+
+
+def _reference_checks(g):
+    """The layout of the checks built from the nullspace of the transposed
+    generators, the set-based edge order and pair lists: reduced basis,
+    edge order, Kruskal forest by component labels, echelon basis by
+    depth, then each check walked over its pairs in that order."""
+    cls = CompatibilityClass.compute(g)
+    pairs = g.pairs
+    reduced = _nullspace(cls.generators, len(pairs))
+    order = _set_edge_order(g, [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in reduced], pairs)
+    comp = list(range(g.vertex_count))
+    forest = set()
+    for e in order:
+        a, b = (comp[u] for u in g.edges[e])
+        if a != b:
+            forest.add(e)
+            comp = [a if c == b else c for c in comp]
+    free = [e for e in order if e not in forest]
+    pos = {e: t for t, e in enumerate(free)}
+    depth = [-1 if p.i in forest or p.j in forest else max(pos[p.i], pos[p.j]) for p in pairs]
+    coords = sorted(range(len(pairs)), key=depth.__getitem__)
+    fire_mask = [0] * len(free)
+    rhs_mask = 0
+    forest_fails = False
+    all_zero = True
+    links = [{} for _ in free]
+    for c, z in enumerate(_echelon_over(reduced, coords)):
+        support = [k for k in coords if (z >> k) & 1]
+        rhs = sum((cls.base >> k) & 1 for k in support) % 2
+        all_zero &= rhs == 0
+        for k in support:
+            if depth[k] >= 0:
+                j = min(pairs[k].i, pairs[k].j, key=pos.__getitem__)
+                links[depth[k]][j] = links[depth[k]].get(j, 0) ^ (1 << c)
+        t = max(depth[k] for k in support)
+        if t < 0:
+            forest_fails |= rhs == 1
+        else:
+            fire_mask[t] |= 1 << c
+            rhs_mask |= rhs << c
+    return solver._Checks(all_zero, forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
+
+
+def test_setup_matches_the_transposed_generators_reference():
+    """The packed set-up against per-label, per-pair and per-check
+    references: the finger-move generators, their pair columns and the
+    laid-out checks, bit for bit."""
+    rng = random.Random(46)
+    for g in _setup_graphs(rng, 320):
+        pairs = g.pairs
+        labels = finger_move_labels(g)
+        gens = finger_move_generators(g)
+        brute = [
+            sum(1 << k for k, p in enumerate(pairs) if e in (p.i, p.j) and v in g.edges[p.i + p.j - e])
+            for e, v in labels
+        ]
+        assert gens == brute, g.edges
+        assert finger_move_columns(g) == BitMatrix(len(gens), len(pairs), gens).transpose().data, g.edges
+        assert _Call(g).checks == _reference_checks(g), g.edges
+
+
+def test_node_counts_of_the_six_no_cases():
+    # Standard labelling, 300,000-node budget: every answer is no, in the
+    # nodes the checks in echelon form by depth give.
+    cases = [
+        (complete_bipartite(3, 7), SurfaceSpec("S", 1), 65_381),
+        (complete_graph(8), SurfaceSpec("S", 1), 36_259),
+        (complete_bipartite(5, 5), SurfaceSpec("S", 1), 1_897),
+        (complete_graph(7), SurfaceSpec("M", 1), 162),
+        (complete_bipartite(4, 4), SurfaceSpec("M", 1), 74),
+        (complete_bipartite(3, 5), SurfaceSpec("M", 1), 198),
+    ]
+    for g, spec, nodes in cases:
+        assert _search(g, spec, _Call(g, SolverBudget(max_nodes=300_000))) == ("no", None, nodes), spec
 
 
 def test_nullspace_oracle():
