@@ -227,8 +227,8 @@ class ParityMatrix:
         """The bits of the independent pairs, packed in the order of
         graph.pairs: bit k is the slot of graph.pairs[k]."""
         acc = 0
-        for k, pr in enumerate(self.graph.pairs):
-            if self.values.get(pr.i, pr.j):
+        for k, (i, j) in enumerate(self.graph.pairs):
+            if self.values.get(i, j):
                 acc |= 1 << k
         return acc
 
@@ -236,10 +236,10 @@ class ParityMatrix:
     def from_pair_vector(cls, graph: Graph, vec: int) -> "ParityMatrix":
         m = graph.edge_count
         b = BitMatrix(m, m)
-        for k, pr in enumerate(graph.pairs):
+        for k, (i, j) in enumerate(graph.pairs):
             if (vec >> k) & 1:
-                b.set(pr.i, pr.j, 1)
-                b.set(pr.j, pr.i, 1)
+                b.set(i, j, 1)
+                b.set(j, i, 1)
         return cls(graph, b)
 
 
@@ -255,8 +255,8 @@ def _parity_vector(d: PlanarDrawing) -> int:
     """d's crossing parities packed in the order of d.graph.pairs."""
     table = d.crossings()
     acc = 0
-    for k, pr in enumerate(d.graph.pairs):
-        if len(table[(pr.i, pr.j)]) & 1:
+    for k, p in enumerate(d.graph.pairs):
+        if len(table[p]) & 1:
             acc |= 1 << k
     return acc
 
@@ -270,11 +270,11 @@ def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
     m = g.edge_count
     out = IntMatrix(m, m)
     table = d.crossings()
-    for pr in g.pairs:
-        total = sum(s for _, s in table[(pr.i, pr.j)])
-        total *= d.edge_orientations[pr.i] * d.edge_orientations[pr.j]
-        out.data[pr.i][pr.j] = total
-        out.data[pr.j][pr.i] = -total
+    for i, j in g.pairs:
+        total = sum(s for _, s in table[i, j])
+        total *= d.edge_orientations[i] * d.edge_orientations[j]
+        out.data[i][j] = total
+        out.data[j][i] = -total
     return out
 
 
@@ -329,11 +329,11 @@ def finger_move_generators(g: Graph) -> list[int]:
     at_edge = [0] * g.edge_count
     at_vertex = [0] * g.vertex_count
     edges = g.edges
-    for k, p in enumerate(g.pairs):
+    for k, (i, j) in enumerate(g.pairs):
         bit = 1 << k
-        at_edge[p.i] |= bit
-        at_edge[p.j] |= bit
-        for v in edges[p.i] + edges[p.j]:
+        at_edge[i] |= bit
+        at_edge[j] |= bit
+        for v in edges[i] + edges[j]:
             at_vertex[v] |= bit
     return [at_edge[e] & at_vertex[v] for e, v in finger_move_labels(g)]
 
@@ -351,9 +351,9 @@ def finger_move_columns(g: Graph) -> list[int]:
     n2 = g.vertex_count - 2
     edges = g.edges
     out = []
-    for p in g.pairs:
-        (a, b), (c, d) = edges[p.i], edges[p.j]
-        i, j = p.i * n2, p.j * n2
+    for i, j in g.pairs:
+        (a, b), (c, d) = edges[i], edges[j]
+        i, j = i * n2, j * n2
         out.append(
             1 << (i + c - (c > a) - (c > b))
             | 1 << (i + d - (d > a) - (d > b))
@@ -365,7 +365,7 @@ def finger_move_columns(g: Graph) -> list[int]:
 
 def _pair_ends(g: Graph) -> list[tuple[int, int, int, int]]:
     """The four ends of each pair's edges, as _chord_parities reads them."""
-    return [(*g.edges[p.i], *g.edges[p.j]) for p in g.pairs]
+    return [(*g.edges[i], *g.edges[j]) for i, j in g.pairs]
 
 
 @dataclass
@@ -374,14 +374,14 @@ class CompatibilityClass:
 
     Vectors are ints packed over graph.pairs.  base holds the parities of
     one drawing; every drawing's are base plus a sum of the generators,
-    finger_move_generators(graph).  Without a drawing, base is the parity
-    vector of the convex drawing of the identity order, read off chord
-    interleaving (_chord_parities) with no geometry.
+    finger_move_generators(graph), which membership builds when called.
+    Without a drawing, base is the parity vector of the convex drawing of
+    the identity order, read off chord interleaving (_chord_parities) with
+    no geometry.
     """
 
     graph: Graph
     base: int
-    generators: list[int]
 
     @classmethod
     def compute(cls, g: Graph, drawing: PlanarDrawing = None) -> "CompatibilityClass":
@@ -393,12 +393,12 @@ class CompatibilityClass:
             raise ValueError("drawing indexed by a different edge set")
         else:
             base = _parity_vector(drawing)
-        return cls(g, base, finger_move_generators(g))
+        return cls(g, base)
 
     def membership(self, target: ParityMatrix):
         """Finger-move coefficients taking base to the target, or None."""
         tvec = _target_vector(self.graph, target)
-        return solve_gf2(self.generators, self.base ^ tvec, len(self.graph.pairs))
+        return solve_gf2(finger_move_generators(self.graph), self.base ^ tvec, len(self.graph.pairs))
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):

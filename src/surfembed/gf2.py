@@ -66,9 +66,6 @@ class BitMatrix:
         else:
             self.data[i] &= ~(1 << j)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
     def transpose(self) -> "BitMatrix":
         t = BitMatrix(self.cols, self.rows)
         for i, r in enumerate(self.data):

@@ -48,7 +48,7 @@ class Graph:
         return len(self.edges)
 
     @property
-    def pairs(self) -> tuple[EdgePair, ...]:
+    def pairs(self) -> tuple[tuple[int, int], ...]:
         """independent_pairs(self), listed on first use and kept: the index
         set of every parity vector, matrix slot and finger move of g."""
         if self._pairs is None:
@@ -64,21 +64,16 @@ class Graph:
         return bool(set(a) & set(b))
 
 
-@dataclass(frozen=True)
-class EdgePair:
-    i: int
-    j: int
-
-
-def independent_pairs(g: Graph) -> list[EdgePair]:
-    """All unordered pairs of edges sharing no vertex, lexicographic by (i, j)."""
+def independent_pairs(g: Graph) -> list[tuple[int, int]]:
+    """All unordered pairs (i, j), i < j, of edges sharing no vertex, in
+    lexicographic order.  Plain int tuples, which the cyclic GC untracks."""
     edges = g.edges
     out = []
     for i, (a, b) in enumerate(edges):
         for j in range(i + 1, len(edges)):
             c, d = edges[j]
             if a != c and a != d and b != c and b != d:
-                out.append(EdgePair(i, j))
+                out.append((i, j))
     return out
 
 

@@ -266,14 +266,14 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
             continue
         out = {}
         ok = True
-        for pr in g.pairs:
-            hits = table[(pr.i, pr.j)]
+        for i, j in g.pairs:
+            hits = table[i, j]
             if mode == "z2":
                 val = sum(1 for _, same in hits if same) & 1
             else:
-                o = sd.core.edge_orientations[pr.i] * sd.core.edge_orientations[pr.j]
+                o = sd.core.edge_orientations[i] * sd.core.edge_orientations[j]
                 val = sum(sgn for sgn, same in hits if same) * o
-            out[(pr.i, pr.j)] = val
+            out[i, j] = val
             ok = ok and val == 0
         return VerifyReport(mode, out, ok)
     raise LayoutError(f"geometric layout failed after retries: {last}")

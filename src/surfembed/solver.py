@@ -186,7 +186,7 @@ class _Checks:
     links: list  # links[t]: (j, checks holding the pair (free[t], j))
 
 
-def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
+def _layout_checks(g: Graph, base: int, labels: int) -> _Checks:
     """The edge order and the forest come from the reduced basis of the
     checks, the kernel over the pairs in decreasing order (_nullspace's
     basis).  The DFS then prunes with a basis in echelon form by
@@ -201,24 +201,24 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     columns (finger_move_columns), fed in the order of that basis, so each
     check comes out as a packed mask over g.pairs in that order (see
     Gf2Elimination), and its right-hand side is its parity on the class's
-    base taken in the same order."""
-    pairs, base, m = g.pairs, compat.base, g.edge_count
+    base taken in the same order.  labels is the number of finger moves,
+    the columns' length."""
+    pairs, m = g.pairs, g.edge_count
     columns = finger_move_columns(g)
-    nrows = len(compat.generators)
 
     # at_edge[e]: the pairs holding edge e, in decreasing order.
     at_edge = [0] * m
-    for i, p in enumerate(reversed(pairs)):
-        at_edge[p.i] |= 1 << i
-        at_edge[p.j] |= 1 << i
-    reduced = Gf2Elimination(columns[::-1], nrows).kernel
+    for k, (i, j) in enumerate(reversed(pairs)):
+        at_edge[i] |= 1 << k
+        at_edge[j] |= 1 << k
+    reduced = Gf2Elimination(columns[::-1], labels).kernel
     order = _edge_order(m, [[e for e in range(m) if z & at_edge[e]] for z in reduced])
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
-    depth = [max(pos[p.i], pos[p.j]) if p.i in pos and p.j in pos else -1 for p in pairs]
+    depth = [max(pos[i], pos[j]) if i in pos and j in pos else -1 for i, j in pairs]
     coords = sorted(range(len(pairs)), key=depth.__getitem__)
-    checks = Gf2Elimination([columns[k] for k in coords], nrows).kernel
+    checks = Gf2Elimination([columns[k] for k in coords], labels).kernel
 
     # A check fires at the deepest position it involves, the depth of its
     # highest bit.  A pair enters the state when its later edge is placed:
@@ -229,8 +229,8 @@ def _layout_checks(g: Graph, compat: CompatibilityClass) -> _Checks:
     low = depth.count(-1)
     entry = []  # entry[i]: (links row, earlier edge) of coordinate low + i
     for k in coords[low:]:
-        p = pairs[k]
-        entry.append((links[depth[k]], p.i if pos[p.i] < pos[p.j] else p.j))
+        i, j = pairs[k]
+        entry.append((links[depth[k]], i if pos[i] < pos[j] else j))
     sorted_base = sum(1 << i for i, k in enumerate(coords) if (base >> k) & 1)
     fire_mask = [0] * len(free)
     rhs_mask = 0
@@ -265,7 +265,8 @@ class _Call:
         budget = budget or SolverBudget()
         self.deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
         self.nodes_left = budget.max_nodes  # -1 once a search found them spent
-        self.checks = _layout_checks(g, CompatibilityClass.compute(g))
+        n, m = g.vertex_count, g.edge_count
+        self.checks = _layout_checks(g, CompatibilityClass.compute(g).base, m * (n - 2))
 
 
 def _set_bits(v: int) -> list[int]:

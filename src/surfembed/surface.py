@@ -200,9 +200,9 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     ys = _packed(sd.passes)
     out = {}
     ok = True
-    for pr in g.pairs:
-        parity = core.get(pr.i, pr.j) ^ sd.surface.form(ys[pr.i], ys[pr.j])
-        out[(pr.i, pr.j)] = parity
+    for i, j in g.pairs:
+        parity = core.get(i, j) ^ sd.surface.form(ys[i], ys[j])
+        out[i, j] = parity
         ok = ok and parity == 0
     return VerifyReport("z2", out, ok)
 
@@ -221,9 +221,9 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     core = signed_crossing_matrix(sd.core)
     out = {}
     ok = True
-    for pr in g.pairs:
-        total = core.data[pr.i][pr.j] - sd.surface.form_z(sd.passes[pr.i], sd.passes[pr.j])
-        out[(pr.i, pr.j)] = total
+    for i, j in g.pairs:
+        total = core.data[i][j] - sd.surface.form_z(sd.passes[i], sd.passes[j])
+        out[i, j] = total
         ok = ok and total == 0
     return VerifyReport("z", out, ok)
 

@@ -44,11 +44,11 @@ def convex_crossing_oracle(g, order):
     """Two chords of a convex polygon cross iff their endpoints interleave."""
     pos = {v: k for k, v in enumerate(order)}
     odd = set()
-    for pr in independent_pairs(g):
-        a, b = sorted(pos[x] for x in g.edges[pr.i])
-        c, d = sorted(pos[x] for x in g.edges[pr.j])
+    for i, j in independent_pairs(g):
+        a, b = sorted(pos[x] for x in g.edges[i])
+        c, d = sorted(pos[x] for x in g.edges[j])
         if a < c < b < d or c < a < d < b:
-            odd.add((pr.i, pr.j))
+            odd.add((i, j))
     return odd
 
 
@@ -58,25 +58,25 @@ def test_convex_drawing_matches_interleaving_oracle(n):
     d = convex_drawing(g)
     pm = crossing_parity_matrix(d)
     oracle = convex_crossing_oracle(g, list(range(n)))
-    for pr in independent_pairs(g):
-        assert pm.get(pr.i, pr.j) == (1 if (pr.i, pr.j) in oracle else 0)
+    for i, j in independent_pairs(g):
+        assert pm.get(i, j) == (1 if (i, j) in oracle else 0)
     # every crossing pair crosses exactly once in convex position
     table = d.crossings()
-    for pr in independent_pairs(g):
-        assert len(table[(pr.i, pr.j)]) == (1 if (pr.i, pr.j) in oracle else 0)
+    for i, j in independent_pairs(g):
+        assert len(table[(i, j)]) == (1 if (i, j) in oracle else 0)
 
 
 def test_canonical_k4_has_one_odd_pair():
     g = complete_graph(4)
     pm = crossing_parity_matrix(convex_drawing(g))
-    odd = [(p.i, p.j) for p in independent_pairs(g) if pm.get(p.i, p.j)]
+    odd = [(i, j) for i, j in independent_pairs(g) if pm.get(i, j)]
     assert odd == [(1, 4)]  # chords 02 and 13
 
 
 def test_canonical_k5_has_five_odd_pairs():
     g = complete_graph(5)
     pm = crossing_parity_matrix(convex_drawing(g))
-    odd = sum(pm.get(p.i, p.j) for p in independent_pairs(g))
+    odd = sum(pm.get(i, j) for i, j in independent_pairs(g))
     assert odd == 5
 
 
@@ -86,8 +86,8 @@ def test_convex_drawing_with_order():
     d = convex_drawing(g, order)
     pm = crossing_parity_matrix(d)
     oracle = convex_crossing_oracle(g, order)
-    for pr in independent_pairs(g):
-        assert pm.get(pr.i, pr.j) == (1 if (pr.i, pr.j) in oracle else 0)
+    for i, j in independent_pairs(g):
+        assert pm.get(i, j) == (1 if (i, j) in oracle else 0)
 
 
 def test_signed_matrix_is_skew_and_mod2_consistent():
@@ -96,8 +96,8 @@ def test_signed_matrix_is_skew_and_mod2_consistent():
         s = signed_crossing_matrix(d)
         assert s.is_skew()
         pm = crossing_parity_matrix(d)
-        for pr in independent_pairs(g):
-            assert abs(s.data[pr.i][pr.j]) % 2 == pm.get(pr.i, pr.j)
+        for i, j in independent_pairs(g):
+            assert abs(s.data[i][j]) % 2 == pm.get(i, j)
 
 
 def test_signed_matrix_orientation_flip_negates_row_and_column():
@@ -124,9 +124,9 @@ def test_finger_move_generator_support():
     gens = finger_move_generators(g)
     assert len(labels) == len(gens)
     for (e, v), vec in zip(labels, gens):
-        for k, pr in enumerate(pairs):
+        for k, (i, j) in enumerate(pairs):
             bit = (vec >> k) & 1
-            f = pr.j if pr.i == e else (pr.i if pr.j == e else None)
+            f = j if i == e else (i if j == e else None)
             expect = 1 if f is not None and v in g.edges[f] else 0
             assert bit == expect
 
@@ -139,10 +139,10 @@ def test_apply_finger_move_flips_expected_parities():
     d2 = apply_finger_move(d, e, v)
     pm2 = crossing_parity_matrix(d2)
     incident = set(g.incident_edges(v))
-    for pr in independent_pairs(g):
-        f = pr.j if pr.i == e else (pr.i if pr.j == e else None)
+    for i, j in independent_pairs(g):
+        f = j if i == e else (i if j == e else None)
         flip = 1 if f is not None and f in incident else 0
-        assert pm2.get(pr.i, pr.j) == pm0.get(pr.i, pr.j) ^ flip
+        assert pm2.get(i, j) == pm0.get(i, j) ^ flip
 
 
 def test_zero_target_rejected_for_k5_and_k33():
@@ -158,8 +158,8 @@ def test_zero_target_realizable_for_k4():
     assert cert is not None
     d = realize_parity(g, zero_target(g))
     pm = crossing_parity_matrix(d)
-    for pr in independent_pairs(g):
-        assert pm.get(pr.i, pr.j) == 0
+    for i, j in independent_pairs(g):
+        assert pm.get(i, j) == 0
 
 
 def test_small_planar_graphs_accept_zero_target():
@@ -217,7 +217,7 @@ def test_class_base_is_the_chord_interleaving_of_the_identity_order():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
         pairs = independent_pairs(g)
         odd = convex_crossing_oracle(g, list(range(n)))
-        expected = sum(1 << k for k, pr in enumerate(pairs) if (pr.i, pr.j) in odd)
+        expected = sum(1 << k for k, (i, j) in enumerate(pairs) if (i, j) in odd)
         assert CompatibilityClass.compute(g).base == expected
 
 
@@ -242,7 +242,7 @@ def test_chord_base_equals_the_convex_drawing_base():
             vec = rng.getrandbits(len(g.pairs))
             if t % 2:  # a compatible target: base plus some generators
                 vec = cls.base
-                for gen in cls.generators:
+                for gen in finger_move_generators(g):
                     vec ^= gen if rng.random() < 0.5 else 0
             target = ParityMatrix.from_pair_vector(g, vec)
             assert is_compatible_mod2(g, target) == cls.membership(target)
@@ -365,17 +365,17 @@ def test_light_certificate_reaches_target_with_no_more_moves():
     for g in (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4), complete_graph(6)):
         pairs = independent_pairs(g)
         cls = CompatibilityClass.compute(g)
-        base = cls.base
+        base, gens = cls.base, finger_move_generators(g)
         for _ in range(10):
             vec = base
-            for gen in cls.generators:
+            for gen in gens:
                 if rng.getrandbits(1):
                     vec ^= gen
             target = ParityMatrix.from_pair_vector(g, vec)
             full = cls.membership(target)
-            light = Gf2Elimination(cls.generators, len(pairs)).solve(base ^ vec, light=True)
+            light = Gf2Elimination(gens, len(pairs)).solve(base ^ vec, light=True)
             got = base
-            for c, gen in zip(light, cls.generators):
+            for c, gen in zip(light, gens):
                 if c:
                     got ^= gen
             assert got == vec
@@ -405,13 +405,13 @@ def test_realize_never_uses_more_moves_than_the_identity_order(monkeypatch):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
         g = Graph(n, edges)
         pairs = independent_pairs(g)
-        cls = CompatibilityClass.compute(g)
-        base = vec = cls.base
-        for gen in cls.generators:
+        gens = finger_move_generators(g)
+        base = vec = CompatibilityClass.compute(g).base
+        for gen in gens:
             if rng.getrandbits(1):
                 vec ^= gen
         target = ParityMatrix.from_pair_vector(g, vec)
-        identity = sum(Gf2Elimination(cls.generators, len(pairs)).solve(base ^ vec, light=True))
+        identity = sum(Gf2Elimination(gens, len(pairs)).solve(base ^ vec, light=True))
         moves[0] = 0
         d = realize_parity(g, target)
         assert crossing_parity_matrix(d).pair_vector() == vec
@@ -463,7 +463,7 @@ def test_finger_moves_keep_the_common_denominator_small():
     g = Graph(10, possible[:30])
     cls = CompatibilityClass.compute(g)
     vec = cls.base
-    for gen in cls.generators:
+    for gen in finger_move_generators(g):
         if rng.getrandbits(1):
             vec ^= gen
     d = realize_parity(g, ParityMatrix.from_pair_vector(g, vec))

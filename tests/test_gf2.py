@@ -59,14 +59,16 @@ def test_rank_matches_row_reduction_oracle():
 
 def test_hyperbolic_matrix():
     assert hyperbolic_matrix_gf2(0).rows == 0
-    assert hyperbolic_matrix_gf2(1).to_lists() == [[0, 1], [1, 0]]
+    assert hyperbolic_matrix_gf2(1) == BitMatrix.from_lists([[0, 1], [1, 0]])
     h2 = hyperbolic_matrix_gf2(2)
-    assert h2.to_lists() == [
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
+    assert h2 == BitMatrix.from_lists(
+        [
+            [0, 1, 0, 0],
+            [1, 0, 0, 0],
+            [0, 0, 0, 1],
+            [0, 0, 1, 0],
+        ]
+    )
 
 
 def test_factor_even_zero_and_identity_cases():
@@ -102,7 +104,7 @@ def test_factor_even_rejects_bad_input():
 def test_factor_odd_small_cases():
     a = BitMatrix.from_lists([[1]])
     y = factor_odd(a)
-    assert y.to_lists() == [[1]]
+    assert y == BitMatrix.from_lists([[1]])
     ident = BitMatrix.identity(4)
     y = factor_odd(ident)
     assert y.transpose() @ y == ident

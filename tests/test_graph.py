@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -25,6 +26,10 @@ def test_pairs_are_the_independent_pairs_listed_once():
     before = (repr(g), hash(g))
     assert g.pairs == tuple(independent_pairs(g))
     assert g.pairs is g.pairs
+    # plain (i, j) int tuples, which the cyclic GC stops tracking
+    assert all(type(p) is tuple and len(p) == 2 and all(type(e) is int for e in p) for p in g.pairs)
+    gc.collect()
+    assert not gc.is_tracked(g.pairs[0])
     assert (repr(g), hash(g)) == before
     assert g == complete_bipartite(3, 4)
     with pytest.raises(AttributeError):
@@ -33,15 +38,14 @@ def test_pairs_are_the_independent_pairs_listed_once():
 
 def test_k4_independent_pairs_are_the_three_matchings():
     g = complete_graph(4)
-    pairs = independent_pairs(g)
-    assert len(pairs) == 3
+    assert len(independent_pairs(g)) == 3
     # Oracle: filter all C(6,2)=15 pairs by disjointness.
     brute = [
         (i, j)
         for i, j in itertools.combinations(range(6), 2)
         if not set(g.edges[i]) & set(g.edges[j])
     ]
-    assert [(p.i, p.j) for p in pairs] == brute
+    assert independent_pairs(g) == brute
 
 
 def test_k33_has_18_independent_pairs():
@@ -58,7 +62,7 @@ def test_kn_independent_pair_count_formula(n):
 def test_independent_pairs_invariant_under_relabeling():
     rng = random.Random(7)
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 4)])
-    base = {frozenset((g.edges[p.i], g.edges[p.j])) for p in independent_pairs(g)}
+    base = {frozenset((g.edges[i], g.edges[j])) for i, j in independent_pairs(g)}
     for _ in range(20):
         perm = list(range(6))
         rng.shuffle(perm)
@@ -72,7 +76,7 @@ def test_independent_pairs_invariant_under_relabeling():
             )
             for (a, b), (c, d) in base
         }
-        got = {frozenset((h.edges[p.i], h.edges[p.j])) for p in independent_pairs(h)}
+        got = {frozenset((h.edges[i], h.edges[j])) for i, j in independent_pairs(h)}
         assert got == mapped
 
 

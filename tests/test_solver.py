@@ -65,10 +65,9 @@ def _reference_search(g, spec, max_nodes):
     m = g.edge_count
     d = spec.ribbon_count
     pairs = independent_pairs(g)
-    cls = CompatibilityClass.compute(g)
-    base = cls.base
+    base = CompatibilityClass.compute(g).base
     checks = []
-    for z in _nullspace(cls.generators, len(pairs)):
+    for z in _nullspace(finger_move_generators(g), len(pairs)):
         support = [k for k in range(len(pairs)) if (z >> k) & 1]
         checks.append((support, (z & base).bit_count() & 1))
     if d == 0:
@@ -79,7 +78,7 @@ def _reference_search(g, spec, max_nodes):
     reps = _brute_reps(spec)
     fire = [[] for _ in range(m)]
     for support, rhs in checks:
-        terms = [(pairs[k].i, pairs[k].j) for k in support]
+        terms = [pairs[k] for k in support]
         fire[max(max(pos[i], pos[j]) for i, j in terms)].append((terms, rhs))
     assign = [0] * m
     nodes = 0
@@ -371,8 +370,7 @@ def _set_edge_order(g, checks, pairs):
     for support, _ in checks:
         edges = set()
         for k in support:
-            edges.add(pairs[k].i)
-            edges.add(pairs[k].j)
+            edges.update(pairs[k])
         check_edges.append(edges)
     while remaining:
         best = None
@@ -392,7 +390,7 @@ def _set_edge_order(g, checks, pairs):
 
 def _check_edges(checks, pairs):
     """The edges each check of (pair indices, right-hand side) involves."""
-    return [{e for k in support for e in (pairs[k].i, pairs[k].j)} for support, _ in checks]
+    return [{e for k in support for e in pairs[k]} for support, _ in checks]
 
 
 def _random_graphs(rng, count, sizes):
@@ -406,9 +404,8 @@ def _random_graphs(rng, count, sizes):
 def test_edge_order_matches_the_set_based_order():
     rng = random.Random(44)
     for g in [complete_graph(8), complete_bipartite(3, 7)] + list(_random_graphs(rng, 20, (4, 10))):
-        cls = CompatibilityClass.compute(g)
         pairs = g.pairs
-        checks = [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in _nullspace(cls.generators, len(pairs))]
+        checks = [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in _nullspace(finger_move_generators(g), len(pairs))]
         assert _edge_order(g.edge_count, _check_edges(checks, pairs)) == _set_edge_order(g, checks, pairs), g.edges
         # random supports tie more often than real checks do
         fake = [(rng.sample(range(len(pairs)), rng.randrange(1, 4)), 0) for _ in range(rng.randrange(len(pairs) + 1))]
@@ -431,11 +428,10 @@ def test_checks_fire_as_early_as_any_check_can():
     fires at the deepest position whose links hold it."""
     rng = random.Random(45)
     for g in [complete_graph(8), complete_bipartite(4, 5)] + list(_random_graphs(rng, 20, (4, 10))):
-        cls = CompatibilityClass.compute(g)
-        checks = solver._layout_checks(g, cls)
-        pairs, gens = g.pairs, cls.generators
+        pairs, gens = g.pairs, finger_move_generators(g)
+        checks = solver._layout_checks(g, CompatibilityClass.compute(g).base, len(gens))
         pos = {e: t for t, e in enumerate(checks.free)}
-        depth = [max(pos[p.i], pos[p.j]) if p.i in pos and p.j in pos else -1 for p in pairs]
+        depth = [max(pos[i], pos[j]) if i in pos and j in pos else -1 for i, j in pairs]
         total = len(pairs) - rank_gf2(BitMatrix(len(gens), len(pairs), gens))
         later = sum(mask.bit_count() for mask in checks.fire_mask)
         for t in range(-1, len(checks.free)):
@@ -506,7 +502,7 @@ def _reference_checks(g):
     depth, then each check walked over its pairs in that order."""
     cls = CompatibilityClass.compute(g)
     pairs = g.pairs
-    reduced = _nullspace(cls.generators, len(pairs))
+    reduced = _nullspace(finger_move_generators(g), len(pairs))
     order = _set_edge_order(g, [([k for k in range(len(pairs)) if (z >> k) & 1], 0) for z in reduced], pairs)
     comp = list(range(g.vertex_count))
     forest = set()
@@ -517,7 +513,7 @@ def _reference_checks(g):
             comp = [a if c == b else c for c in comp]
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
-    depth = [-1 if p.i in forest or p.j in forest else max(pos[p.i], pos[p.j]) for p in pairs]
+    depth = [-1 if i in forest or j in forest else max(pos[i], pos[j]) for i, j in pairs]
     coords = sorted(range(len(pairs)), key=depth.__getitem__)
     fire_mask = [0] * len(free)
     rhs_mask = 0
@@ -530,7 +526,7 @@ def _reference_checks(g):
         all_zero &= rhs == 0
         for k in support:
             if depth[k] >= 0:
-                j = min(pairs[k].i, pairs[k].j, key=pos.__getitem__)
+                j = min(pairs[k], key=pos.__getitem__)
                 links[depth[k]][j] = links[depth[k]].get(j, 0) ^ (1 << c)
         t = max(depth[k] for k in support)
         if t < 0:
@@ -551,7 +547,7 @@ def test_setup_matches_the_transposed_generators_reference():
         labels = finger_move_labels(g)
         gens = finger_move_generators(g)
         brute = [
-            sum(1 << k for k, p in enumerate(pairs) if e in (p.i, p.j) and v in g.edges[p.i + p.j - e])
+            sum(1 << k for k, (i, j) in enumerate(pairs) if e in (i, j) and v in g.edges[i + j - e])
             for e, v in labels
         ]
         assert gens == brute, g.edges
@@ -715,5 +711,5 @@ def test_witness_matrix_matches_drawing_parities():
     from surfembed.drawing import crossing_parity_matrix
 
     pm = crossing_parity_matrix(w.drawing)
-    for pr in independent_pairs(complete_graph(5)):
-        assert pm.get(pr.i, pr.j) == w.matrix.get(pr.i, pr.j)
+    for i, j in independent_pairs(complete_graph(5)):
+        assert pm.get(i, j) == w.matrix.get(i, j)

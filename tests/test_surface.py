@@ -95,8 +95,8 @@ def test_zero_factor_reduces_to_planar():
     sd = construct_z2_embedding(g, f, y, SurfaceSpec("S", 1))
     rep = verify_z2(sd)
     core = crossing_parity_matrix(f)
-    for pr in independent_pairs(g):
-        assert rep.pairs[(pr.i, pr.j)] == core.get(pr.i, pr.j)
+    for i, j in independent_pairs(g):
+        assert rep.pairs[(i, j)] == core.get(i, j)
     assert not rep.is_embedding  # convex K4 has one crossing pair
 
 
@@ -213,8 +213,8 @@ def test_extract_roundtrip_orientable():
     assert cert is not None
     assert rank_gf2(got) <= 2
     assert got.is_even()
-    for pr in independent_pairs(g):
-        assert got.get(pr.i, pr.j) == a.get(pr.i, pr.j)
+    for i, j in independent_pairs(g):
+        assert got.get(i, j) == a.get(i, j)
 
 
 def test_extract_nonorientable_flip_rule():
@@ -239,8 +239,8 @@ def test_extract_z_mode():
     assert cert is not None
     assert got.is_skew()
     assert rank_q(got) <= 2
-    for pr in independent_pairs(g):
-        assert got.data[pr.i][pr.j] == a.data[pr.i][pr.j]
+    for i, j in independent_pairs(g):
+        assert got.data[i][j] == a.data[i][j]
 
 
 def test_serialize_parse_roundtrip():

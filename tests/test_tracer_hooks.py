@@ -124,10 +124,15 @@ def test_tracer_sees_every_segment_pair_of_the_class_table():
     assert counts["geom.intersection_points"] == sum(len(hits) for hits in d.crossings().values())
 
 
-def test_a_search_that_answers_no_uses_no_geometry():
+def test_a_search_that_answers_no_uses_no_geometry(monkeypatch):
     # The solver's class takes its base from chord interleaving: a "no"
     # builds no drawing, so it classifies no segment pair, and it lists
-    # the independent pairs once, in its one class computation.
+    # the independent pairs once, in its one class computation.  The
+    # set-up needs only the number of finger moves, so it builds none of
+    # their generators.
+    built = []
+    generators = surfembed.drawing.finger_move_generators
+    monkeypatch.setattr(surfembed.drawing, "finger_move_generators", lambda g: built.append(g) or generators(g))
     tracer = _tracer()
     tracer.install(surfembed)
     try:
@@ -140,6 +145,7 @@ def test_a_search_that_answers_no_uses_no_geometry():
     assert counts["graph.independent_pairs_calls"] == 1
     assert counts["geom.segment_tests.drawing"] == 0
     assert counts["drawing.crossings.calls"] == 0
+    assert len(built) == 0
 
 
 def test_a_witness_and_both_verifiers_list_the_pairs_once():
