@@ -7,6 +7,7 @@ modulo 2 with witness construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,7 +46,8 @@ class PlanarDrawing:
     Polylines run from the point of the lower-index endpoint to the
     higher-index one; edge_orientations[i] = +1 keeps that direction for
     signed crossings, -1 reverses it.  Drawings are not mutated: a finger
-    move makes a new drawing that shares the untouched point lists.
+    move makes a new drawing that shares the untouched point lists, and
+    the integer image of its points (_integer_view).
     """
 
     __slots__ = (
@@ -56,12 +58,13 @@ class PlanarDrawing:
         "_crossings",
         "_points",
         "_self_points",
+        "_image",
     )
 
     def __init__(self, graph: Graph, vertex_points, edge_polylines, edge_orientations=None):
         self.graph = graph
-        self.vertex_points = [(Fraction(x), Fraction(y)) for x, y in vertex_points]
-        self.edge_polylines = [[(Fraction(x), Fraction(y)) for x, y in pl] for pl in edge_polylines]
+        self.vertex_points = [_rational(p) for p in vertex_points]
+        self.edge_polylines = [[_rational(p) for p in pl] for pl in edge_polylines]
         if edge_orientations is None:
             edge_orientations = [1] * graph.edge_count
         self.edge_orientations = list(edge_orientations)
@@ -77,6 +80,7 @@ class PlanarDrawing:
         # point is the reduced triple (X, Y, Q), Q > 0, of (X/Q, Y/Q).
         self._points = None
         self._self_points = None
+        self._image = None
 
     def crossings(self):
         """All proper crossings by edge pair; validates general position."""
@@ -84,16 +88,38 @@ class PlanarDrawing:
             self._crossings, self._points, self._self_points = _compute_crossings(self)
         return self._crossings
 
-    def with_polyline(self, edge: int, polyline) -> "PlanarDrawing":
-        """A copy with one edge rerouted; the other point lists are shared."""
+    def with_polyline(self, edge: int, polyline, image=None) -> "PlanarDrawing":
+        """A copy with one edge rerouted; the other point lists are shared.
+
+        The copy carries its parent's integer image forward, if the parent
+        has one: the new polyline is scaled in, and the other points are
+        rescaled by one integer factor only when the common denominator
+        grows.  A caller that has made the copy's image (den, view) passes
+        it as image.
+        """
         d = object.__new__(PlanarDrawing)
         d.graph = self.graph
         d.vertex_points = self.vertex_points
         d.edge_polylines = list(self.edge_polylines)
-        d.edge_polylines[edge] = [(Fraction(x), Fraction(y)) for x, y in polyline]
+        d.edge_polylines[edge] = pl = [_rational(p) for p in polyline]
         d.edge_orientations = self.edge_orientations
         d._crossings = d._points = d._self_points = None
+        if image is None and self._image is not None:
+            den, view = self._image
+            grown = math.lcm(den, *(c.denominator for p in pl for c in p))
+            view = _rescaled(view, grown // den)
+            view.edge_polylines[edge] = [
+                (x.numerator * (grown // x.denominator), y.numerator * (grown // y.denominator)) for x, y in pl
+            ]
+            image = grown, view
+        d._image = image
         return d
+
+
+def _rational(p) -> Point:
+    """p with Fraction coordinates; a Fraction is kept as it is."""
+    x, y = p
+    return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
 def _polyline_segments(pl):
@@ -430,62 +456,104 @@ def _loop_start(u: Point, vecs) -> int:
     raise DegeneracyError("no corner strictly counterclockwise of direction")
 
 
-def finger_polyline(polyline, vpt: Point, shrink: int, attempt: int):
-    """Reroute a polyline with a finger around the point vpt.
+def finger_polyline(polyline, vpt, den: int, shrink: int, attempt: int):
+    """Reroute a polyline of an integer image with a finger around vpt.
 
-    Splits the first segment at p- / p+ and inserts a detour that walks a
-    small rectangular loop around vpt.  Purely geometric; the caller checks
-    the parity effect and general position and retries with other
-    parameters.
+    polyline and vpt are int points that stand for p / den.  Splits the
+    first segment at p- / p+ and inserts a detour that walks a small
+    rectangular loop around vpt.  Purely geometric; the caller checks the
+    parity effect and general position and retries with other parameters.
+    Returns (k, the new polyline as int points that stand for
+    p / (den << k)), with k the least that makes every new point integral.
 
-    Every parameter is dyadic and the scale alpha is a power of two, so a
-    finger on a drawing with dyadic coordinates (a convex drawing's are
-    integers) adds only dyadic points.  The common denominator of a drawing
-    then grows by a few bits per nesting level; rational parameters would
-    multiply it with every move, and every later segment test pays for its
-    size.
+    Every parameter is dyadic and the scale alpha is a power of two, so the
+    new points have dyadic denominators over den: on a drawing with
+    dyadic coordinates (a convex drawing's are integers) the common
+    denominator grows by a few bits per nesting level.  Rational
+    parameters would multiply it with every move, and every later segment
+    test pays for its size.  In the drawing's units:
+    lam = (2^(attempt+1) - 1) / 2^(attempt+2), delta = 1 / 2^(6 + attempt//4),
+    pc = s0 + lam (t0 - s0), p-/p+ = s0 + (lam -/+ delta)(t0 - s0),
+    u = pc - vpt, side = 1 / 2^(3 + shrink), alpha the largest power of two
+    with alpha max|u| <= side, b1/b2 = vpt + alpha/16 (17 u +/- u turned a
+    quarter turn counterclockwise), and the loop's corners are
+    vpt + (+-w, +-h) with w = 9 side / 8 and h = w (32 + attempt) / 32.
     """
-    s0, t0 = polyline[0], polyline[1]
-    lam = Fraction(2 ** (attempt + 1) - 1, 2 ** (attempt + 2))
-    delta = Fraction(1, 64 << attempt // 4)
-    pm = (s0[0] + (lam - delta) * (t0[0] - s0[0]), s0[1] + (lam - delta) * (t0[1] - s0[1]))
-    pp = (s0[0] + (lam + delta) * (t0[0] - s0[0]), s0[1] + (lam + delta) * (t0[1] - s0[1]))
-    pc = (s0[0] + lam * (t0[0] - s0[0]), s0[1] + lam * (t0[1] - s0[1]))
-    u = (pc[0] - vpt[0], pc[1] - vpt[1])
-    if u == (Fraction(0), Fraction(0)):
+    (sx, sy), (tx, ty) = polyline[0], polyline[1]
+    vx, vy = vpt
+    dx, dy = tx - sx, ty - sy
+    # lam and delta over 2^t; s0 and u at the scale den << t
+    t = max(attempt + 2, 6 + attempt // 4)
+    lam = (2 ** (attempt + 1) - 1) << (t - attempt - 2)
+    delta = 1 << (t - 6 - attempt // 4)
+    ax, ay = sx << t, sy << t
+    ux = ax + lam * dx - (vx << t)
+    uy = ay + lam * dy - (vy << t)
+    if ux == 0 == uy:
         raise DegeneracyError("finger base point at the vertex")
-    side = Fraction(1, 8 << shrink)
-    # The largest power of two alpha with alpha * max|u| <= side.
-    ratio = side / max(abs(u[0]), abs(u[1]))
-    alpha = Fraction(2) ** (ratio.numerator.bit_length() - ratio.denominator.bit_length())
-    if alpha > ratio:
-        alpha /= 2
-    mouth = (vpt[0] + alpha * Fraction(17, 16) * u[0], vpt[1] + alpha * Fraction(17, 16) * u[1])
-    rho = alpha / 16
-    b1 = (mouth[0] - rho * u[1], mouth[1] + rho * u[0])
-    b2 = (mouth[0] + rho * u[1], mouth[1] - rho * u[0])
-    # Rectangle around vpt; the aspect ratio varies with the attempt so a
-    # corner cannot stay aligned with any fixed line through vpt.
-    w = side * Fraction(9, 8)
-    h = w * Fraction(32 + attempt, 32)
-    vecs = [(w, h), (-w, h), (-w, -h), (w, -h)]
-    start = _loop_start(u, vecs)
-    corners = [
-        (vpt[0] + vecs[(start + k) % 4][0], vpt[1] + vecs[(start + k) % 4][1])
-        for k in range(4)
+    # alpha = 2^k, k the floor of log2(side / max|u|) = log2(num / q)
+    num, q = den << t, max(abs(ux), abs(uy)) << (3 + shrink)
+    k = num.bit_length() - q.bit_length()
+    if (q << k > num) if k >= 0 else (q > num << -k):
+        k -= 1
+    # The loop is a rectangle around vpt; its aspect ratio varies with the
+    # attempt so a corner cannot stay aligned with any fixed line through
+    # vpt.  Its corners run in the ccw order of (w, h), (-w, h), ...; only
+    # the ratio w : h = 32 : 32 + attempt matters to _loop_start.
+    signs = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    start = _loop_start((ux, uy), [(32 * i, (32 + attempt) * j) for i, j in signs])
+    # Every new point at the scale den << big: p-, b1, the corners, b2, p+.
+    big = max(t, t + 4 - k, 11 + shrink)
+    up, rho = big - t, k - 4 + big - t
+    vx, vy = vx << big, vy << big
+    w = 9 * den << (big - 6 - shrink)
+    h = 9 * (32 + attempt) * den << (big - 11 - shrink)
+    fx, fy = 17 * ux, 17 * uy
+    new = [
+        ((ax + (lam - delta) * dx) << up, (ay + (lam - delta) * dy) << up),
+        (vx + ((fx - uy) << rho), vy + ((fy + ux) << rho)),
+        *((vx + w * signs[(start + i) % 4][0], vy + h * signs[(start + i) % 4][1]) for i in range(4)),
+        (vx + ((fx + uy) << rho), vy + ((fy - ux) << rho)),
+        ((ax + (lam + delta) * dx) << up, (ay + (lam + delta) * dy) << up),
     ]
-    return [s0, pm, b1, *corners, b2, pp, *polyline[1:]]
+    # The least scale: drop the powers of two that every new coordinate has.
+    acc = 0
+    for x, y in new:
+        acc |= x | y
+    drop = min(big, (acc & -acc).bit_length() - 1)
+    k = big - drop
+    return k, [
+        (sx << k, sy << k),
+        *((x >> drop, y >> drop) for x, y in new),
+        *((x << k, y << k) for x, y in polyline[1:]),
+    ]
 
 
 def _integer_view(d: PlanarDrawing):
-    """(lcm, d's graph and points scaled to ints by the lcm of their denominators).
+    """(den, view): d's graph and points scaled to ints by den, the lcm of
+    their denominators (see geom.integer_image), or by a multiple of it
+    after with_polyline.
 
     The view serves _edge_crossings, for the full table and for a finger
     move's row, and a finger move's local checks; they read only graph,
-    vertex_points and edge_polylines.  See geom.integer_image.
+    vertex_points and edge_polylines.  It is built once per drawing; a
+    rerouted copy carries it forward.
     """
-    den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
-    return den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
+    if d._image is None:
+        den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
+        d._image = den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
+    return d._image
+
+
+def _rescaled(view, factor: int):
+    """A copy of an integer view with every point multiplied by factor and
+    a polyline list of its own."""
+    if factor == 1:
+        vpts, polylines = view.vertex_points, list(view.edge_polylines)
+    else:
+        vpts = [(x * factor, y * factor) for x, y in view.vertex_points]
+        polylines = [[(x * factor, y * factor) for x, y in pl] for pl in view.edge_polylines]
+    return SimpleNamespace(graph=view.graph, vertex_points=vpts, edge_polylines=polylines)
 
 
 def _unscale(p, den: int):
@@ -520,7 +588,9 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     exactly the finger-move vector.  Only edge e changes, so only its row of
     the crossing table is recomputed: the new drawing receives the old table
     with that row replaced, and the crossing-point map with e's old points
-    swapped for its new ones.
+    swapped for its new ones.  The fingers are drawn and checked on d's
+    integer image, and the new drawing carries the image of the accepted
+    one; its rational polyline is formed only then.
     """
     g = d.graph
     if v in g.edges[e]:
@@ -535,17 +605,18 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     for p in d._self_points[e]:
         del others[p]
     flips = {(min(e, f), max(e, f)) for f in g.incident_edges(v)}
+    den, view = _integer_view(d)
     last_err = None
     for attempt in range(24):
         try:
-            newpl = finger_polyline(d.edge_polylines[e], d.vertex_points[v], shrink + attempt, attempt)
-            cand = d.with_polyline(e, newpl)
+            k, newpl = finger_polyline(view.edge_polylines[e], view.vertex_points[v], den, shrink + attempt, attempt)
             # Nothing but edge e moved: check the new polyline against the
             # rest, on the integer image of the candidate.
-            den, image = _integer_view(cand)
+            image = _rescaled(view, 1 << k)
+            image.edge_polylines[e] = newpl
             _check_polyline_shape(image, e)
             _check_vertices_on_edge(image, e)
-            row = _image_crossings(den, image, only=e)
+            row = _image_crossings(den << k, image, only=e)
             self_points = row.pop((e, e))
             point_log = Counter(self_points)
             for key, hits in row.items():
@@ -558,6 +629,12 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
         except (GeneralPositionError, DegeneracyError) as err:
             last_err = err
             continue
+        # The finger's eight points follow the polyline's first; the rest
+        # are the old polyline's.
+        old = d.edge_polylines[e]
+        q = den << k
+        fresh = [(Fraction(x, q), Fraction(y, q)) for x, y in newpl[1:9]]
+        cand = d.with_polyline(e, [old[0], *fresh, *old[1:]], (q, image))
         cand._crossings = {**table, **row}
         cand._points = {**others, **point_log}
         cand._self_points = list(d._self_points)
@@ -584,33 +661,73 @@ def _chord_parities(ends, order) -> int:
     return acc
 
 
-def _lightest_convex_order(g: Graph, ends, elim: Gf2Elimination, target: int):
-    """A convex vertex order with a light certificate towards the target.
+def _lightest_convex_order(g: Graph, elim: Gf2Elimination, target: int):
+    """A convex vertex order with a light certificate towards the target,
+    and that certificate, packed.
 
     First-improvement hill-climbing over transpositions from the identity
-    order; an order's score is the weight of its light certificate, the
-    popcount of Gf2Elimination.solve_packed off one elimination.  Every
-    drawing of g lies in one compatibility class, so every order is
-    solvable once the identity is.
+    order; an order's score is the weight of its light certificate,
+    Gf2Elimination.lighten of the coefficients of its parities XOR the
+    target.  Every drawing of g lies in one compatibility class, so every
+    order is solvable once the identity is.
+
+    The coefficients are linear (Gf2Elimination.reduce), and the chords of
+    a pair (e, f), e < f, cross when exactly one end of f lies strictly
+    inside chord e.  So an order's coefficients are those of the target
+    XOR at[e][v] over each vertex v strictly inside each chord e, where
+    at[e][v] holds the coefficients of the pairs (e, f), f > e, that have v
+    as an end of f.  The ends of f are no ends of e, so the vertices
+    strictly outside chord e give the same sum; the shorter side is read.
+
+    The climb stops after one full cycle of swaps that do not improve: the
+    round-by-round climb, which repeats whole rounds until one improves
+    nothing, accepts the same swaps, since the rest of its last round
+    retries swaps already tried on the same order.
     """
+    n, edges = g.vertex_count, g.edges
+    held = [[0] * n for _ in edges]
+    for k, (i, j) in enumerate(g.pairs):
+        for v in edges[j]:
+            held[i][v] |= 1 << k
+    chords = []  # (ends, at[e]) of each chord that holds a pair
+    for e, row in enumerate(held):
+        if any(row):
+            chords.append((edges[e], [elim.reduce(h)[1] if h else 0 for h in row]))
+    start = elim.reduce(target)[1]
+    order = list(range(n))
+    pos = list(range(n))
 
-    def weight(order):
-        return elim.solve_packed(_chord_parities(ends, order) ^ target, light=True).bit_count()
+    def certificate():
+        acc = start
+        for (a, b), at in chords:
+            lo, hi = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+            if 2 * (hi - lo) < n:
+                for v in order[lo + 1 : hi]:
+                    acc ^= at[v]
+            else:
+                for v in order[:lo]:
+                    acc ^= at[v]
+                for v in order[hi + 1 :]:
+                    acc ^= at[v]
+        return elim.lighten(acc)
 
-    order = list(range(g.vertex_count))
-    best = weight(order)
-    improved = True
-    while improved and best:
-        improved = False
-        for a in range(len(order)):
-            for b in range(a + 1, len(order)):
-                order[a], order[b] = order[b], order[a]
-                w = weight(order)
-                if w < best:
-                    best, improved = w, True
-                else:
-                    order[a], order[b] = order[b], order[a]
-    return order
+    cert = certificate()
+    best = cert.bit_count()
+    swaps = list(itertools.combinations(range(n), 2))
+    tried = k = 0  # swaps tried since the last improvement; index of the next
+    while best and tried < len(swaps):
+        a, b = swaps[k]
+        order[a], order[b] = order[b], order[a]
+        pos[order[a]], pos[order[b]] = a, b
+        c = certificate()
+        if c.bit_count() < best:
+            cert, best, tried = c, c.bit_count(), 0
+        else:
+            order[a], order[b] = order[b], order[a]
+            pos[order[a]], pos[order[b]] = a, b
+            tried += 1
+        k = (k + 1) % len(swaps)
+    return order, cert
 
 
 def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
@@ -619,25 +736,23 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     Every drawing of g lies in one compatibility class, so the chord
     parities of the identity convex order decide compatibility before the
     order search.  The start is the convex drawing of the order found by
-    _lightest_convex_order.  The certificate applied to it comes from its
-    own crossing table, which stays up to date move by move; the result is
-    checked against the target from it.
+    _lightest_convex_order, and the certificate applied to it is the light
+    one that the search scored that order by.  The crossing table stays up
+    to date move by move; the result is checked against the target from
+    it.
     """
     tvec = _target_vector(g, target)
     elim = Gf2Elimination(finger_move_generators(g), len(g.pairs))
-    ends = _pair_ends(g)
-    if elim.solve(_chord_parities(ends, range(g.vertex_count)) ^ tvec) is None:
+    if elim.reduce(_chord_parities(_pair_ends(g), range(g.vertex_count)) ^ tvec)[0]:
         raise IncompatibleTargetError("target parity matrix is not compatible")
-    d = convex_drawing(g, _lightest_convex_order(g, ends, elim, tvec))
-    cert = elim.solve(_parity_vector(d) ^ tvec, light=True)
-    if cert is None:
-        raise RealizationError("convex drawing outside the compatibility class")
+    order, cert = _lightest_convex_order(g, elim, tvec)
+    d = convex_drawing(g, order)
     labels = finger_move_labels(g)
     nesting: dict[int, int] = {}
-    for k, c in enumerate(cert):
-        if not c:
-            continue
-        e, v = labels[k]
+    while cert:
+        low = cert & -cert
+        cert ^= low
+        e, v = labels[low.bit_length() - 1]
         d = apply_finger_move(d, e, v, shrink=nesting.get(v, 0))
         nesting[v] = nesting.get(v, 0) + 1
     if _parity_vector(d) != tvec:

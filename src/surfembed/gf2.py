@@ -252,16 +252,18 @@ def factor_odd(a: BitMatrix) -> BitMatrix:
 class Gf2Elimination:
     """One elimination of a fixed column list, reused for many right-hand sides.
 
-    Vectors are packed ints of nbits bits.  Each column is tagged with its
-    own index bit above the low nbits, so a reduced row carries the
-    combination of columns it stands for.  A column is reduced from its
-    leading bit down by the pivot holding that bit, until it is zero in the
-    low bits or leads with a bit of no pivot; then it becomes the pivot of
-    that bit.  The pivots are sorted by pivot bit, highest first; the
-    columns that eliminate to zero leave kernel vectors of the column map
-    in their tags.  Each tag is the column's unique combination over the
-    earlier pivot columns, so it does not depend on the order of the XORs.
-    So kernel is a basis of the kernel packed over the column indices, in
+    Vectors are packed ints of nbits bits.  Each column is shifted above
+    the low count bits, which tag it with its own index bit, so a reduced
+    row carries the combination of columns it stands for, and its leading
+    bit is that of its vector part while that part is nonzero.  A column
+    is reduced from its leading bit down by the pivot holding that bit,
+    until its vector part is zero or leads with a bit of no pivot; then it
+    becomes the pivot of that bit.  The pivots are (bit, vector,
+    coefficients), sorted by bit, highest first; the columns that
+    eliminate to zero leave kernel vectors of the column map in their
+    tags.  Each tag is the column's unique combination over the earlier
+    pivot columns, so it does not depend on the order of the XORs.  So
+    kernel is a basis of the kernel packed over the column indices, in
     echelon form over the column order: each vector owns its highest bit,
     and every other bit it holds is a pivot column, which no vector owns.
     """
@@ -269,23 +271,26 @@ class Gf2Elimination:
     __slots__ = ("count", "nbits", "pivots", "kernel")
 
     def __init__(self, columns: list[int], nbits: int):
-        self.count = len(columns)
+        count = self.count = len(columns)
         self.nbits = nbits
-        mask = (1 << nbits) - 1
+        top = 1 << count  # a row below it has a zero vector part
         pivots: dict[int, int] = {}
-        self.kernel: list[int] = []
+        kernel = self.kernel = []
         for i, v in enumerate(columns):
-            v |= 1 << (nbits + i)
-            while v & mask:
-                pb = (v & mask).bit_length() - 1
+            v = v << count | 1 << i
+            while v >= top:
+                pb = v.bit_length()
                 pv = pivots.get(pb)
                 if pv is None:
                     pivots[pb] = v
                     break
                 v ^= pv
             else:
-                self.kernel.append(v >> nbits)
-        self.pivots = sorted(pivots.items(), reverse=True)
+                kernel.append(v)
+        tags = top - 1
+        self.pivots = [
+            (pb - 1 - count, pv >> count, pv & tags) for pb, pv in sorted(pivots.items(), reverse=True)
+        ]
 
     def solve(self, rhs: int, light: bool = False):
         """Coefficients c with sum c_i * columns[i] = rhs as a list, or
@@ -295,32 +300,44 @@ class Gf2Elimination:
             return None
         return [(coeff >> i) & 1 for i in range(self.count)]
 
+    def reduce(self, rhs: int) -> tuple[int, int]:
+        """(residual, coefficients) of one descending pass over the pivots.
+
+        rhs is solvable exactly when the residual is 0, and then the
+        coefficients solve it.  Both are linear in rhs: each pivot's test
+        reads a bit that earlier steps changed linearly.
+        """
+        coeff = 0
+        for pb, pv, pc in self.pivots:
+            if (rhs >> pb) & 1:
+                rhs ^= pv
+                coeff ^= pc
+        return rhs, coeff
+
+    def lighten(self, coeff: int) -> int:
+        """coeff with kernel vectors XORed in while its popcount drops."""
+        weight = coeff.bit_count()
+        improved = True
+        while improved:
+            improved = False
+            for z in self.kernel:
+                c = coeff ^ z
+                w = c.bit_count()
+                if w < weight:
+                    coeff, weight, improved = c, w, True
+        return coeff
+
     def solve_packed(self, rhs: int, light: bool = False):
         """Coefficients c with sum c_i * columns[i] = rhs packed as an int
         (bit i is c_i), or None.
 
-        One descending pass over the pivots solves.  With light=True the
-        solution is then made lighter: kernel vectors are XORed in while
-        the number of nonzero coefficients drops.
+        One descending pass over the pivots solves (reduce).  With
+        light=True the solution is then made lighter (lighten).
         """
-        mask = (1 << self.nbits) - 1
-        target = rhs
-        coeff = 0
-        for pb, pv in self.pivots:
-            if (target >> pb) & 1:
-                target ^= pv & mask
-                coeff ^= pv >> self.nbits
-        if target:
+        residual, coeff = self.reduce(rhs)
+        if residual:
             return None
-        if light:
-            improved = True
-            while improved:
-                improved = False
-                for z in self.kernel:
-                    if (coeff ^ z).bit_count() < coeff.bit_count():
-                        coeff ^= z
-                        improved = True
-        return coeff
+        return self.lighten(coeff) if light else coeff
 
 
 def solve_gf2(columns: list[int], rhs: int, nbits: int):

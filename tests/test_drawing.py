@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -23,11 +24,18 @@ from surfembed.drawing import (
     realize_parity,
     serialize_drawing,
     signed_crossing_matrix,
+    _chord_parities,
     _check_polyline_shape,
     _check_vertices_on_edge,
     _compute_crossings,
     _edge_crossings,
+    _integer_view,
+    _lightest_convex_order,
+    _loop_start,
+    _pair_ends,
+    finger_polyline,
 )
+from surfembed.geom import DegeneracyError, integer_image
 from surfembed.gf2 import BitMatrix, Gf2Elimination
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
@@ -607,3 +615,194 @@ def test_integer_table_raises_as_the_fraction_table(d):
     with pytest.raises(GeneralPositionError) as got:
         _compute_crossings(d)
     assert str(got.value) == str(ref.value)
+
+
+def _random_compatible_target(g, rng):
+    """The packed parities of a random drawing of g: its class's base plus
+    a random sum of finger-move generators."""
+    vec = CompatibilityClass.compute(g).base
+    for gen in finger_move_generators(g):
+        if rng.getrandbits(1):
+            vec ^= gen
+    return vec
+
+
+NINE_WITNESS_CASES = [
+    (complete_graph(5), "orientable"),
+    (complete_bipartite(3, 3), "orientable"),
+    (complete_bipartite(3, 4), "orientable"),
+    (complete_bipartite(4, 4), "orientable"),
+    (complete_graph(6), "orientable"),
+    (complete_graph(7), "orientable"),
+    (complete_graph(5), "nonorientable"),
+    (complete_bipartite(3, 3), "nonorientable"),
+    (complete_graph(6), "nonorientable"),
+]
+
+
+def test_realized_drawings_match_the_pinned_hash():
+    # The drawings of the nine genus-one witnesses, then those of 120
+    # compatible targets on 5-8 vertices, as the Fraction fingers and the
+    # round-by-round order search drew them.
+    h = hashlib.sha256()
+    for g, kind in NINE_WITNESS_CASES:
+        h.update(serialize_drawing(z2_genus(g, kind).witness.drawing).encode())
+    rng = random.Random(2027)
+    for _ in range(120):
+        n = rng.randrange(5, 9)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        vec = _random_compatible_target(g, rng)
+        h.update(serialize_drawing(realize_parity(g, ParityMatrix.from_pair_vector(g, vec))).encode())
+    assert h.hexdigest() == "b5fae0b09b819f597acde05864a718dd47fbf377d4331e80948e4b9c2958a509"
+
+
+def _fraction_finger_polyline(polyline, vpt, shrink, attempt):
+    """finger_polyline as it stood when it computed on the drawing's
+    Fraction points."""
+    s0, t0 = polyline[0], polyline[1]
+    lam = Fraction(2 ** (attempt + 1) - 1, 2 ** (attempt + 2))
+    delta = Fraction(1, 64 << attempt // 4)
+    pm = (s0[0] + (lam - delta) * (t0[0] - s0[0]), s0[1] + (lam - delta) * (t0[1] - s0[1]))
+    pp = (s0[0] + (lam + delta) * (t0[0] - s0[0]), s0[1] + (lam + delta) * (t0[1] - s0[1]))
+    pc = (s0[0] + lam * (t0[0] - s0[0]), s0[1] + lam * (t0[1] - s0[1]))
+    u = (pc[0] - vpt[0], pc[1] - vpt[1])
+    if u == (Fraction(0), Fraction(0)):
+        raise DegeneracyError("finger base point at the vertex")
+    side = Fraction(1, 8 << shrink)
+    ratio = side / max(abs(u[0]), abs(u[1]))
+    alpha = Fraction(2) ** (ratio.numerator.bit_length() - ratio.denominator.bit_length())
+    if alpha > ratio:
+        alpha /= 2
+    mouth = (vpt[0] + alpha * Fraction(17, 16) * u[0], vpt[1] + alpha * Fraction(17, 16) * u[1])
+    rho = alpha / 16
+    b1 = (mouth[0] - rho * u[1], mouth[1] + rho * u[0])
+    b2 = (mouth[0] + rho * u[1], mouth[1] - rho * u[0])
+    w = side * Fraction(9, 8)
+    h = w * Fraction(32 + attempt, 32)
+    vecs = [(w, h), (-w, h), (-w, -h), (w, -h)]
+    start = _loop_start(u, vecs)
+    corners = [
+        (vpt[0] + vecs[(start + k) % 4][0], vpt[1] + vecs[(start + k) % 4][1])
+        for k in range(4)
+    ]
+    return [s0, pm, b1, *corners, b2, pp, *polyline[1:]]
+
+
+def test_integer_finger_equals_the_fraction_finger():
+    # The same rational points, on the integer image of convex drawings,
+    # of rational affine images of them (whose lcm is no power of two),
+    # of finger-moved drawings and of a base point on the vertex; and
+    # den << k is the lcm of den and the new points' denominators.
+    rng = random.Random(49)
+    drawings = []
+    for g in (complete_graph(5), complete_bipartite(3, 4), complete_graph(6)):
+        order = list(range(g.vertex_count))
+        rng.shuffle(order)
+        d = convex_drawing(g, order)
+        drawings += [d, _affine(d, rng)]
+        for _ in range(3):
+            e = rng.randrange(g.edge_count)
+            d = apply_finger_move(d, e, rng.choice([w for w in range(g.vertex_count) if w not in g.edges[e]]))
+        drawings += [d, _affine(d, rng)]
+    # the finger's base point of attempt 0 falls on vertex 2
+    drawings.append(PlanarDrawing(Graph(3, [(0, 1)]), [(0, 0), (4, 0), (1, 0)], [[(0, 0), (4, 0)]]))
+    odd_lcm = degenerate = 0
+    for d in drawings:
+        den, (vpts, *pls) = integer_image([d.vertex_points, *d.edge_polylines])
+        odd_lcm += den & (den - 1) != 0
+        g = d.graph
+        for _ in range(12):
+            e = rng.randrange(g.edge_count)
+            v = rng.choice([w for w in range(g.vertex_count) if w not in g.edges[e]])
+            shrink, attempt = rng.randrange(6), rng.randrange(24)
+            if g.vertex_count == 3:
+                shrink = attempt = 0
+            try:
+                expect = _fraction_finger_polyline(d.edge_polylines[e], d.vertex_points[v], shrink, attempt)
+            except DegeneracyError as err:
+                degenerate += 1
+                with pytest.raises(DegeneracyError, match=str(err)):
+                    finger_polyline(pls[e], vpts[v], den, shrink, attempt)
+                continue
+            k, got = finger_polyline(pls[e], vpts[v], den, shrink, attempt)
+            assert all(type(c) is int for p in got for c in p)
+            assert [(Fraction(x, den << k), Fraction(y, den << k)) for x, y in got] == expect
+            assert den << k == math.lcm(den, *(c.denominator for p in expect for c in p))
+    assert odd_lcm >= 6 and degenerate > 0
+
+
+def test_a_moved_drawing_carries_its_integer_image():
+    # A finger move's drawing carries the image it was checked on, and a
+    # rerouted copy scales its new polyline in: both equal the image built
+    # afresh from the rational points, also where the lcm is no power of two.
+    rng = random.Random(51)
+    for g in (complete_graph(5), complete_bipartite(3, 3)):
+        d = _affine(convex_drawing(g), rng)
+        d.crossings()
+        for _ in range(4):
+            e = rng.randrange(g.edge_count)
+            d = apply_finger_move(d, e, rng.choice([w for w in range(g.vertex_count) if w not in g.edges[e]]))
+            den, view = _integer_view(d)
+            assert (den, [view.vertex_points, *view.edge_polylines]) == integer_image(
+                [d.vertex_points, *d.edge_polylines]
+            )
+            assert den & (den - 1) != 0
+        # A copy whose polyline is the old one with a point added on its
+        # first segment: the common denominator grows by a factor of 103, a
+        # prime above every affine denominator and prime to the convex
+        # drawing's spacing of 101.
+        e = rng.randrange(g.edge_count)
+        pl = d.edge_polylines[e]
+        a, b = pl[0], pl[1]
+        copy = d.with_polyline(e, [a, ((102 * a[0] + b[0]) / 103, (102 * a[1] + b[1]) / 103), *pl[1:]])
+        den, view = _integer_view(copy)
+        assert (den, [view.vertex_points, *view.edge_polylines]) == integer_image(
+            [copy.vertex_points, *copy.edge_polylines]
+        )
+        assert den == 103 * _integer_view(d)[0]
+        assert copy.crossings() == PlanarDrawing(g, copy.vertex_points, copy.edge_polylines).crossings()
+
+
+def _round_by_round_order(g, elim, target):
+    """_lightest_convex_order as it stood when each round scored every swap
+    by a pivot pass over its chord parities, until a round improved
+    nothing."""
+    ends = _pair_ends(g)
+
+    def weight(order):
+        return elim.solve_packed(_chord_parities(ends, order) ^ target, light=True).bit_count()
+
+    order = list(range(g.vertex_count))
+    best = weight(order)
+    improved = True
+    while improved and best:
+        improved = False
+        for a in range(len(order)):
+            for b in range(a + 1, len(order)):
+                order[a], order[b] = order[b], order[a]
+                w = weight(order)
+                if w < best:
+                    best, improved = w, True
+                else:
+                    order[a], order[b] = order[b], order[a]
+    return order
+
+
+def test_order_search_matches_the_round_by_round_reference():
+    # The same order, and its certificate is the light solve of its chord
+    # parities, for random compatible targets on random and complete graphs.
+    rng = random.Random(50)
+    graphs = [g for g, _ in NINE_WITNESS_CASES[:6]] + [Graph(1, []), Graph(2, [(0, 1)])]
+    for _ in range(80):
+        n = rng.randrange(4, 9)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]))
+    searched = 0
+    for g in graphs:
+        elim = Gf2Elimination(finger_move_generators(g), len(g.pairs))
+        for _ in range(3):
+            vec = _random_compatible_target(g, rng)
+            order, cert = _lightest_convex_order(g, elim, vec)
+            assert order == _round_by_round_order(g, elim, vec)
+            assert cert == elim.solve_packed(_chord_parities(_pair_ends(g), order) ^ vec, light=True)
+            searched += order != list(range(g.vertex_count))
+    assert searched > 50

@@ -375,8 +375,10 @@ def test_elimination_from_the_top_bit_matches_the_all_pivots_reference():
             cols = [rng.getrandbits(nbits) if nbits else 0 for _ in range(count)]
         ref = _ReferenceElimination(cols, nbits)
         elim = Gf2Elimination(cols, nbits)
-        assert [pb for pb, _ in elim.pivots] == [pb for pb, _ in ref.pivots]
-        assert sorted((pv >> nbits).bit_length() for _, pv in elim.pivots) == sorted(
+        # The reference keeps its tags above the low nbits, as the pivots'
+        # own vectors.
+        assert [pb for pb, _, _ in elim.pivots] == [pb for pb, _ in ref.pivots]
+        assert sorted(pc.bit_length() for _, _, pc in elim.pivots) == sorted(
             (pv >> nbits).bit_length() for _, pv in ref.pivots
         )
         assert elim.kernel == ref.kernel

@@ -72,6 +72,24 @@ def test_tracer_counts_finger_attempts_and_drawing_segment_tests():
     assert counts["geom.segment_tests.drawing"] == len(box_pairs(image, only=e))
 
 
+def test_tracer_counts_the_finger_moves_of_a_k6_witness():
+    # realize_parity reaches apply_finger_move and finger_polyline through
+    # the drawing module globals.  The integer fingers make the moves,
+    # attempts and segment tests that the Fraction fingers made.
+    tracer = _tracer()
+    tracer.install(surfembed)
+    try:
+        res = surfembed.solver.z2_genus(complete_graph(6), "orientable")
+    finally:
+        tracer.uninstall()
+    assert (res.status, res.value) == ("found", 1)
+    _, _, counts = tracer.summary()
+    assert counts["drawing.realize.calls"] == 1
+    assert counts["drawing.finger_move.calls"] == 4
+    assert counts["drawing.finger_attempts"] == 4
+    assert counts["geom.segment_tests.drawing"] == 556
+
+
 def test_tracer_counts_layout_segment_tests_and_intersection_points():
     sd = z2_embeddable_orientable(complete_graph(5), 1).witness.surface_drawing
     tracer = _tracer()
