@@ -106,11 +106,10 @@ class PlanarDrawing:
         d._crossings = d._points = d._self_points = None
         if image is None and self._image is not None:
             den, view = self._image
-            grown = math.lcm(den, *(c.denominator for p in pl for c in p))
+            own, (scaled,) = integer_image([pl])
+            grown = math.lcm(den, own)
             view = _rescaled(view, grown // den)
-            view.edge_polylines[edge] = [
-                (x.numerator * (grown // x.denominator), y.numerator * (grown // y.denominator)) for x, y in pl
-            ]
+            view.edge_polylines[edge] = [(x * (grown // own), y * (grown // own)) for x, y in scaled]
             image = grown, view
         d._image = image
         return d
