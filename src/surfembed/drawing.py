@@ -88,30 +88,15 @@ class PlanarDrawing:
             self._crossings, self._points, self._self_points = _compute_crossings(self)
         return self._crossings
 
-    def with_polyline(self, edge: int, polyline, image=None) -> "PlanarDrawing":
-        """A copy with one edge rerouted; the other point lists are shared.
-
-        The copy carries its parent's integer image forward, if the parent
-        has one: the new polyline is scaled in, and the other points are
-        rescaled by one integer factor only when the common denominator
-        grows.  A caller that has made the copy's image (den, view) passes
-        it as image.
-        """
+    def with_polyline(self, edge: int, polyline) -> "PlanarDrawing":
+        """A copy with one edge rerouted; the other point lists are shared."""
         d = object.__new__(PlanarDrawing)
         d.graph = self.graph
         d.vertex_points = self.vertex_points
         d.edge_polylines = list(self.edge_polylines)
-        d.edge_polylines[edge] = pl = [_rational(p) for p in polyline]
+        d.edge_polylines[edge] = [_rational(p) for p in polyline]
         d.edge_orientations = self.edge_orientations
-        d._crossings = d._points = d._self_points = None
-        if image is None and self._image is not None:
-            den, view = self._image
-            own, (scaled,) = integer_image([pl])
-            grown = math.lcm(den, own)
-            view = _rescaled(view, grown // den)
-            view.edge_polylines[edge] = [(x * (grown // own), y * (grown // own)) for x, y in scaled]
-            image = grown, view
-        d._image = image
+        d._crossings = d._points = d._self_points = d._image = None
         return d
 
 
@@ -531,12 +516,12 @@ def finger_polyline(polyline, vpt, den: int, shrink: int, attempt: int):
 def _integer_view(d: PlanarDrawing):
     """(den, view): d's graph and points scaled to ints by den, the lcm of
     their denominators (see geom.integer_image), or by a multiple of it
-    after with_polyline.
+    after a finger move.
 
     The view serves _edge_crossings, for the full table and for a finger
     move's row, and a finger move's local checks; they read only graph,
-    vertex_points and edge_polylines.  It is built once per drawing; a
-    rerouted copy carries it forward.
+    vertex_points and edge_polylines.  It is built once per drawing; the
+    drawing of a finger move carries the image that move was checked on.
     """
     if d._image is None:
         den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
@@ -544,14 +529,14 @@ def _integer_view(d: PlanarDrawing):
     return d._image
 
 
-def _rescaled(view, factor: int):
-    """A copy of an integer view with every point multiplied by factor and
-    a polyline list of its own."""
-    if factor == 1:
+def _rescaled(view, k: int):
+    """A copy of an integer view with every point shifted left by k and a
+    polyline list of its own."""
+    if k == 0:
         vpts, polylines = view.vertex_points, list(view.edge_polylines)
     else:
-        vpts = [(x * factor, y * factor) for x, y in view.vertex_points]
-        polylines = [[(x * factor, y * factor) for x, y in pl] for pl in view.edge_polylines]
+        vpts = [(x << k, y << k) for x, y in view.vertex_points]
+        polylines = [[(x << k, y << k) for x, y in pl] for pl in view.edge_polylines]
     return SimpleNamespace(graph=view.graph, vertex_points=vpts, edge_polylines=polylines)
 
 
@@ -611,7 +596,7 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
             k, newpl = finger_polyline(view.edge_polylines[e], view.vertex_points[v], den, shrink + attempt, attempt)
             # Nothing but edge e moved: check the new polyline against the
             # rest, on the integer image of the candidate.
-            image = _rescaled(view, 1 << k)
+            image = _rescaled(view, k)
             image.edge_polylines[e] = newpl
             _check_polyline_shape(image, e)
             _check_vertices_on_edge(image, e)
@@ -633,7 +618,8 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
         old = d.edge_polylines[e]
         q = den << k
         fresh = [(Fraction(x, q), Fraction(y, q)) for x, y in newpl[1:9]]
-        cand = d.with_polyline(e, [old[0], *fresh, *old[1:]], (q, image))
+        cand = d.with_polyline(e, [old[0], *fresh, *old[1:]])
+        cand._image = q, image
         cand._crossings = {**table, **row}
         cand._points = {**others, **point_log}
         cand._self_points = list(d._self_points)
@@ -741,7 +727,7 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     it.
     """
     tvec = _target_vector(g, target)
-    elim = Gf2Elimination(finger_move_generators(g), len(g.pairs))
+    elim = Gf2Elimination(finger_move_generators(g))
     if elim.reduce(_chord_parities(_pair_ends(g), range(g.vertex_count)) ^ tvec)[0]:
         raise IncompatibleTargetError("target parity matrix is not compatible")
     order, cert = _lightest_convex_order(g, elim, tvec)

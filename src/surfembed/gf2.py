@@ -128,7 +128,7 @@ class BitMatrix:
 
 
 def rank_gf2(a: BitMatrix) -> int:
-    return len(Gf2Elimination(a.data, a.cols).pivots)
+    return len(Gf2Elimination(a.data).pivots)
 
 
 def hyperbolic_matrix_gf2(g: int) -> BitMatrix:
@@ -252,7 +252,7 @@ def factor_odd(a: BitMatrix) -> BitMatrix:
 class Gf2Elimination:
     """One elimination of a fixed column list, reused for many right-hand sides.
 
-    Vectors are packed ints of nbits bits.  Each column is shifted above
+    Vectors are packed ints of any width.  Each column is shifted above
     the low count bits, which tag it with its own index bit, so a reduced
     row carries the combination of columns it stands for, and its leading
     bit is that of its vector part while that part is nonzero.  A column
@@ -268,11 +268,10 @@ class Gf2Elimination:
     and every other bit it holds is a pivot column, which no vector owns.
     """
 
-    __slots__ = ("count", "nbits", "pivots", "kernel")
+    __slots__ = ("count", "pivots", "kernel")
 
-    def __init__(self, columns: list[int], nbits: int):
+    def __init__(self, columns: list[int]):
         count = self.count = len(columns)
-        self.nbits = nbits
         top = 1 << count  # a row below it has a zero vector part
         pivots: dict[int, int] = {}
         kernel = self.kernel = []
@@ -292,11 +291,11 @@ class Gf2Elimination:
             (pb - 1 - count, pv >> count, pv & tags) for pb, pv in sorted(pivots.items(), reverse=True)
         ]
 
-    def solve(self, rhs: int, light: bool = False):
+    def solve(self, rhs: int):
         """Coefficients c with sum c_i * columns[i] = rhs as a list, or
-        None; see solve_packed."""
-        coeff = self.solve_packed(rhs, light)
-        if coeff is None:
+        None; see reduce."""
+        residual, coeff = self.reduce(rhs)
+        if residual:
             return None
         return [(coeff >> i) & 1 for i in range(self.count)]
 
@@ -327,26 +326,14 @@ class Gf2Elimination:
                     coeff, weight, improved = c, w, True
         return coeff
 
-    def solve_packed(self, rhs: int, light: bool = False):
-        """Coefficients c with sum c_i * columns[i] = rhs packed as an int
-        (bit i is c_i), or None.
-
-        One descending pass over the pivots solves (reduce).  With
-        light=True the solution is then made lighter (lighten).
-        """
-        residual, coeff = self.reduce(rhs)
-        if residual:
-            return None
-        return self.lighten(coeff) if light else coeff
-
 
 def solve_gf2(columns: list[int], rhs: int, nbits: int):
     """Solve sum_i c_i * columns[i] = rhs over GF(2); see Gf2Elimination.
 
-    Vectors are packed ints of nbits bits.  Returns a coefficient list or
-    None when no solution exists.
+    Vectors are packed ints of nbits bits; the elimination does not read
+    nbits.  Returns a coefficient list or None when no solution exists.
     """
-    return Gf2Elimination(columns, nbits).solve(rhs)
+    return Gf2Elimination(columns).solve(rhs)
 
 
 def parse_bitmatrix(text: str) -> BitMatrix:

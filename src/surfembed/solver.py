@@ -65,7 +65,7 @@ def _nullspace(vectors, nbits):
     columns = BitMatrix(len(vectors), nbits, vectors).transpose().data
     # Fed from the last coordinate down, bit i of a tag is coordinate
     # nbits - 1 - i and each tag owns its highest bit (Gf2Elimination).
-    tags = Gf2Elimination(columns[::-1], len(vectors)).kernel
+    tags = Gf2Elimination(columns[::-1]).kernel
     return [int(f"{z:0{nbits}b}"[::-1], 2) for z in reversed(tags)]
 
 
@@ -186,7 +186,7 @@ class _Checks:
     links: list  # links[t]: (j, checks holding the pair (free[t], j))
 
 
-def _layout_checks(g: Graph, base: int, labels: int) -> _Checks:
+def _layout_checks(g: Graph, base: int) -> _Checks:
     """The edge order and the forest come from the reduced basis of the
     checks, the kernel over the pairs in decreasing order (_nullspace's
     basis).  The DFS then prunes with a basis in echelon form by
@@ -201,8 +201,7 @@ def _layout_checks(g: Graph, base: int, labels: int) -> _Checks:
     columns (finger_move_columns), fed in the order of that basis, so each
     check comes out as a packed mask over g.pairs in that order (see
     Gf2Elimination), and its right-hand side is its parity on the class's
-    base taken in the same order.  labels is the number of finger moves,
-    the columns' length."""
+    base taken in the same order."""
     pairs, m = g.pairs, g.edge_count
     columns = finger_move_columns(g)
 
@@ -211,14 +210,14 @@ def _layout_checks(g: Graph, base: int, labels: int) -> _Checks:
     for k, (i, j) in enumerate(reversed(pairs)):
         at_edge[i] |= 1 << k
         at_edge[j] |= 1 << k
-    reduced = Gf2Elimination(columns[::-1], labels).kernel
+    reduced = Gf2Elimination(columns[::-1]).kernel
     order = _edge_order(m, [[e for e in range(m) if z & at_edge[e]] for z in reduced])
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
     depth = [max(pos[i], pos[j]) if i in pos and j in pos else -1 for i, j in pairs]
     coords = sorted(range(len(pairs)), key=depth.__getitem__)
-    checks = Gf2Elimination([columns[k] for k in coords], labels).kernel
+    checks = Gf2Elimination([columns[k] for k in coords]).kernel
 
     # A check fires at the deepest position it involves, the depth of its
     # highest bit.  A pair enters the state when its later edge is placed:
@@ -265,8 +264,7 @@ class _Call:
         budget = budget or SolverBudget()
         self.deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
         self.nodes_left = budget.max_nodes  # -1 once a search found them spent
-        n, m = g.vertex_count, g.edge_count
-        self.checks = _layout_checks(g, CompatibilityClass.compute(g).base, m * (n - 2))
+        self.checks = _layout_checks(g, CompatibilityClass.compute(g).base)
 
 
 def _set_bits(v: int) -> list[int]:

@@ -232,13 +232,23 @@ def test_light_solution_solves_and_weighs_no_more():
             if rng.getrandbits(1):
                 rhs ^= c
         full = solve_gf2(cols, rhs, nbits)
-        light = Gf2Elimination(cols, nbits).solve(rhs, light=True)
+        light = _light_solve(Gf2Elimination(cols), rhs)
         acc = 0
         for bit, c in zip(light, cols):
             if bit:
                 acc ^= c
         assert acc == rhs
         assert sum(light) <= sum(full)
+
+
+def _light_solve(elim, rhs):
+    """elim's solution of rhs made lighter (Gf2Elimination.lighten), as a
+    coefficient list, or None."""
+    residual, coeff = elim.reduce(rhs)
+    if residual:
+        return None
+    coeff = elim.lighten(coeff)
+    return [(coeff >> i) & 1 for i in range(elim.count)]
 
 
 def _reference_solve_gf2(columns, rhs, nbits, light=False):
@@ -286,7 +296,7 @@ def test_split_solver_matches_the_one_call_reference():
     for _ in range(300):
         nbits = rng.randrange(1, 14)
         cols = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 20))]
-        elim = Gf2Elimination(cols, nbits)
+        elim = Gf2Elimination(cols)
         for _ in range(4):
             if rng.getrandbits(1):
                 rhs = 0
@@ -295,13 +305,15 @@ def test_split_solver_matches_the_one_call_reference():
                         rhs ^= c
             else:
                 rhs = rng.getrandbits(nbits)
-            for light in (False, True):
-                expect = _reference_solve_gf2(cols, rhs, nbits, light)
-                assert elim.solve(rhs, light) == expect
-                assert Gf2Elimination(cols, nbits).solve(rhs, light) == expect
-                packed = elim.solve_packed(rhs, light)
-                assert packed == (None if expect is None else sum(c << i for i, c in enumerate(expect)))
-            assert solve_gf2(cols, rhs, nbits) == elim.solve(rhs)
+            expect = _reference_solve_gf2(cols, rhs, nbits)
+            assert elim.solve(rhs) == expect
+            assert Gf2Elimination(cols).solve(rhs) == expect
+            assert solve_gf2(cols, rhs, nbits) == expect
+            assert _light_solve(elim, rhs) == _reference_solve_gf2(cols, rhs, nbits, light=True)
+            residual, packed = elim.reduce(rhs)
+            assert (residual == 0) == (expect is not None)
+            if expect is not None:
+                assert packed == sum(c << i for i, c in enumerate(expect))
             if expect is None:
                 unsolvable += 1
             else:
@@ -374,7 +386,7 @@ def test_elimination_from_the_top_bit_matches_the_all_pivots_reference():
         else:
             cols = [rng.getrandbits(nbits) if nbits else 0 for _ in range(count)]
         ref = _ReferenceElimination(cols, nbits)
-        elim = Gf2Elimination(cols, nbits)
+        elim = Gf2Elimination(cols)
         # The reference keeps its tags above the low nbits, as the pivots'
         # own vectors.
         assert [pb for pb, _, _ in elim.pivots] == [pb for pb, _ in ref.pivots]
@@ -391,6 +403,6 @@ def test_elimination_from_the_top_bit_matches_the_all_pivots_reference():
                 for c in cols:
                     if rng.getrandbits(1):
                         rhs ^= c
-            for light in (False, True):
-                assert elim.solve(rhs, light) == ref.solve(rhs, light)
+            assert elim.solve(rhs) == ref.solve(rhs)
+            assert _light_solve(elim, rhs) == ref.solve(rhs, light=True)
     assert deficient > 100

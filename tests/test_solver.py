@@ -429,7 +429,7 @@ def test_checks_fire_as_early_as_any_check_can():
     rng = random.Random(45)
     for g in [complete_graph(8), complete_bipartite(4, 5)] + list(_random_graphs(rng, 20, (4, 10))):
         pairs, gens = g.pairs, finger_move_generators(g)
-        checks = solver._layout_checks(g, CompatibilityClass.compute(g).base, len(gens))
+        checks = solver._layout_checks(g, CompatibilityClass.compute(g).base)
         pos = {e: t for t, e in enumerate(checks.free)}
         depth = [max(pos[i], pos[j]) if i in pos and j in pos else -1 for i, j in pairs]
         total = len(pairs) - rank_gf2(BitMatrix(len(gens), len(pairs), gens))
