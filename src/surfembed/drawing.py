@@ -408,7 +408,7 @@ class CompatibilityClass:
     def membership(self, target: ParityMatrix):
         """Finger-move coefficients taking base to the target, or None."""
         tvec = _target_vector(self.graph, target)
-        return solve_gf2(finger_move_generators(self.graph), self.base ^ tvec, len(self.graph.pairs))
+        return solve_gf2(finger_move_generators(self.graph), self.base ^ tvec)
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):

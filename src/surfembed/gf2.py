@@ -4,6 +4,9 @@ Rows are packed into Python ints (bit i of row r is entry (r, i)), so row
 operations are word-parallel XORs.  Includes the two factorizations used to
 turn symmetric matrices into ribbon-pass vectors: an even (alternate) matrix
 factors through the hyperbolic form, an odd one through the identity form.
+Both come from one Gram-Schmidt that keeps each working vector with its
+image under the matrix, updated by XOR, so every form value is one AND and
+a popcount.
 """
 
 from __future__ import annotations
@@ -88,14 +91,6 @@ class BitMatrix:
             out.data[i] = acc
         return out
 
-    def mul_vec(self, v: int) -> int:
-        """Matrix times a column vector packed as an int (bit j = entry j)."""
-        acc = 0
-        for i, r in enumerate(self.data):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -108,13 +103,7 @@ class BitMatrix:
         return hash((self.rows, self.cols, tuple(self.data)))
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i + 1, self.cols):
-                if self.get(i, j) != self.get(j, i):
-                    return False
-        return True
+        return self.rows == self.cols and self.transpose().data == self.data
 
     def is_even(self) -> bool:
         """Diagonal all zero (a.k.a. alternate)."""
@@ -142,111 +131,76 @@ def hyperbolic_matrix_gf2(g: int) -> BitMatrix:
     return m
 
 
-def _form_value(a: BitMatrix, x: int, y: int) -> int:
-    """x^T A y for packed vectors x, y."""
-    return (x & a.mul_vec(y)).bit_count() & 1
+def _gram_schmidt(a: BitMatrix) -> list[int]:
+    """The rows of Y with A = Y^T H Y (A even) or A = Y^T Y (A odd).
+
+    Gram-Schmidt on the form B(x, y) = x^T A y over GF(2)^n.  Each working
+    vector w is kept with its image A.w: the image of e_i is row i of the
+    symmetric A, and a XOR of vectors has the XOR of their images as its
+    image, so a form value is one AND and a popcount.  While some w has
+    B(w, w) = 1, the first such w is taken out as a unit and the rest are
+    projected off it.  Otherwise the first pair u, v with B(u, v) = 1 is
+    taken.  On an even A no unit ever exists, so it is a hyperbolic pair:
+    its rows are A.u and A.v, and the rest are projected off both.  On an
+    odd A the last unit w is put back as the three units w+u, w+v, w+u+v,
+    which are pairwise orthogonal and span <w, u, v>.  The rows of the
+    units are their images.
+    """
+    work = [(1 << i, r) for i, r in enumerate(a.data)]  # (w, A.w)
+    units: list[tuple[int, int]] = []  # pairwise orthogonal, B(u, u) = 1
+    rows: list[int] = []  # A.u, A.v of each hyperbolic pair
+    while True:
+        k = next((k for k, (w, aw) in enumerate(work) if (w & aw).bit_count() & 1), None)
+        if k is not None:
+            u, au = work.pop(k)
+            work = [(w ^ u, aw ^ au) if (w & au).bit_count() & 1 else (w, aw) for w, aw in work]
+            units.append((u, au))
+            continue
+        n = len(work)
+        pair = next(
+            ((i, j) for i in range(n) for j in range(i + 1, n) if (work[i][0] & work[j][1]).bit_count() & 1),
+            None,
+        )
+        if pair is None:
+            return rows + [au for _, au in units]
+        i, j = pair
+        (u, au), (v, av) = work[i], work[j]
+        del work[j], work[i]
+        if units:
+            w, aw = units.pop()
+            work += [(w ^ u, aw ^ au), (w ^ v, aw ^ av), (w ^ u ^ v, aw ^ au ^ av)]
+            continue
+        rows += [au, av]
+        for k, (w, aw) in enumerate(work):
+            if (w & av).bit_count() & 1:
+                w, aw = w ^ u, aw ^ au
+            if (w & au).bit_count() & 1:
+                w, aw = w ^ v, aw ^ av
+            work[k] = (w, aw)
 
 
 def factor_even(a: BitMatrix) -> BitMatrix:
-    """Factor a symmetric even A as Y^T H Y with Y of rank(A) rows.
-
-    Symplectic Gram-Schmidt on the bilinear form (x, y) -> x^T A y: pull out
-    hyperbolic pairs with the lowest available indices, project the rest.
-    """
+    """Factor a symmetric even A as Y^T H Y with Y of rank(A) rows; the
+    hyperbolic pairs are taken with the lowest available indices (see
+    _gram_schmidt)."""
     if not a.is_symmetric():
         raise Gf2Error("factor_even requires a symmetric matrix")
     if not a.is_even():
         raise Gf2Error("factor_even requires an even (zero-diagonal) matrix")
-    n = a.cols
-    work = [1 << i for i in range(n)]  # current basis vectors of GF(2)^n
-    y_rows: list[int] = []
-    while True:
-        pair = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if _form_value(a, work[i], work[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j = pair
-        u, v = work[i], work[j]
-        # Rows of Y for this hyperbolic pair: the functionals B(u, .), B(v, .).
-        au = a.mul_vec(u)
-        av = a.mul_vec(v)
-        y_rows.append(au)
-        y_rows.append(av)
-        rest = []
-        for k, w in enumerate(work):
-            if k in (i, j):
-                continue
-            if (w & av).bit_count() & 1:
-                w ^= u
-            if (w & au).bit_count() & 1:
-                w ^= v
-            rest.append(w)
-        work = rest
-    y = BitMatrix(len(y_rows), n, y_rows)
-    return y
+    rows = _gram_schmidt(a)
+    return BitMatrix(len(rows), a.cols, rows)
 
 
 def factor_odd(a: BitMatrix) -> BitMatrix:
-    """Factor a symmetric odd A as Y^T Y with Y of rank(A) rows.
-
-    Extracts an orthonormal basis of the non-degenerate part of the form
-    (x, y) -> x^T A y.  When the residual form turns alternate while still
-    nonzero, the last extracted unit vector is recombined with a hyperbolic
-    pair of the residual into three fresh unit vectors, and extraction
-    continues.
-    """
+    """Factor a symmetric odd A as Y^T Y with Y of rank(A) rows: an
+    orthonormal basis of the non-degenerate part of the form (see
+    _gram_schmidt)."""
     if not a.is_symmetric():
         raise Gf2Error("factor_odd requires a symmetric matrix")
     if a.is_even():
         raise Gf2Error("factor_odd requires an odd matrix (some diagonal 1)")
-    n = a.cols
-    work = [1 << i for i in range(n)]
-    units: list[int] = []  # pairwise orthogonal vectors with B(u, u) = 1
-
-    def project_out(u: int) -> None:
-        au = a.mul_vec(u)
-        for k in range(len(work)):
-            if (work[k] & au).bit_count() & 1:
-                work[k] ^= u
-
-    while True:
-        idx = None
-        for k, w in enumerate(work):
-            if _form_value(a, w, w):
-                idx = k
-                break
-        if idx is not None:
-            u = work.pop(idx)
-            project_out(u)
-            units.append(u)
-            continue
-        # Residual is alternate; find a hyperbolic pair, if any.
-        pair = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if _form_value(a, work[i], work[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        if not units:
-            raise Gf2Error("internal: alternate residual with no extracted unit")
-        i, j = pair
-        wj = work.pop(j)
-        wi = work.pop(i)
-        u = units.pop()
-        # u+wi, u+wj, u+wi+wj are pairwise orthogonal units spanning <u, wi, wj>.
-        work.extend([u ^ wi, u ^ wj, u ^ wi ^ wj])
-    y = BitMatrix(len(units), n, [a.mul_vec(u) for u in units])
-    return y
+    rows = _gram_schmidt(a)
+    return BitMatrix(len(rows), a.cols, rows)
 
 
 class Gf2Elimination:
@@ -327,11 +281,10 @@ class Gf2Elimination:
         return coeff
 
 
-def solve_gf2(columns: list[int], rhs: int, nbits: int):
-    """Solve sum_i c_i * columns[i] = rhs over GF(2); see Gf2Elimination.
-
-    Vectors are packed ints of nbits bits; the elimination does not read
-    nbits.  Returns a coefficient list or None when no solution exists.
+def solve_gf2(columns: list[int], rhs: int):
+    """Solve sum_i c_i * columns[i] = rhs over GF(2), vectors packed as
+    ints of any width; see Gf2Elimination.  Returns a coefficient list or
+    None when no solution exists.
     """
     return Gf2Elimination(columns).solve(rhs)
 

@@ -10,8 +10,6 @@ factor is exact, and each unit |B|_1 loses is one tube pass fewer to draw.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class IntMatrixError(ValueError):
     pass
@@ -85,30 +83,25 @@ class IntMatrix:
 
 
 def rank_q(a: IntMatrix) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in a.data]
-    rows, cols = a.rows, a.cols
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    After k pivots every entry below them is a (k+1) x (k+1) minor of the
+    row-permuted matrix, so dividing by the previous pivot, a k x k minor,
+    is exact and the entries stay integers of bounded size.
+    """
+    m = [row[:] for row in a.data]
+    rank, prev = 0, 1
+    for c in range(a.cols):
+        piv = next((i for i in range(rank, a.rows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        r += 1
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        for i in range(rank + 1, a.rows):
+            f = m[i][c]
+            m[i] = [(p[c] * x - f * y) // prev for x, y in zip(m[i], p)]
+        prev = p[c]
         rank += 1
-        if r == rows:
-            break
     return rank
 
 

@@ -10,12 +10,10 @@ surface drawing checked by the combinatorial verifier.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import dataclass
 from itertools import islice
-from fractions import Fraction
 
 from .drawing import (
     CompatibilityClass,
@@ -23,7 +21,7 @@ from .drawing import (
     finger_move_columns,
     realize_parity,
 )
-from .gf2 import BitMatrix, Gf2Elimination
+from .gf2 import BitMatrix, Gf2Elimination, rank_gf2
 from .graph import Graph
 from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
 
@@ -58,17 +56,6 @@ class SolveResult:
     nodes: int = 0
 
 
-def _nullspace(vectors, nbits):
-    """The reduced basis of {z : z . v = 0 for every v}, vectors packed as
-    ints: one vector per free coordinate, in increasing order of it; a
-    vector's free coordinate is its lowest bit."""
-    columns = BitMatrix(len(vectors), nbits, vectors).transpose().data
-    # Fed from the last coordinate down, bit i of a tag is coordinate
-    # nbits - 1 - i and each tag owns its highest bit (Gf2Elimination).
-    tags = Gf2Elimination(columns[::-1]).kernel
-    return [int(f"{z:0{nbits}b}"[::-1], 2) for z in reversed(tags)]
-
-
 def _crosscap_reps(m: int):
     """Lexicographically minimal orbit representatives of the pass vectors
     of M_m under ribbon permutations: an orbit is fixed by the weight.
@@ -97,9 +84,11 @@ def _witt_children(spec: SurfaceSpec, basis: tuple):
     duals = [spec.dual(w) for w in basis]
     # Every pattern is met outside W, except when W contains its
     # complement W' = {v : B(v, W) = 0}, of dimension d - r; then the
-    # patterns met inside W (2^r over |W'|) are met nowhere else.
+    # patterns met inside W (2^r over |W'|) are met nowhere else.  W' meets
+    # W in the radical of B on W, of dimension r - rank of the Gram matrix
+    # of the basis, so W' lies in W exactly when that rank is 2r - d.
     outside = 1 << r
-    if 2 * r >= d and all(z in inside for z in _nullspace(duals, d)):
+    if rank_gf2(spec.gram(basis)) == 2 * r - d:
         outside -= 1 << (2 * r - d)
     top = max(span)
     seen = set()
@@ -188,8 +177,8 @@ class _Checks:
 
 def _layout_checks(g: Graph, base: int) -> _Checks:
     """The edge order and the forest come from the reduced basis of the
-    checks, the kernel over the pairs in decreasing order (_nullspace's
-    basis).  The DFS then prunes with a basis in echelon form by
+    checks, the kernel of the finger moves' pair columns fed over the pairs
+    in decreasing order.  The DFS then prunes with a basis in echelon form by
     depth: pairs touching the forest first, then each pair by the position
     of its later free edge.  Each check fires at the deepest position it
     involves, the depth of its own coordinate, so the checks firing by
@@ -487,12 +476,12 @@ def kmn_lower_bound(m: int, n: int) -> int:
     """Lower bound on the genus of any surface Z2-hosting K_{m,n}."""
     if m < 1 or n < 1:
         raise ValueError("part sizes must be positive")
-    value = Fraction((m - 2) * (n - 2), 4) - Fraction(m - 3, 2)
-    return max(0, math.ceil(value))
+    # ceil((m - 2)(n - 2) / 4 - (m - 3) / 2), as an integer ceiling
+    return max(0, -(-((m - 2) * (n - 2) - 2 * (m - 3)) // 4))
 
 
 def k2n_lower_bound(n: int) -> int:
     """Lower bound on the genus of any surface Z2-hosting K_{2n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return max(0, math.ceil(Fraction((n - 3) ** 2, 4)))
+    return max(0, -(-((n - 3) ** 2) // 4))

@@ -7,8 +7,10 @@ realizability by recomputing crossing data from coordinates.
 """
 
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -286,6 +288,13 @@ def test_lower_bound_table():
     assert kmn_lower_bound(6, 6) == 3
     assert k2n_lower_bound(3) == 0
     assert k2n_lower_bound(4) == 1
+    # The integer ceilings against the bounds in exact rationals.
+    for m in range(1, 31):
+        k2n = Fraction((m - 3) ** 2, 4)
+        assert k2n_lower_bound(m) == max(0, math.ceil(k2n))
+        for n in range(1, 31):
+            kmn = Fraction((m - 2) * (n - 2), 4) - Fraction(m - 3, 2)
+            assert kmn_lower_bound(m, n) == max(0, math.ceil(kmn))
 
 
 def test_signed_roundtrip_50():

@@ -132,6 +132,32 @@ def test_factor_construct_verify_extract_pipeline(tmp_path, capsys):
     assert out.splitlines()[0] == "gf2 6 6"
 
 
+def test_factor_odd_construct_verify_pipeline(tmp_path, capsys):
+    # odd matrix -> factor --mode odd -> realized drawing -> embedding on
+    # M_3: the unit e_0 and the hyperbolic pair of edges 1 and 4 make three
+    # units, so the factor has three rows
+    g4 = _write(tmp_path, "k4.g", serialize_graph(complete_graph(4)))
+    a = BitMatrix(6, 6)
+    a.set(0, 0, 1)
+    a.set(1, 4, 1)
+    a.set(4, 1, 1)
+    mat = _write(tmp_path, "a.m", serialize_bitmatrix(a))
+    assert main(["factor", "--mode", "odd", "--matrix", mat]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "gf2 3 6"
+    fac = _write(tmp_path, "a.f", out)
+    d4 = str(tmp_path / "k4.d")
+    assert main(["realize", "--graph", g4, "--matrix", mat, "--out", d4]) == 0
+    capsys.readouterr()
+    assert main(["construct", "--graph", g4, "--drawing", d4,
+                 "--factor", fac, "--surface", "M:3"]) == 0
+    sd = _write(tmp_path, "k4.sd", capsys.readouterr().out)
+    assert main(["verify", "--surface-drawing", sd]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "EMBEDDING"
+    assert main(["verify", "--surface-drawing", sd, "--geometric"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "EMBEDDING"
+
+
 def test_z_pipeline_extract_roundtrip(tmp_path, capsys):
     g4 = _write(tmp_path, "k4.g", serialize_graph(complete_graph(4)))
     d4 = _write(tmp_path, "k4.d", serialize_drawing(convex_drawing(complete_graph(4))))

@@ -35,6 +35,23 @@ def test_rank_q_basics():
     assert rank_q(a) == 2
 
 
+def test_rank_q_matches_sympy_on_seeded_products():
+    # B.C with an inner dimension k has rank at most k, so most products
+    # are rank-deficient; sympy's exact rank is the oracle.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    deficient = 0
+    for _ in range(1000):
+        rows, cols, k = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(0, 6)
+        b = IntMatrix(rows, k, [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(rows)])
+        c = IntMatrix(k, cols, [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(k)])
+        a = b @ c
+        r = sympy.Matrix(a.data).rank()
+        assert rank_q(a) == r
+        deficient += r < min(rows, cols)
+    assert deficient >= 400
+
+
 def test_symplectic_matrix():
     assert symplectic_matrix_int(0).rows == 0
     assert symplectic_matrix_int(1).data == [[0, 1], [-1, 0]]

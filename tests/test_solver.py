@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from surfembed import solver
-from surfembed.gf2 import BitMatrix, rank_gf2
+from surfembed.gf2 import BitMatrix, Gf2Elimination, rank_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
 from surfembed.solver import (
@@ -19,8 +19,19 @@ from surfembed.solver import (
     z2_genus,
 )
 from surfembed.drawing import CompatibilityClass, finger_move_columns, finger_move_generators, finger_move_labels
-from surfembed.solver import _Call, _crosscap_reps, _edge_order, _nullspace, _search, _set_bits, _witt_children
+from surfembed.solver import _Call, _crosscap_reps, _edge_order, _search, _set_bits, _witt_children
 from surfembed.surface import SurfaceSpec, verify_z2
+
+
+def _nullspace(vectors, nbits):
+    """The reduced basis of {z : z . v = 0 for every v}, vectors packed as
+    ints: one vector per free coordinate, in increasing order of it; a
+    vector's free coordinate is its lowest bit."""
+    columns = BitMatrix(len(vectors), nbits, vectors).transpose().data
+    # Fed from the last coordinate down, bit i of a tag is coordinate
+    # nbits - 1 - i and each tag owns its highest bit (Gf2Elimination).
+    tags = Gf2Elimination(columns[::-1]).kernel
+    return [int(f"{z:0{nbits}b}"[::-1], 2) for z in reversed(tags)]
 
 
 def _brute_form(spec, a, b):
