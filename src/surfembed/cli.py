@@ -24,14 +24,13 @@ from .drawing import (
 )
 from .gf2 import (
     BitMatrix,
-    Gf2Error,
     factor_even,
     factor_odd,
     parse_bitmatrix,
     serialize_bitmatrix,
 )
-from .graph import GraphError, parse_graph
-from .intmat import IntMatrixError, factor_alternating, parse_intmatrix, serialize_intmatrix
+from .graph import parse_graph
+from .intmat import factor_alternating, parse_intmatrix, serialize_intmatrix
 from .layout import LayoutError, verify_geometric
 from .solver import (
     SolverBudget,
@@ -42,7 +41,6 @@ from .solver import (
     z2_embeddable_orientable,
 )
 from .surface import (
-    SurfaceError,
     SurfaceSpec,
     construct_z2_embedding,
     construct_z_embedding,
@@ -253,7 +251,7 @@ def _cmd_verify(args):
 def _cmd_extract(args):
     mode = "z" if args.z else "z2"
     sd = parse_surface_drawing(_read(args.surface_drawing), mode=mode)
-    a, cert = extract_matrix(sd, mode)
+    a, cert = extract_matrix(sd)
     out = serialize_intmatrix(a) if args.z else serialize_bitmatrix(a)
     _emit_text(out, args.structured)
     if args.structured:
@@ -340,15 +338,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (
-        _ArgumentError,
-        GraphError,
-        Gf2Error,
-        IntMatrixError,
-        SurfaceError,
-        LayoutError,
-        ValueError,
-    ) as err:
+    except (_ArgumentError, LayoutError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

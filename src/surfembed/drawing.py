@@ -44,36 +44,30 @@ class PlanarDrawing:
     """A drawing of a graph: rational vertex points plus per-edge polylines.
 
     Polylines run from the point of the lower-index endpoint to the
-    higher-index one; edge_orientations[i] = +1 keeps that direction for
-    signed crossings, -1 reverses it.  Drawings are not mutated: a finger
-    move makes a new drawing that shares the untouched point lists, and
-    the integer image of its points (_integer_view).
+    higher-index one, and that direction is the edge's orientation for
+    signed crossings and integer passes.  Drawings are not mutated: a
+    finger move makes a new drawing that shares the untouched point
+    lists, and the integer image of its points (_integer_view).
     """
 
     __slots__ = (
         "graph",
         "vertex_points",
         "edge_polylines",
-        "edge_orientations",
         "_crossings",
         "_points",
         "_self_points",
         "_image",
     )
 
-    def __init__(self, graph: Graph, vertex_points, edge_polylines, edge_orientations=None):
+    def __init__(self, graph: Graph, vertex_points, edge_polylines):
         self.graph = graph
         self.vertex_points = [_rational(p) for p in vertex_points]
         self.edge_polylines = [[_rational(p) for p in pl] for pl in edge_polylines]
-        if edge_orientations is None:
-            edge_orientations = [1] * graph.edge_count
-        self.edge_orientations = list(edge_orientations)
         if len(self.vertex_points) != graph.vertex_count:
             raise GeneralPositionError("vertex point count mismatch")
         if len(self.edge_polylines) != graph.edge_count:
             raise GeneralPositionError("polyline count mismatch")
-        if any(o not in (1, -1) for o in self.edge_orientations):
-            raise GeneralPositionError("orientations must be +1/-1")
         self._crossings = None
         # Filled with the table: crossing point -> count over all pair and
         # self-crossings, and each edge's self-crossing points.  A crossing
@@ -95,7 +89,6 @@ class PlanarDrawing:
         d.vertex_points = self.vertex_points
         d.edge_polylines = list(self.edge_polylines)
         d.edge_polylines[edge] = [_rational(p) for p in polyline]
-        d.edge_orientations = self.edge_orientations
         d._crossings = d._points = d._self_points = d._image = None
         return d
 
@@ -115,7 +108,12 @@ def _check_polyline_shape(d: PlanarDrawing, i: int):
     pl = d.edge_polylines[i]
     if len(pl) < 2:
         raise GeneralPositionError(f"edge {i}: polyline too short")
-    if pl[0] != d.vertex_points[u] or pl[-1] != d.vertex_points[v]:
+    ends = (pl[0], pl[-1])
+    if ends == (d.vertex_points[v], d.vertex_points[u]):
+        raise GeneralPositionError(
+            f"edge {i}: polyline runs from vertex {v} to vertex {u}; it must be stored from {u} to {v}"
+        )
+    if ends != (d.vertex_points[u], d.vertex_points[v]):
         raise GeneralPositionError(f"edge {i}: polyline does not join its endpoints")
     for a, b in _polyline_segments(pl):
         if a == b:
@@ -282,7 +280,6 @@ def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
     table = d.crossings()
     for i, j in g.pairs:
         total = sum(s for _, s in table[i, j])
-        total *= d.edge_orientations[i] * d.edge_orientations[j]
         out.data[i][j] = total
         out.data[j][i] = -total
     return out

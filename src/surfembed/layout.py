@@ -141,13 +141,11 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         plan = []
         for k in range(r):
             c = sd.passes[e][k]
-            # Passes count along the edge's orientation, the curve runs
-            # along its polyline.
-            direction = 1 if c * sd.core.edge_orientations[e] > 0 else -1
+            # Passes count along the polyline, as the curve runs.
             for rep in range(abs(c)):
                 lane_of[(e, len(plan))] = (k, totals[k])
                 totals[k] += 1
-                plan.append((k, direction))
+                plan.append((k, c > 0))
         plans[e] = plan
 
     nruns = sum(len(p) + 1 for p in plans.values() if p)
@@ -178,10 +176,10 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         level = next(levels)
         pts.append((p1[0], level))
         labs.append(DISK)
-        for idx, (k, direction) in enumerate(plan):
+        for idx, (k, forward) in enumerate(plan):
             j = lane_of[(e, idx)][1]
             lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
-            if direction < 0:
+            if not forward:
                 lane_pts = lane_pts[::-1]
                 lane_labs = lane_labs[::-1]
             x_in = lane_pts[0][0]
@@ -264,16 +262,11 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
         except LayoutError as err:
             last = err
             continue
-        out = {}
-        ok = True
+        # Only same-label crossings are genuine; each sign is +-1, so the
+        # parity of the signed sum is the parity of their number.
+        pairs = {}
         for i, j in g.pairs:
-            hits = table[i, j]
-            if mode == "z2":
-                val = sum(1 for _, same in hits if same) & 1
-            else:
-                o = sd.core.edge_orientations[i] * sd.core.edge_orientations[j]
-                val = sum(sgn for sgn, same in hits if same) * o
-            out[i, j] = val
-            ok = ok and val == 0
-        return VerifyReport(mode, out, ok)
+            total = sum(sgn for sgn, same in table[i, j] if same)
+            pairs[i, j] = total & 1 if mode == "z2" else total
+        return VerifyReport(mode, pairs, not any(pairs.values()))
     raise LayoutError(f"geometric layout failed after retries: {last}")

@@ -3,9 +3,9 @@
 Decides whether a graph has a crossing-parity matrix realizable by vectors
 y_e in GF(2)^d whose Gram matrix under the ribbon form of the surface
 (SurfaceSpec.form: hyperbolic on S_g, the identity on M_m) is compatible
-modulo 2 with the graph.  Every affirmative answer carries a fully
-verified witness: the matrix, its factor, a concrete planar drawing and a
-surface drawing checked by the combinatorial verifier.
+modulo 2 with the graph.  Every affirmative answer carries a witness:
+the matrix and a surface drawing whose core realizes it and whose passes
+factor it, checked by the combinatorial verifier.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .drawing import (
 )
 from .gf2 import BitMatrix, Gf2Elimination, rank_gf2
 from .graph import Graph
-from .surface import SurfaceSpec, construct_z2_embedding, verify_z2
+from .surface import SurfaceDrawing, SurfaceSpec, construct_z2_embedding, verify_z2
 
 
 @dataclass
@@ -43,10 +43,7 @@ class SolverBudget:
 @dataclass
 class Witness:
     matrix: BitMatrix
-    factor: BitMatrix
-    drawing: object
-    surface_drawing: object
-    report: object
+    surface_drawing: SurfaceDrawing
 
 
 @dataclass
@@ -396,10 +393,9 @@ def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
     a = spec.gram(assign)
     f = realize_parity(g, ParityMatrix(g, a))
     sd = construct_z2_embedding(g, f, y, spec)
-    report = verify_z2(sd)
-    if not report.is_embedding:
+    if not verify_z2(sd).is_embedding:
         raise RuntimeError("internal error: witness failed verification")
-    return Witness(a, y, f, sd, report)
+    return Witness(a, sd)
 
 
 def _solve(g: Graph, spec: SurfaceSpec, budget) -> SolveResult:

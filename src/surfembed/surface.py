@@ -57,11 +57,6 @@ class SurfaceSpec:
     def ribbon_count(self) -> int:
         return 2 * self.genus if self.kind == "S" else self.genus
 
-    @property
-    def euler(self) -> int:
-        """Euler characteristic of the surface with one boundary circle."""
-        return 1 - self.ribbon_count
-
     def dual(self, b: int) -> int:
         """J.b for a pass vector packed as an int (bit k = ribbon k).
 
@@ -121,9 +116,9 @@ class SurfaceDrawing:
 
     passes[e][k] is the net number of passes of edge e's tube through
     ribbon k; bits in z2 mode, signed integers in z mode.  Passes are
-    counted along the edge's orientation (core.edge_orientations[e]), not
-    along the direction in which its polyline is stored.  tube_order
-    fixes the radial nesting of the tubes.
+    counted along the edge's orientation, the direction of its stored
+    polyline (lower vertex index to higher).  tube_order fixes the radial
+    nesting of the tubes.
     """
 
     surface: SurfaceSpec
@@ -163,29 +158,27 @@ def construct_z2_embedding(g, f: PlanarDrawing, y: BitMatrix, s: SurfaceSpec) ->
     """Connected-sum construction: attach a tube to every edge whose column
     of y is nonzero, passing once through each ribbon flagged by the column.
     """
-    if f.graph.edges != g.edges:
-        raise SurfaceError("drawing belongs to a different graph")
-    if y.cols != g.edge_count:
-        raise SurfaceError("factor must have one column per edge")
-    if y.rows != s.ribbon_count:
-        raise SurfaceError("factor row count must match the ribbon count")
-    f.crossings()
-    passes = [[y.get(k, e) for k in range(y.rows)] for e in range(g.edge_count)]
-    return SurfaceDrawing(s, f, passes, list(range(g.edge_count)), mode="z2")
+    return _construct(g, f, y, s, "z2")
 
 
 def construct_z_embedding(g, f: PlanarDrawing, b: IntMatrix, s: SurfaceSpec) -> SurfaceDrawing:
+    """The same construction with signed passes: column e of b gives the net
+    passes of edge e through each ribbon, along its polyline."""
     if not s.orientable:
         raise SurfaceError("integer embeddings are defined on orientable surfaces only")
+    return _construct(g, f, b, s, "z")
+
+
+def _construct(g, f: PlanarDrawing, factor, s: SurfaceSpec, mode: str) -> SurfaceDrawing:
     if f.graph.edges != g.edges:
         raise SurfaceError("drawing belongs to a different graph")
-    if b.cols != g.edge_count:
+    if factor.cols != g.edge_count:
         raise SurfaceError("factor must have one column per edge")
-    if b.rows != s.ribbon_count:
+    if factor.rows != s.ribbon_count:
         raise SurfaceError("factor row count must match the ribbon count")
     f.crossings()
-    passes = [[b.data[k][e] for k in range(b.rows)] for e in range(g.edge_count)]
-    return SurfaceDrawing(s, f, passes, list(range(g.edge_count)), mode="z")
+    passes = [[factor.get(k, e) for k in range(factor.rows)] for e in range(g.edge_count)]
+    return SurfaceDrawing(s, f, passes, list(range(g.edge_count)), mode=mode)
 
 
 def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
@@ -195,16 +188,11 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     contribute one crossing per pass pair, a twisted ribbon contributes one
     crossing for two passes through it.  Tube nesting contributes nothing.
     """
-    g = sd.core.graph
     core = crossing_parity_matrix(sd.core)
     ys = _packed(sd.passes)
-    out = {}
-    ok = True
-    for i, j in g.pairs:
-        parity = core.get(i, j) ^ sd.surface.form(ys[i], ys[j])
-        out[i, j] = parity
-        ok = ok and parity == 0
-    return VerifyReport("z2", out, ok)
+    form = sd.surface.form
+    pairs = {(i, j): core.get(i, j) ^ form(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
+    return VerifyReport("z2", pairs, not any(pairs.values()))
 
 
 def verify_z(sd: SurfaceDrawing) -> VerifyReport:
@@ -217,27 +205,22 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     """
     if not sd.surface.orientable:
         raise SurfaceError("integer verification requires an orientable surface")
-    g = sd.core.graph
     core = signed_crossing_matrix(sd.core)
-    out = {}
-    ok = True
-    for i, j in g.pairs:
-        total = core.data[i][j] - sd.surface.form_z(sd.passes[i], sd.passes[j])
-        out[i, j] = total
-        ok = ok and total == 0
-    return VerifyReport("z", out, ok)
+    ys = sd.passes
+    form_z = sd.surface.form_z
+    pairs = {(i, j): core.data[i][j] - form_z(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
+    return VerifyReport("z", pairs, not any(pairs.values()))
 
 
-def extract_matrix(sd: SurfaceDrawing, mode: str = None):
+def extract_matrix(sd: SurfaceDrawing):
     """Close every edge through the disk and return the Gram matrix of the
-    resulting cycles, with a certificate that the core drawing is
-    compatible (modulo 2) to it, or None when it is not.
+    resulting cycles (integer in z mode, GF(2) in z2 mode), with a
+    certificate that the core drawing is compatible (modulo 2) to it, or
+    None when it is not.
     """
-    if mode is None:
-        mode = sd.mode
     g = sd.core.graph
     spec = sd.surface
-    if mode == "z":
+    if sd.mode == "z":
         if not spec.orientable:
             raise SurfaceError("integer extraction requires an orientable surface")
         # The basis intersection matrix is -H_g, so the entry -(cycle
@@ -245,10 +228,8 @@ def extract_matrix(sd: SurfaceDrawing, mode: str = None):
         rows = [[spec.form_z(yi, yj) for yj in sd.passes] for yi in sd.passes]
         a = IntMatrix(g.edge_count, g.edge_count, rows)
         bits = BitMatrix.from_lists(a.data)
-    elif mode == "z2":
-        a = bits = spec.gram(_packed(sd.passes))
     else:
-        raise SurfaceError("mode must be z2 or z")
+        a = bits = spec.gram(_packed(sd.passes))
     cert = CompatibilityClass.compute(g, sd.core).membership(ParityMatrix(g, bits))
     return a, cert
 

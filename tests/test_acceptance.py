@@ -36,7 +36,7 @@ from surfembed.gf2 import (
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.intmat import IntMatrix, factor_alternating, rank_q, symplectic_matrix_int
 from surfembed.layout import verify_geometric
-from surfembed.solver import k2n_lower_bound, kmn_lower_bound, z2_genus
+from surfembed.solver import k2n_lower_bound, kmn_lower_bound, z2_embeddable_orientable, z2_genus
 from surfembed.surface import (
     SurfaceDrawing,
     SurfaceSpec,
@@ -207,6 +207,29 @@ def test_plane_negatives_and_planar_positives_exhaustive():
             assert is_compatible_mod2(g, ParityMatrix(g, BitMatrix(m, m))) is not None
 
 
+def test_atlas_planarity_and_torus_witnesses():
+    # all 1,253 graphs of networkx's atlas (at most 7 vertices): the S0
+    # verdict equals networkx's planarity test (Hanani-Tutte), and each of
+    # the 237 nonplanar ones is Z2-embeddable in S1 with a witness that
+    # both verifiers accept.  Cap: 10 s.
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    nonplanar = 0
+    for h in atlas:
+        g = Graph(h.number_of_nodes(), list(h.edges()))
+        planar, _ = nx.check_planarity(h)
+        assert z2_embeddable_orientable(g, 0).status == ("yes" if planar else "no"), g.edges
+        if planar:
+            continue
+        nonplanar += 1
+        res = z2_embeddable_orientable(g, 1)
+        assert res.status == "yes", g.edges
+        sd = res.witness.surface_drawing
+        assert verify_z2(sd).is_embedding and verify_geometric(sd, "z2").is_embedding, g.edges
+    assert nonplanar == 237
+
+
 def _random_drawing(g, rng, moves=3):
     order = list(range(g.vertex_count))
     rng.shuffle(order)
@@ -325,7 +348,7 @@ def test_extraction_consistency(genus_witnesses):
     results, _ = genus_witnesses
     for g, kind, expected, res in results:
         sd = res.witness.surface_drawing
-        a, cert = extract_matrix(sd, "z2")
+        a, cert = extract_matrix(sd)
         assert a == res.witness.matrix
         if kind == "orientable":
             assert a.is_even()

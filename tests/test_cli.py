@@ -370,6 +370,15 @@ def test_input_errors_exit_three(tmp_path, capsys):
     twice = _write(tmp_path, "twice.sd", sd + "order : 0 1 2\n")
     assert main(["verify", "--surface-drawing", twice]) == 3
     capsys.readouterr()
+    # a polyline stored from the higher-numbered vertex to the lower one:
+    # its direction is the edge's orientation, so it is named, not reversed
+    back = _write(tmp_path, "back.d", "drawing\nvertex 0 0 0\nvertex 1 1 0\nedge 0 : 1 0 0 0\n")
+    k2 = _write(tmp_path, "k2.g", "graph 2\n0 1\n")
+    y = _write(tmp_path, "y.m", serialize_bitmatrix(BitMatrix(2, 1)))
+    assert main(["crossings", "--drawing", back]) == 3
+    assert main(["construct", "--graph", k2, "--drawing", back, "--factor", y, "--surface", "S:1"]) == 3
+    rule = "error: edge 0: polyline runs from vertex 1 to vertex 0; it must be stored from 0 to 1"
+    assert capsys.readouterr().err.splitlines() == [rule, rule]
     # an output file in a missing directory: one error line, nothing else
     k5, missing = _k5(tmp_path), str(tmp_path / "no" / "such" / "out.txt")
     assert main(["solve", "--graph", k5, "--genus", "1", "--witness-out", missing]) == 3

@@ -213,7 +213,7 @@ def _build_curves_fraction(sd, attempt):
         plan = []
         for k in range(r):
             c = sd.passes[e][k]
-            direction = 1 if c * sd.core.edge_orientations[e] > 0 else -1
+            direction = 1 if c > 0 else -1
             for _ in range(abs(c)):
                 lane_of[(e, len(plan))] = (k, totals[k])
                 totals[k] += 1

@@ -607,7 +607,7 @@ def test_planar_graphs_at_genus_zero():
     for g in (complete_graph(4), complete_bipartite(2, 3), Graph(3, [(0, 1), (1, 2)])):
         res = z2_embeddable_orientable(g, 0)
         assert res.status == "yes"
-        assert res.witness.report.is_embedding
+        assert verify_z2(res.witness.surface_drawing).is_embedding
 
 
 def test_k5_genus_zero_no_genus_one_yes():
@@ -721,6 +721,6 @@ def test_witness_matrix_matches_drawing_parities():
     w = res.witness
     from surfembed.drawing import crossing_parity_matrix
 
-    pm = crossing_parity_matrix(w.drawing)
+    pm = crossing_parity_matrix(w.surface_drawing.core)
     for i, j in independent_pairs(complete_graph(5)):
         assert pm.get(i, j) == w.matrix.get(i, j)
