@@ -8,7 +8,6 @@ modulo 2 with witness construction.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,18 +46,11 @@ class PlanarDrawing:
     higher-index one, and that direction is the edge's orientation for
     signed crossings and integer passes.  Drawings are not mutated: a
     finger move makes a new drawing that shares the untouched point
-    lists, and the integer image of its points (_integer_view).
+    lists.  A drawing keeps two caches: its crossing table (crossings())
+    and the integer image of its points (_integer_view).
     """
 
-    __slots__ = (
-        "graph",
-        "vertex_points",
-        "edge_polylines",
-        "_crossings",
-        "_points",
-        "_self_points",
-        "_image",
-    )
+    __slots__ = ("graph", "vertex_points", "edge_polylines", "_crossings", "_image")
 
     def __init__(self, graph: Graph, vertex_points, edge_polylines):
         self.graph = graph
@@ -69,17 +61,14 @@ class PlanarDrawing:
         if len(self.edge_polylines) != graph.edge_count:
             raise GeneralPositionError("polyline count mismatch")
         self._crossings = None
-        # Filled with the table: crossing point -> count over all pair and
-        # self-crossings, and each edge's self-crossing points.  A crossing
-        # point is the reduced triple (X, Y, Q), Q > 0, of (X/Q, Y/Q).
-        self._points = None
-        self._self_points = None
         self._image = None
 
     def crossings(self):
-        """All proper crossings by edge pair; validates general position."""
+        """The signs (+-1) of the proper crossings of each edge pair (i, j),
+        i < j, relative to the stored polyline directions: the parity is the
+        list's length, the signed sum its sum.  Validates general position."""
         if self._crossings is None:
-            self._crossings, self._points, self._self_points = _compute_crossings(self)
+            self._crossings = _compute_crossings(self)
         return self._crossings
 
     def with_polyline(self, edge: int, polyline) -> "PlanarDrawing":
@@ -89,7 +78,7 @@ class PlanarDrawing:
         d.vertex_points = self.vertex_points
         d.edge_polylines = list(self.edge_polylines)
         d.edge_polylines[edge] = [_rational(p) for p in polyline]
-        d._crossings = d._points = d._self_points = d._image = None
+        d._crossings = d._image = None
         return d
 
 
@@ -189,9 +178,26 @@ def _check_vertices_on_edge(d: PlanarDrawing, i: int):
             raise GeneralPositionError(f"vertex {w} at endpoint of non-incident edge {i}")
 
 
-def _compute_crossings(d: PlanarDrawing):
-    """(pair table, crossing point -> count, self-crossing points per edge),
-    every point as its reduced triple (see _unscale)."""
+def _signs(found: dict, scale: int) -> dict:
+    """The signs of each pair key of an _edge_crossings result, found on an
+    integer image of the given scale; the self-crossing keys are dropped.
+    Raises when a point is crossed twice, naming it in the drawing's units."""
+    points = [p for (i, j), hits in found.items() if i == j for p in hits]
+    signs = {}
+    for key, hits in found.items():
+        if key[0] != key[1]:
+            points += [p for p, _ in hits]
+            signs[key] = [s for _, s in hits]
+    if len(set(points)) < len(points):
+        x, y, q = next(p for p, cnt in Counter(points).items() if cnt > 1)
+        q *= scale
+        raise GeneralPositionError(f"multiple crossings through one point {(Fraction(x, q), Fraction(y, q))}")
+    return signs
+
+
+def _compute_crossings(d: PlanarDrawing) -> dict:
+    """The crossing table of d (see PlanarDrawing.crossings), found on its
+    integer image."""
     m = d.graph.edge_count
     for i in range(m):
         _check_polyline_shape(d, i)
@@ -200,18 +206,8 @@ def _compute_crossings(d: PlanarDrawing):
         raise GeneralPositionError("coincident vertex points")
     for i in range(m):
         _check_vertices_on_edge(d, i)
-    table = _image_crossings(*_integer_view(d))
-    self_points = [table.pop((i, i)) for i in range(m)]
-    point_log = Counter(p for pts in self_points for p in pts)
-    for hits in table.values():
-        point_log.update(p for p, _ in hits)
-    for p, cnt in point_log.items():
-        if cnt > 1:
-            x, y, q = p
-            raise GeneralPositionError(
-                f"multiple crossings through one point {(Fraction(x, q), Fraction(y, q))}"
-            )
-    return table, point_log, self_points
+    den, image = _integer_view(d)
+    return _signs(_edge_crossings(image), den)
 
 
 @dataclass
@@ -279,7 +275,7 @@ def signed_crossing_matrix(d: PlanarDrawing) -> IntMatrix:
     out = IntMatrix(m, m)
     table = d.crossings()
     for i, j in g.pairs:
-        total = sum(s for _, s in table[i, j])
+        total = sum(table[i, j])
         out.data[i][j] = total
         out.data[j][i] = -total
     return out
@@ -517,7 +513,9 @@ def _integer_view(d: PlanarDrawing):
 
     The view serves _edge_crossings, for the full table and for a finger
     move's row, and a finger move's local checks; they read only graph,
-    vertex_points and edge_polylines.  It is built once per drawing; the
+    vertex_points and edge_polylines.  Crossing points exist only at this
+    scale: each check of their multiplicity runs on one view (_signs), and
+    only the table's signs are kept.  It is built once per drawing; the
     drawing of a finger move carries the image that move was checked on.
     """
     if d._image is None:
@@ -537,55 +535,27 @@ def _rescaled(view, k: int):
     return SimpleNamespace(graph=view.graph, vertex_points=vpts, edge_polylines=polylines)
 
 
-def _unscale(p, den: int):
-    """The reduced triple (X, Y, Q) of d's point (X/Q, Y/Q) for a crossing
-    triple (x, y, q) of its integer view, which stands for x/(q*den),
-    y/(q*den)."""
-    x, y, q = p
-    q *= den
-    g = math.gcd(x, y, q)
-    return (x // g, y // g, q // g)
-
-
-def _image_crossings(den: int, image, only: int = None) -> dict:
-    """_edge_crossings of a drawing, run on its integer view (den, image),
-    with every point mapped back to the drawing's reduced triple."""
-    found = _edge_crossings(image, only)
-    if den == 1:
-        return found  # the image is the drawing
-    for (i, j), hits in found.items():
-        if i == j:
-            found[(i, j)] = [_unscale(p, den) for p in hits]
-        else:
-            found[(i, j)] = [(_unscale(p, den), sgn) for p, sgn in hits]
-    return found
-
-
 def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> PlanarDrawing:
     """Reroute edge e around vertex v, flipping parities per the move vector.
 
     The parity effect is re-verified exactly; geometric parameters are
     retried deterministically until the drawing is valid and the effect is
     exactly the finger-move vector.  Only edge e changes, so only its row of
-    the crossing table is recomputed: the new drawing receives the old table
-    with that row replaced, and the crossing-point map with e's old points
-    swapped for its new ones.  The fingers are drawn and checked on d's
+    the crossing table is recomputed, and the new drawing receives the old
+    table with that row replaced.  The fingers are drawn and checked on d's
     integer image, and the new drawing carries the image of the accepted
     one; its rational polyline is formed only then.
+
+    No point of the row may be crossed twice.  That is enough: a new point
+    of e on an old crossing point of other edges meets two strands there,
+    and e either crosses both, which puts the point twice in the row, or
+    touches or overlaps one, which the row's classification refuses.
     """
     g = d.graph
-    if v in g.edges[e]:
+    a, b = g.edges[e]
+    if v in (a, b):
         raise ValueError("vertex must not be an endpoint of the edge")
     table = d.crossings()
-    keys = [(min(e, f), max(e, f)) for f in range(g.edge_count) if f != e]
-    # Every count in a valid drawing's map is 1: the points off edge e.
-    others = dict(d._points)
-    for key in keys:
-        for p, _ in table[key]:
-            del others[p]
-    for p in d._self_points[e]:
-        del others[p]
-    flips = {(min(e, f), max(e, f)) for f in g.incident_edges(v)}
     den, view = _integer_view(d)
     last_err = None
     for attempt in range(24):
@@ -597,16 +567,13 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
             image.edge_polylines[e] = newpl
             _check_polyline_shape(image, e)
             _check_vertices_on_edge(image, e)
-            row = _image_crossings(den << k, image, only=e)
-            self_points = row.pop((e, e))
-            point_log = Counter(self_points)
-            for key, hits in row.items():
-                independent = not g.edges_adjacent(key[0], key[1])
-                if independent and (len(hits) ^ len(table[key]) ^ (key in flips)) & 1:
+            row = _signs(_edge_crossings(image, only=e), den << k)
+            # The pair of e and f is independent when they share no end, and
+            # the move flips its parity when v is an end of f.
+            for (i, j), signs in row.items():
+                ends = g.edges[j if i == e else i]
+                if a not in ends and b not in ends and (len(signs) ^ len(table[i, j]) ^ (v in ends)) & 1:
                     raise GeneralPositionError("finger parity effect mismatched")
-                point_log.update(p for p, _ in hits)
-            if any(c > 1 for c in point_log.values()) or not others.keys().isdisjoint(point_log):
-                raise GeneralPositionError("finger created a multiple point")
         except (GeneralPositionError, DegeneracyError) as err:
             last_err = err
             continue
@@ -618,9 +585,6 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
         cand = d.with_polyline(e, [old[0], *fresh, *old[1:]])
         cand._image = q, image
         cand._crossings = {**table, **row}
-        cand._points = {**others, **point_log}
-        cand._self_points = list(d._self_points)
-        cand._self_points[e] = self_points
         return cand
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 

@@ -55,14 +55,6 @@ class Graph:
             object.__setattr__(self, "_pairs", tuple(independent_pairs(self)))
         return self._pairs
 
-    def incident_edges(self, v: int) -> list[int]:
-        return [i for i, (a, b) in enumerate(self.edges) if v in (a, b)]
-
-    def edges_adjacent(self, i: int, j: int) -> bool:
-        a = self.edges[i]
-        b = self.edges[j]
-        return bool(set(a) & set(b))
-
 
 def independent_pairs(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs (i, j), i < j, of edges sharing no vertex, in

@@ -116,14 +116,9 @@ def _pick_attachment(polyline, vpts, own_ends, used_x, attempt):
                     continue
                 xl, xr = sorted((p1[0], p2[0]))
                 ymin = min(p1[1], p2[1])
-                bad = False
-                for v, vp in enumerate(vpts):
-                    if v in own_ends:
-                        continue
-                    if xl <= vp[0] <= xr and vp[1] >= ymin:
-                        bad = True
-                        break
-                if not bad:
+                if not any(
+                    xl <= vp[0] <= xr and vp[1] >= ymin for v, vp in enumerate(vpts) if v not in own_ends
+                ):
                     return s, p1, p2
     raise LayoutError("no valid corridor attachment found")
 
@@ -133,8 +128,7 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
     g = sd.core.graph
     r = sd.surface.ribbon_count
 
-    # Enumerate passes: lane indices per ribbon, run counts per edge.
-    lane_of = {}
+    # Enumerate passes: per edge, (ribbon, lane index, forward) of each.
     totals = [0] * r
     plans = {}
     for e in sd.tube_order:
@@ -143,9 +137,8 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
             c = sd.passes[e][k]
             # Passes count along the polyline, as the curve runs.
             for rep in range(abs(c)):
-                lane_of[(e, len(plan))] = (k, totals[k])
+                plan.append((k, totals[k], c > 0))
                 totals[k] += 1
-                plan.append((k, c > 0))
         plans[e] = plan
 
     nruns = sum(len(p) + 1 for p in plans.values() if p)
@@ -176,8 +169,7 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         level = next(levels)
         pts.append((p1[0], level))
         labs.append(DISK)
-        for idx, (k, forward) in enumerate(plan):
-            j = lane_of[(e, idx)][1]
+        for k, j, forward in plan:
             lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
             if not forward:
                 lane_pts = lane_pts[::-1]
@@ -253,6 +245,9 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
         raise SurfaceError("mode must be z2 or z")
     if mode == "z" and not sd.surface.orientable:
         raise SurfaceError("integer verification requires an orientable surface")
+    # The layout skips what a core drawing alone can break: an edge against
+    # itself and the vertex points.  The core's own table checks those.
+    sd.core.crossings()
     g = sd.core.graph
     last = None
     for attempt in range(12):

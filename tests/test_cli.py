@@ -379,6 +379,18 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert main(["construct", "--graph", k2, "--drawing", back, "--factor", y, "--surface", "S:1"]) == 3
     rule = "error: edge 0: polyline runs from vertex 1 to vertex 0; it must be stored from 0 to 1"
     assert capsys.readouterr().err.splitlines() == [rule, rule]
+    # cores out of general position that the layout alone would not see:
+    # both verifiers refuse them with the core's own message
+    for name, points, polyline, rule in (
+        ("overlap.sd", "vertex 1 4 0\n", "0 0 3 0 1 0 4 0", "edge 0: self-overlap"),
+        ("inside.sd", "vertex 1 4 0\nvertex 2 2 0\n", "0 0 4 0", "vertex 2 inside edge 0"),
+        ("zero.sd", "vertex 1 4 0\n", "0 0 2 0 2 0 4 0", "edge 0: zero-length segment"),
+    ):
+        text = f"surface S 0\ndrawing\nvertex 0 0 0\n{points}edge 0 : {polyline}\npasses 0 :\n"
+        path = _write(tmp_path, name, text)
+        assert main(["verify", "--surface-drawing", path]) == 3
+        assert main(["verify", "--surface-drawing", path, "--geometric"]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: " + rule] * 2
     # an output file in a missing directory: one error line, nothing else
     k5, missing = _k5(tmp_path), str(tmp_path / "no" / "such" / "out.txt")
     assert main(["solve", "--graph", k5, "--genus", "1", "--witness-out", missing]) == 3
