@@ -632,9 +632,10 @@ def test_a_rerouted_row_refuses_every_old_crossing_point_it_meets():
         except GeneralPositionError:
             continue
         e = rng.randrange(g.edge_count)
-        found = _edge_crossings(_integer_view(d)[1])
+        base_den, base = _integer_view(d)
+        found = _edge_crossings(base)
         old = [
-            (Fraction(x, q), Fraction(y, q))
+            (Fraction(x, q * base_den), Fraction(y, q * base_den))
             for (i, j), h in found.items()
             if e not in (i, j)
             for x, y, q in (h if i == j else [p for p, _ in h])
