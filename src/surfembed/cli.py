@@ -264,33 +264,31 @@ def _cmd_extract(args):
 def build_parser():
     p = _Parser(prog="surfembed", description="Z2- and Z-embeddings of graphs into surfaces")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--structured", action="store_true")
 
-    c = sub.add_parser("crossings", help="crossing matrix of a drawing")
+    c = sub.add_parser("crossings", help="crossing matrix of a drawing", parents=[common])
     c.add_argument("--drawing", required=True)
     c.add_argument("--signed", action="store_true")
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_crossings)
 
-    c = sub.add_parser("compat", help="compatibility modulo 2 with a matrix")
+    c = sub.add_parser("compat", help="compatibility modulo 2 with a matrix", parents=[common])
     c.add_argument("--graph", required=True)
     c.add_argument("--matrix", required=True)
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_compat)
 
-    c = sub.add_parser("realize", help="drawing realizing a parity matrix")
+    c = sub.add_parser("realize", help="drawing realizing a parity matrix", parents=[common])
     c.add_argument("--graph", required=True)
     c.add_argument("--matrix", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_realize)
 
-    c = sub.add_parser("factor", help="factor a matrix")
+    c = sub.add_parser("factor", help="factor a matrix", parents=[common])
     c.add_argument("--mode", required=True, choices=("even", "odd", "alternating"))
     c.add_argument("--matrix", required=True)
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_factor)
 
-    c = sub.add_parser("solve", help="decide Z2-embeddability")
+    c = sub.add_parser("solve", help="decide Z2-embeddability", parents=[common])
     c.add_argument("--graph", required=True)
     grp = c.add_mutually_exclusive_group(required=True)
     grp.add_argument("--genus", type=int)
@@ -299,36 +297,31 @@ def build_parser():
     c.add_argument("--budget-nodes", type=int)
     c.add_argument("--time-cap", type=float, metavar="SECONDS")
     c.add_argument("--witness-out")
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_solve)
 
-    c = sub.add_parser("bound", help="genus lower bounds")
+    c = sub.add_parser("bound", help="genus lower bounds", parents=[common])
     grp = c.add_mutually_exclusive_group(required=True)
     grp.add_argument("--kmn", type=int, nargs=2)
     grp.add_argument("--k2n", type=int)
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_bound)
 
-    c = sub.add_parser("construct", help="build a surface drawing from a factor")
+    c = sub.add_parser("construct", help="build a surface drawing from a factor", parents=[common])
     c.add_argument("--graph", required=True)
     c.add_argument("--drawing", required=True)
     c.add_argument("--factor", required=True)
     c.add_argument("--surface", required=True)
     c.add_argument("--z", action="store_true")
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_construct)
 
-    c = sub.add_parser("verify", help="verify a surface drawing")
+    c = sub.add_parser("verify", help="verify a surface drawing", parents=[common])
     c.add_argument("--surface-drawing", required=True)
     c.add_argument("--z", action="store_true")
     c.add_argument("--geometric", action="store_true")
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_verify)
 
-    c = sub.add_parser("extract", help="extract the compatibility matrix")
+    c = sub.add_parser("extract", help="extract the compatibility matrix", parents=[common])
     c.add_argument("--surface-drawing", required=True)
     c.add_argument("--z", action="store_true")
-    c.add_argument("--structured", action="store_true")
     c.set_defaults(func=_cmd_extract)
     return p
 

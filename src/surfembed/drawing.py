@@ -7,15 +7,13 @@ modulo 2 with witness construction.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .geom import (
+    GeneralPositionError,
     Point,
-    DegeneracyError,
     box_pairs,
     classify_segments,
     crossing_sign,
@@ -25,10 +23,6 @@ from .geom import (
 from .gf2 import BitMatrix, Gf2Elimination, solve_gf2
 from .graph import Graph
 from .intmat import IntMatrix
-
-
-class GeneralPositionError(ValueError):
-    pass
 
 
 class IncompatibleTargetError(ValueError):
@@ -46,8 +40,9 @@ class PlanarDrawing:
     higher-index one, and that direction is the edge's orientation for
     signed crossings and integer passes.  Drawings are not mutated: a
     finger move makes a new drawing that shares the untouched point
-    lists.  A drawing keeps two caches: its crossing table (crossings())
-    and the integer image of its points (_integer_view).
+    lists.  A drawing keeps two caches, each built once and read directly
+    by every layer: its crossing table (crossings()) and the integer image
+    of its points (image()).
     """
 
     __slots__ = ("graph", "vertex_points", "edge_polylines", "_crossings", "_image")
@@ -71,6 +66,18 @@ class PlanarDrawing:
             self._crossings = _compute_crossings(self)
         return self._crossings
 
+    def image(self):
+        """(den, vertex points, polylines): the points scaled to ints by den,
+        the lcm of their denominators (geom.integer_image), or by a multiple
+        of it after a finger move; an int point p stands for p / den.  The
+        crossing table's segment pass, a finger move's checks and the
+        geometric layout read it.  The drawing of a finger move carries the
+        image that move was checked on."""
+        if self._image is None:
+            den, (vpts, *polylines) = integer_image([self.vertex_points, *self.edge_polylines])
+            self._image = den, vpts, polylines
+        return self._image
+
     def with_polyline(self, edge: int, polyline) -> "PlanarDrawing":
         """A copy with one edge rerouted; the other point lists are shared."""
         d = object.__new__(PlanarDrawing)
@@ -92,35 +99,41 @@ def _polyline_segments(pl):
     return [(pl[k], pl[k + 1]) for k in range(len(pl) - 1)]
 
 
-def _check_polyline_shape(d: PlanarDrawing, i: int):
-    u, v = d.graph.edges[i]
-    pl = d.edge_polylines[i]
+def _check_polyline_shape(vpts, edges, polylines, i: int):
+    """Polyline i runs from the point of the lower end of edges[i] to that
+    of the higher one, with no zero-length segment."""
+    u, v = edges[i]
+    pl = polylines[i]
     if len(pl) < 2:
         raise GeneralPositionError(f"edge {i}: polyline too short")
     ends = (pl[0], pl[-1])
-    if ends == (d.vertex_points[v], d.vertex_points[u]):
+    if ends == (vpts[v], vpts[u]):
         raise GeneralPositionError(
             f"edge {i}: polyline runs from vertex {v} to vertex {u}; it must be stored from {u} to {v}"
         )
-    if ends != (d.vertex_points[u], d.vertex_points[v]):
+    if ends != (vpts[u], vpts[v]):
         raise GeneralPositionError(f"edge {i}: polyline does not join its endpoints")
     for a, b in _polyline_segments(pl):
         if a == b:
             raise GeneralPositionError(f"edge {i}: zero-length segment")
 
 
-def _edge_crossings(d: PlanarDrawing, only: int = None) -> dict:
-    """Proper crossings of d's edges, enforcing general position locally.
+def _edge_crossings(pls, only: int = None) -> dict:
+    """Proper crossings of a drawing's polylines, enforcing general position
+    locally.
 
     Classifies the segment pairs whose boxes meet (geom.box_pairs), all of
-    them or those of edge only.  Returns a list per key (i, j), i <= j, for
-    every key or every key holding edge only: for i < j the crossings
-    (point, sign) of edges i and j, with sign relative to stored polyline
-    directions; for i == j the self-crossing points of edge i.
+    them or those of polyline only.  Returns a list per key (i, j), i <= j,
+    for every key or every key holding only: for i < j the crossings
+    (point, sign) of polylines i and j, with sign relative to their
+    directions; for i == j the self-crossing points of polyline i.
+
+    Two polylines may touch only at a point that is an end of both of them
+    and of both segments.  The callers have checked that every polyline
+    joins its edge's vertex points and that those points are distinct, so
+    that point is the point of a vertex the two edges share.
     """
-    g = d.graph
-    pls = d.edge_polylines
-    m = g.edge_count
+    m = len(pls)
     if only is None:
         out = {(i, j): [] for i in range(m) for j in range(i, m)}
     else:
@@ -144,16 +157,7 @@ def _edge_crossings(d: PlanarDrawing, only: int = None) -> dict:
         if kind == "overlap":
             raise GeneralPositionError(f"edges {i},{j}: overlapping segments {si},{sj}")
         if kind == "touch":
-            shared = set(g.edges[i]) & set(g.edges[j])
-            ok = (
-                shared
-                and p == d.vertex_points[next(iter(shared))]
-                and p in (pli[0], pli[-1])
-                and p in (plj[0], plj[-1])
-                and p in (a, b)
-                and p in (c, e)
-            )
-            if not ok:
+            if not (p in (pli[0], pli[-1]) and p in (plj[0], plj[-1]) and p in (a, b) and p in (c, e)):
                 raise GeneralPositionError(
                     f"edges {i},{j}: non-transversal contact at segments {si},{sj}"
                 )
@@ -162,13 +166,13 @@ def _edge_crossings(d: PlanarDrawing, only: int = None) -> dict:
     return out
 
 
-def _check_vertices_on_edge(d: PlanarDrawing, i: int):
+def _check_vertices_on_edge(vpts, edges, polylines, i: int):
     """No vertex point inside, at a bend of, or at a foreign end of edge i."""
-    pl = d.edge_polylines[i]
+    pl = polylines[i]
     segs = _polyline_segments(pl)
     interior_pts = pl[1:-1]
-    ends = d.graph.edges[i]
-    for w, p in enumerate(d.vertex_points):
+    ends = edges[i]
+    for w, p in enumerate(vpts):
         for a, b in segs:
             if strictly_inside_segment(p, a, b):
                 raise GeneralPositionError(f"vertex {w} inside edge {i}")
@@ -196,17 +200,17 @@ def _signs(found: dict, scale: int) -> dict:
 
 
 def _compute_crossings(d: PlanarDrawing) -> dict:
-    """The crossing table of d (see PlanarDrawing.crossings), found on its
-    integer image."""
-    m = d.graph.edge_count
-    for i in range(m):
-        _check_polyline_shape(d, i)
-    pts = d.vertex_points
-    if len(set(pts)) != len(pts):
+    """The crossing table of d (see PlanarDrawing.crossings): the vertex
+    checks run on the Fraction points, the segment pass on d's integer
+    image."""
+    vpts, edges, pls = d.vertex_points, d.graph.edges, d.edge_polylines
+    for i in range(len(edges)):
+        _check_polyline_shape(vpts, edges, pls, i)
+    if len(set(vpts)) != len(vpts):
         raise GeneralPositionError("coincident vertex points")
-    for i in range(m):
-        _check_vertices_on_edge(d, i)
-    den, image = _integer_view(d)
+    for i in range(len(edges)):
+        _check_vertices_on_edge(vpts, edges, pls, i)
+    den, _, image = d.image()
     return _signs(_edge_crossings(image), den)
 
 
@@ -286,8 +290,10 @@ def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
 
     order[k] is the vertex placed at position k along the curve; two chords
     cross exactly when their position pairs interleave, as on a circle.
-    The points are integers, stored as Fractions like every drawing's.
-    Retries with a deterministic perturbation when chords concur.
+    The points are integers, stored as Fractions like every drawing's, so
+    its integer image (image()) has den 1.  Retries with a deterministic
+    perturbation when chords concur; raises GeneralPositionError when no
+    retry reaches general position.
     """
     n = g.vertex_count
     if order is None:
@@ -423,14 +429,14 @@ def _loop_start(u: Point, vecs) -> int:
     """
     for v in vecs:
         if u[0] * v[1] - u[1] * v[0] == 0:
-            raise DegeneracyError("direction aligned with a loop corner")
+            raise GeneralPositionError("direction aligned with a loop corner")
     n = len(vecs)
     for k in range(n):
         w = vecs[(k - 1) % n]
         v = vecs[k]
         if w[0] * u[1] - w[1] * u[0] > 0 and u[0] * v[1] - u[1] * v[0] > 0:
             return k
-    raise DegeneracyError("no corner strictly counterclockwise of direction")
+    raise GeneralPositionError("no corner strictly counterclockwise of direction")
 
 
 def finger_polyline(polyline, vpt, den: int, shrink: int, attempt: int):
@@ -467,7 +473,7 @@ def finger_polyline(polyline, vpt, den: int, shrink: int, attempt: int):
     ux = ax + lam * dx - (vx << t)
     uy = ay + lam * dy - (vy << t)
     if ux == 0 == uy:
-        raise DegeneracyError("finger base point at the vertex")
+        raise GeneralPositionError("finger base point at the vertex")
     # alpha = 2^k, k the floor of log2(side / max|u|) = log2(num / q)
     num, q = den << t, max(abs(ux), abs(uy)) << (3 + shrink)
     k = num.bit_length() - q.bit_length()
@@ -506,35 +512,6 @@ def finger_polyline(polyline, vpt, den: int, shrink: int, attempt: int):
     ]
 
 
-def _integer_view(d: PlanarDrawing):
-    """(den, view): d's graph and points scaled to ints by den, the lcm of
-    their denominators (see geom.integer_image), or by a multiple of it
-    after a finger move.
-
-    The view serves _edge_crossings, for the full table and for a finger
-    move's row, and a finger move's local checks; they read only graph,
-    vertex_points and edge_polylines.  Crossing points exist only at this
-    scale: each check of their multiplicity runs on one view (_signs), and
-    only the table's signs are kept.  It is built once per drawing; the
-    drawing of a finger move carries the image that move was checked on.
-    """
-    if d._image is None:
-        den, (vpts, *polylines) = integer_image([d.vertex_points, *d.edge_polylines])
-        d._image = den, SimpleNamespace(graph=d.graph, vertex_points=vpts, edge_polylines=polylines)
-    return d._image
-
-
-def _rescaled(view, k: int):
-    """A copy of an integer view with every point shifted left by k and a
-    polyline list of its own."""
-    if k == 0:
-        vpts, polylines = view.vertex_points, list(view.edge_polylines)
-    else:
-        vpts = [(x << k, y << k) for x, y in view.vertex_points]
-        polylines = [[(x << k, y << k) for x, y in pl] for pl in view.edge_polylines]
-    return SimpleNamespace(graph=view.graph, vertex_points=vpts, edge_polylines=polylines)
-
-
 def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> PlanarDrawing:
     """Reroute edge e around vertex v, flipping parities per the move vector.
 
@@ -556,25 +533,26 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     if v in (a, b):
         raise ValueError("vertex must not be an endpoint of the edge")
     table = d.crossings()
-    den, view = _integer_view(d)
+    den, vpts, pls = d.image()
     last_err = None
     for attempt in range(24):
         try:
-            k, newpl = finger_polyline(view.edge_polylines[e], view.vertex_points[v], den, shrink + attempt, attempt)
+            k, newpl = finger_polyline(pls[e], vpts[v], den, shrink + attempt, attempt)
             # Nothing but edge e moved: check the new polyline against the
-            # rest, on the integer image of the candidate.
-            image = _rescaled(view, k)
-            image.edge_polylines[e] = newpl
-            _check_polyline_shape(image, e)
-            _check_vertices_on_edge(image, e)
-            row = _signs(_edge_crossings(image, only=e), den << k)
+            # rest, on the integer image of the candidate, d's shifted by k
+            # with a polyline list of its own.
+            cvpts, *cpls = [[(x << k, y << k) for x, y in pts] for pts in (vpts, *pls)] if k else (vpts, *pls)
+            cpls[e] = newpl
+            _check_polyline_shape(cvpts, g.edges, cpls, e)
+            _check_vertices_on_edge(cvpts, g.edges, cpls, e)
+            row = _signs(_edge_crossings(cpls, only=e), den << k)
             # The pair of e and f is independent when they share no end, and
             # the move flips its parity when v is an end of f.
             for (i, j), signs in row.items():
                 ends = g.edges[j if i == e else i]
                 if a not in ends and b not in ends and (len(signs) ^ len(table[i, j]) ^ (v in ends)) & 1:
                     raise GeneralPositionError("finger parity effect mismatched")
-        except (GeneralPositionError, DegeneracyError) as err:
+        except GeneralPositionError as err:
             last_err = err
             continue
         # The finger's eight points follow the polyline's first; the rest
@@ -583,7 +561,7 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
         q = den << k
         fresh = [(Fraction(x, q), Fraction(y, q)) for x, y in newpl[1:9]]
         cand = d.with_polyline(e, [old[0], *fresh, *old[1:]])
-        cand._image = q, image
+        cand._image = q, cvpts, cpls
         cand._crossings = {**table, **row}
         return cand
     raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
@@ -659,10 +637,9 @@ def _lightest_convex_order(g: Graph, elim: Gf2Elimination, target: int):
 
     cert = certificate()
     best = cert.bit_count()
-    swaps = list(itertools.combinations(range(n), 2))
-    tried = k = 0  # swaps tried since the last improvement; index of the next
-    while best and tried < len(swaps):
-        a, b = swaps[k]
+    # The swaps (a, b), a < b, cycle in lexicographic order, one at a time.
+    tried, a, b = 0, 0, 1  # swaps tried since the last improvement; the next
+    while best and tried < n * (n - 1) // 2:
         order[a], order[b] = order[b], order[a]
         pos[order[a]], pos[order[b]] = a, b
         c = certificate()
@@ -672,7 +649,10 @@ def _lightest_convex_order(g: Graph, elim: Gf2Elimination, target: int):
             order[a], order[b] = order[b], order[a]
             pos[order[a]], pos[order[b]] = a, b
             tried += 1
-        k = (k + 1) % len(swaps)
+        b += 1
+        if b == n:
+            a = a + 1 if a + 2 < n else 0
+            b = a + 1
     return order, cert
 
 

@@ -12,7 +12,7 @@ from operator import itemgetter
 Point = tuple[Fraction, Fraction]
 
 
-class DegeneracyError(ValueError):
+class GeneralPositionError(ValueError):
     """A configuration outside general position."""
 
 
@@ -177,7 +177,7 @@ def intersection_point(p1: Point, p2: Point, q1: Point, q2: Point):
     d2 = sub(q2, q1)
     den = cross(d1, d2)
     if den == 0:
-        raise DegeneracyError("parallel segments have no single crossing point")
+        raise GeneralPositionError("parallel segments have no single crossing point")
     num = cross(sub(q1, p1), d2)
     if type(den) is int:
         if den < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .geom import box_pairs, classify_segments, crossing_sign, integer_image
+from .geom import box_pairs, classify_segments, crossing_sign
 from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
 DISK = "disk"
@@ -46,8 +46,8 @@ def _transform_core(core, k, unit):
 
     Returns (vertex points, polylines, S): the points are S times the
     rescaled ones, S = W*k*unit for W the larger span of the core's
-    integer image (at least its denominator)."""
-    den, (vpts, *polys) = integer_image([core.vertex_points, *core.edge_polylines])
+    integer image (core.image(), at least its denominator)."""
+    den, vpts, polys = core.image()
     xs = [p[0] for pl in (vpts, *polys) for p in pl] or [0]
     ys = [p[1] for pl in (vpts, *polys) for p in pl] or [0]
     sx, sy = min(xs) + max(xs), min(ys) + max(ys)

@@ -21,10 +21,8 @@ from .drawing import (
     CompatibilityClass,
     ParityMatrix,
     PlanarDrawing,
-    crossing_parity_matrix,
     parse_drawing,
     serialize_drawing,
-    signed_crossing_matrix,
 )
 from .gf2 import BitMatrix
 from .intmat import IntMatrix
@@ -187,11 +185,13 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     Pair parity = core parity xor the ribbon term: interlaced ribbon pairs
     contribute one crossing per pass pair, a twisted ribbon contributes one
     crossing for two passes through it.  Tube nesting contributes nothing.
+    The core parity is the length of the pair's list in the core's crossing
+    table.
     """
-    core = crossing_parity_matrix(sd.core)
+    table = sd.core.crossings()
     ys = _packed(sd.passes)
     form = sd.surface.form
-    pairs = {(i, j): core.get(i, j) ^ form(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
+    pairs = {(i, j): (len(table[i, j]) & 1) ^ form(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
     return VerifyReport("z2", pairs, not any(pairs.values()))
 
 
@@ -201,14 +201,15 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     Pair sum = core signed sum plus the tube pairing -y_a^T H_g y_b: a
     positive pass through ribbon 2h crossing a positive pass through ribbon
     2h+1 contributes -1, with the sign flipping under either direction
-    reversal and under argument order.
+    reversal and under argument order.  The core signed sum is the sum of
+    the pair's list in the core's crossing table.
     """
     if not sd.surface.orientable:
         raise SurfaceError("integer verification requires an orientable surface")
-    core = signed_crossing_matrix(sd.core)
+    table = sd.core.crossings()
     ys = sd.passes
     form_z = sd.surface.form_z
-    pairs = {(i, j): core.data[i][j] - form_z(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
+    pairs = {(i, j): sum(table[i, j]) - form_z(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
     return VerifyReport("z", pairs, not any(pairs.values()))
 
 
