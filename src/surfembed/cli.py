@@ -174,12 +174,7 @@ def _cmd_factor(args):
 
 def _cmd_solve(args):
     g = parse_graph(_read(args.graph))
-    kwargs = {}
-    if args.budget_nodes is not None:
-        kwargs["max_nodes"] = args.budget_nodes
-    if args.time_cap is not None:
-        kwargs["time_cap"] = args.time_cap
-    budget = SolverBudget(**kwargs)
+    budget = SolverBudget(args.budget_nodes, args.time_cap)
     if args.genus is not None:
         res = z2_embeddable_orientable(g, args.genus, budget)
     elif args.crosscaps is not None:
@@ -219,7 +214,7 @@ def _cmd_bound(args):
 
 def _cmd_construct(args):
     g = parse_graph(_read(args.graph))
-    d = parse_drawing(_read(args.drawing), g)
+    d = parse_drawing(_read(args.drawing))
     spec = _parse_surface_arg(args.surface)
     if args.z:
         b = parse_intmatrix(_read(args.factor))
@@ -294,7 +289,7 @@ def build_parser():
     grp.add_argument("--genus", type=int)
     grp.add_argument("--crosscaps", type=int)
     grp.add_argument("--euler", type=int)
-    c.add_argument("--budget-nodes", type=int)
+    c.add_argument("--budget-nodes", type=int, default=SolverBudget.max_nodes)
     c.add_argument("--time-cap", type=float, metavar="SECONDS")
     c.add_argument("--witness-out")
     c.set_defaults(func=_cmd_solve)

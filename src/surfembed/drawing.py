@@ -668,12 +668,16 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     it.
     """
     tvec = _target_vector(g, target)
-    elim = Gf2Elimination(finger_move_generators(g))
+    # Only the finger moves that change some parity are eliminated: a zero
+    # generator would leave a kernel vector of its own that lightens
+    # nothing, as wide as its index.
+    moves = [(label, gen) for label, gen in zip(finger_move_labels(g), finger_move_generators(g)) if gen]
+    labels = [label for label, _ in moves]
+    elim = Gf2Elimination([gen for _, gen in moves])
     if elim.reduce(_chord_parities(_pair_ends(g), range(g.vertex_count)) ^ tvec)[0]:
         raise IncompatibleTargetError("target parity matrix is not compatible")
     order, cert = _lightest_convex_order(g, elim, tvec)
     d = convex_drawing(g, order)
-    labels = finger_move_labels(g)
     nesting: dict[int, int] = {}
     while cert:
         low = cert & -cert
@@ -686,12 +690,9 @@ def realize_parity(g: Graph, target: ParityMatrix) -> PlanarDrawing:
     return d
 
 
-def parse_drawing(text: str, graph: Graph = None) -> PlanarDrawing:
-    """Parse the drawing text format.
-
-    When no graph is given, edges are inferred by matching each polyline's
-    first and last points against the vertex points.
-    """
+def parse_drawing(text: str) -> PlanarDrawing:
+    """Parse the drawing text format.  The drawing names its own graph:
+    edge i joins the vertices at the two ends of its polyline."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "drawing":
         raise ValueError("bad drawing header")
@@ -721,29 +722,21 @@ def parse_drawing(text: str, graph: Graph = None) -> PlanarDrawing:
             ]
         else:
             raise ValueError(f"unknown drawing line: {ln!r}")
-    if graph is None:
-        n = len(vpts)
-        if sorted(vpts) != list(range(n)):
-            raise ValueError("vertex ids must be 0..n-1")
-        locate = {p: i for i, p in vpts.items()}
-        if len(locate) != n:
-            raise ValueError("coincident vertex points")
-        edges = []
-        for eid in sorted(polys):
-            pl = polys[eid]
-            if len(pl) < 2 or pl[0] not in locate or pl[-1] not in locate:
-                raise ValueError(f"edge {eid} does not join two vertex points")
-            edges.append((locate[pl[0]], locate[pl[-1]]))
-        graph = Graph(n, edges)
-    if sorted(vpts) != list(range(graph.vertex_count)):
-        raise ValueError("vertex lines do not match the graph")
-    if sorted(polys) != list(range(graph.edge_count)):
-        raise ValueError("edge lines do not match the graph")
-    return PlanarDrawing(
-        graph,
-        [vpts[i] for i in range(graph.vertex_count)],
-        [polys[i] for i in range(graph.edge_count)],
-    )
+    n, m = len(vpts), len(polys)
+    if sorted(vpts) != list(range(n)):
+        raise ValueError("vertex ids must be 0..n-1")
+    if sorted(polys) != list(range(m)):
+        raise ValueError("edge ids must be 0..m-1")
+    locate = {p: i for i, p in vpts.items()}
+    if len(locate) != n:
+        raise ValueError("coincident vertex points")
+    edges = []
+    for eid in range(m):
+        pl = polys[eid]
+        if len(pl) < 2 or pl[0] not in locate or pl[-1] not in locate:
+            raise ValueError(f"edge {eid} does not join two vertex points")
+        edges.append((locate[pl[0]], locate[pl[-1]]))
+    return PlanarDrawing(Graph(n, edges), [vpts[i] for i in range(n)], [polys[i] for i in range(m)])
 
 
 def serialize_drawing(d: PlanarDrawing) -> str:

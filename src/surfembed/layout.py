@@ -195,17 +195,22 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
     return vpts, curves, labels
 
 
-def _count_crossings(sd: SurfaceDrawing, vpts, curves, labels):
+def _count_crossings(curves, labels):
     """Exact pairwise crossing data with general-position validation.
 
     Works on the int points of _build_curves, in int arithmetic, and
     classifies only the segment pairs of different curves whose boxes meet
-    (geom.box_pairs).  Returns {(i, j): list of (sign, same_label)} for i < j.
+    (geom.box_pairs).  Two curves may touch only at a point that is an end
+    of both curves and of both segments, the rule of
+    drawing._edge_crossings: each curve joins its edge's vertex points,
+    which the core's table has checked distinct, so that point is a vertex
+    the two edges share.  No point may be crossed twice.  Only same-label
+    crossings are genuine: returns, for each pair (i, j), i < j, the signs
+    of its same-label crossings, the shape of PlanarDrawing.crossings().
     """
-    g = sd.core.graph
-    m = g.edge_count
-    # Crossing points are keyed by their reduced integer triples.
-    point_log = {}
+    m = len(curves)
+    # Crossing points are reduced integer triples.
+    points = []
     table = {(i, j): [] for i in range(m) for j in range(i + 1, m)}
     for i, si, j, sj in box_pairs(curves):
         if i == j:
@@ -219,17 +224,14 @@ def _count_crossings(sd: SurfaceDrawing, vpts, curves, labels):
         if kind == "overlap":
             raise LayoutError(f"edges {i},{j}: overlapping segments")
         if kind == "touch":
-            shared_pts = {vpts[v] for v in set(g.edges[i]) & set(g.edges[j])}
-            ok = p in shared_pts and p in (pli[0], pli[-1]) and p in (plj[0], plj[-1])
-            if not ok:
+            if not (p in (pli[0], pli[-1]) and p in (plj[0], plj[-1]) and p in (a, b) and p in (c, d)):
                 raise LayoutError(f"edges {i},{j}: tangency at {p}")
             continue
-        point_log[p] = point_log.get(p, 0) + 1
-        same = labels[i][si] == labels[j][sj]
-        table[(i, j)].append((crossing_sign(a, b, c, d), same))
-    for cnt in point_log.values():
-        if cnt > 1:
-            raise LayoutError("multiple crossings through one point")
+        points.append(p)
+        if labels[i][si] == labels[j][sj]:
+            table[i, j].append(crossing_sign(a, b, c, d))
+    if len(set(points)) < len(points):
+        raise LayoutError("multiple crossings through one point")
     return table
 
 
@@ -248,20 +250,14 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
     # The layout skips what a core drawing alone can break: an edge against
     # itself and the vertex points.  The core's own table checks those.
     sd.core.crossings()
-    g = sd.core.graph
     last = None
     for attempt in range(12):
         try:
-            vpts, curves, labels = _build_curves(sd, attempt)
-            table = _count_crossings(sd, vpts, curves, labels)
+            _, curves, labels = _build_curves(sd, attempt)
+            table = _count_crossings(curves, labels)
         except LayoutError as err:
             last = err
             continue
-        # Only same-label crossings are genuine; each sign is +-1, so the
-        # parity of the signed sum is the parity of their number.
-        pairs = {}
-        for i, j in g.pairs:
-            total = sum(sgn for sgn, same in table[i, j] if same)
-            pairs[i, j] = total & 1 if mode == "z2" else total
-        return VerifyReport(mode, pairs, not any(pairs.values()))
+        pairs = {p: len(table[p]) & 1 if mode == "z2" else sum(table[p]) for p in sd.core.graph.pairs}
+        return VerifyReport(mode, pairs)
     raise LayoutError(f"geometric layout failed after retries: {last}")

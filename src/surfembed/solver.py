@@ -164,7 +164,6 @@ class _Checks:
     the surface, so one layout serves every search of a genus scan.
     """
 
-    zero_passes: bool  # every right-hand side is 0
     forest_fails: bool  # a check on forest pairs only has right-hand side 1
     free: list  # the non-forest edges in their relative order
     fire_mask: list  # fire_mask[t]: the checks whose deepest position is t
@@ -231,14 +230,7 @@ def _layout_checks(g: Graph, base: int) -> _Checks:
             row[j] = row.get(j, 0) ^ bit
         fire_mask[depth[coords[z.bit_length() - 1]]] |= bit
         rhs_mask |= rhs << c
-    return _Checks(
-        rhs_mask == 0 and not forest_fails,
-        forest_fails,
-        free,
-        fire_mask,
-        rhs_mask,
-        [list(row.items()) for row in links],
-    )
+    return _Checks(forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
 
 
 class _Call:
@@ -307,8 +299,8 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     checks = call.checks
     m = g.edge_count
     d = spec.ribbon_count
-    if d == 0:
-        return ("yes", [0] * m, 1) if checks.zero_passes else ("no", None, 1)
+    if d == 0:  # every vector is 0: yes iff every right-hand side is 0
+        return ("no", None, 1) if checks.rhs_mask or checks.forest_fails else ("yes", [0] * m, 1)
     if checks.forest_fails:
         return "no", None, 0
     free, fire_mask, rhs_mask, links = checks.free, checks.fire_mask, checks.rhs_mask, checks.links
@@ -426,7 +418,13 @@ def z2_embeddable_nonorientable(g: Graph, m: int, budget: SolverBudget = None) -
 def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveResult:
     """Z2-embeddability into some surface of Euler characteristic e, via the
     rank bound 2-e: the union of the even search and the odd search, under
-    one deadline and one node budget; nodes counts both searches."""
+    one deadline and one node budget; nodes counts both searches.
+
+    For odd e the even search runs on S_{(1-e)/2}, of Euler characteristic
+    e + 1, so a "yes" from it carries its witness there; one crosscap
+    turns that surface into M_{2-e}.  Whenever both searches decide, the
+    status is that of the M_{2-e} search alone: an even matrix of rank at
+    most 1 - e factors through the identity on 2 - e ribbons too."""
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
     call = _Call(g, budget)

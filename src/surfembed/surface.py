@@ -113,10 +113,10 @@ class SurfaceDrawing:
     """A drawing of a graph on a surface.
 
     passes[e][k] is the net number of passes of edge e's tube through
-    ribbon k; bits in z2 mode, signed integers in z mode.  Passes are
-    counted along the edge's orientation, the direction of its stored
-    polyline (lower vertex index to higher).  tube_order fixes the radial
-    nesting of the tubes.
+    ribbon k; bits in z2 mode, signed integers in z mode, which is defined
+    on orientable surfaces only.  Passes are counted along the edge's
+    orientation, the direction of its stored polyline (lower vertex index
+    to higher).  tube_order fixes the radial nesting of the tubes.
     """
 
     surface: SurfaceSpec
@@ -135,6 +135,8 @@ class SurfaceDrawing:
                 raise SurfaceError("pass vector length must match ribbon count")
         if self.mode not in ("z2", "z"):
             raise SurfaceError("mode must be z2 or z")
+        if self.mode == "z" and not self.surface.orientable:
+            raise SurfaceError("integer drawings are defined on orientable surfaces only")
         if self.mode == "z2":
             for vec in self.passes:
                 if any(b not in (0, 1) for b in vec):
@@ -145,11 +147,15 @@ class SurfaceDrawing:
 
 @dataclass
 class VerifyReport:
-    """Per-independent-pair crossing values and the overall verdict."""
+    """Per-independent-pair crossing values; the drawing is an embedding
+    when every value is zero."""
 
     mode: str
     pairs: dict
-    is_embedding: bool
+
+    @property
+    def is_embedding(self) -> bool:
+        return not any(self.pairs.values())
 
 
 def construct_z2_embedding(g, f: PlanarDrawing, y: BitMatrix, s: SurfaceSpec) -> SurfaceDrawing:
@@ -161,14 +167,13 @@ def construct_z2_embedding(g, f: PlanarDrawing, y: BitMatrix, s: SurfaceSpec) ->
 
 def construct_z_embedding(g, f: PlanarDrawing, b: IntMatrix, s: SurfaceSpec) -> SurfaceDrawing:
     """The same construction with signed passes: column e of b gives the net
-    passes of edge e through each ribbon, along its polyline."""
-    if not s.orientable:
-        raise SurfaceError("integer embeddings are defined on orientable surfaces only")
+    passes of edge e through each ribbon, along its polyline; s must be
+    orientable (SurfaceDrawing)."""
     return _construct(g, f, b, s, "z")
 
 
 def _construct(g, f: PlanarDrawing, factor, s: SurfaceSpec, mode: str) -> SurfaceDrawing:
-    if f.graph.edges != g.edges:
+    if f.graph != g:
         raise SurfaceError("drawing belongs to a different graph")
     if factor.cols != g.edge_count:
         raise SurfaceError("factor must have one column per edge")
@@ -192,7 +197,7 @@ def verify_z2(sd: SurfaceDrawing) -> VerifyReport:
     ys = _packed(sd.passes)
     form = sd.surface.form
     pairs = {(i, j): (len(table[i, j]) & 1) ^ form(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
-    return VerifyReport("z2", pairs, not any(pairs.values()))
+    return VerifyReport("z2", pairs)
 
 
 def verify_z(sd: SurfaceDrawing) -> VerifyReport:
@@ -210,7 +215,7 @@ def verify_z(sd: SurfaceDrawing) -> VerifyReport:
     ys = sd.passes
     form_z = sd.surface.form_z
     pairs = {(i, j): sum(table[i, j]) - form_z(ys[i], ys[j]) for i, j in sd.core.graph.pairs}
-    return VerifyReport("z", pairs, not any(pairs.values()))
+    return VerifyReport("z", pairs)
 
 
 def extract_matrix(sd: SurfaceDrawing):
@@ -222,8 +227,6 @@ def extract_matrix(sd: SurfaceDrawing):
     g = sd.core.graph
     spec = sd.surface
     if sd.mode == "z":
-        if not spec.orientable:
-            raise SurfaceError("integer extraction requires an orientable surface")
         # The basis intersection matrix is -H_g, so the entry -(cycle
         # pairing) comes out as +y_i^T H_g y_j; the diagonal is 0.
         rows = [[spec.form_z(yi, yj) for yj in sd.passes] for yi in sd.passes]

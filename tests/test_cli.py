@@ -224,6 +224,24 @@ def test_factor_and_construct_structured(tmp_path, capsys):
     assert _unstructured(lines) == plain and not any(ln.startswith("passes") for ln in lines)
 
 
+def test_integer_commands_refuse_a_nonorientable_surface(tmp_path, capsys):
+    # a Z surface drawing is orientable by construction, so every command
+    # that would make or read one on M_m exits 3 with the same message
+    g4 = _write(tmp_path, "k4.g", serialize_graph(complete_graph(4)))
+    d4 = _write(tmp_path, "k4.d", serialize_drawing(convex_drawing(complete_graph(4))))
+    b = _write(tmp_path, "b.f", serialize_intmatrix(IntMatrix(1, 6)))
+    y = _write(tmp_path, "y.f", serialize_bitmatrix(BitMatrix(1, 6)))
+    assert main(["construct", "--graph", g4, "--drawing", d4, "--factor", y, "--surface", "M:1"]) == 0
+    sd = _write(tmp_path, "k4.sd", capsys.readouterr().out)
+    assert main(["construct", "--graph", g4, "--drawing", d4, "--factor", b, "--surface", "M:1", "--z"]) == 3
+    assert main(["verify", "--surface-drawing", sd, "--z"]) == 3
+    assert main(["verify", "--surface-drawing", sd, "--z", "--geometric"]) == 3
+    assert main(["extract", "--surface-drawing", sd, "--z"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: integer drawings are defined on orientable surfaces only"] * 4
+
+
 def test_verify_rejects_nonzero_pairs(tmp_path, capsys):
     # K5 convex drawing on the sphere has crossing pairs left over
     g5 = _k5(tmp_path)
@@ -276,7 +294,7 @@ def test_solve_yes_needs_the_geometric_verifier_too(tmp_path, capsys, monkeypatc
 
     def reject(sd, mode=None):
         seen.append(mode)
-        return VerifyReport(mode, {}, False)
+        return VerifyReport(mode, {(0, 1): 1})
 
     monkeypatch.setattr(cli, "verify_geometric", reject)
     wit = tmp_path / "k5.sd"
@@ -379,6 +397,11 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert main(["construct", "--graph", k2, "--drawing", back, "--factor", y, "--surface", "S:1"]) == 3
     rule = "error: edge 0: polyline runs from vertex 1 to vertex 0; it must be stored from 0 to 1"
     assert capsys.readouterr().err.splitlines() == [rule, rule]
+    # a drawing names its own graph: one isolated vertex more than the
+    # graph file makes it a drawing of another graph
+    extra = _write(tmp_path, "extra.d", "drawing\nvertex 0 0 0\nvertex 1 1 0\nvertex 2 0 1\nedge 0 : 0 0 1 0\n")
+    assert main(["construct", "--graph", k2, "--drawing", extra, "--factor", y, "--surface", "S:1"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: drawing belongs to a different graph"]
     # cores out of general position that the layout alone would not see:
     # both verifiers refuse them with the core's own message
     for name, points, polyline, rule in (

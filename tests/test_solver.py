@@ -529,12 +529,10 @@ def _reference_checks(g):
     fire_mask = [0] * len(free)
     rhs_mask = 0
     forest_fails = False
-    all_zero = True
     links = [{} for _ in free]
     for c, z in enumerate(_echelon_over(reduced, coords)):
         support = [k for k in coords if (z >> k) & 1]
         rhs = sum((cls.base >> k) & 1 for k in support) % 2
-        all_zero &= rhs == 0
         for k in support:
             if depth[k] >= 0:
                 j = min(pairs[k], key=pos.__getitem__)
@@ -545,7 +543,7 @@ def _reference_checks(g):
         else:
             fire_mask[t] |= 1 << c
             rhs_mask |= rhs << c
-    return solver._Checks(all_zero, forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
+    return solver._Checks(forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
 
 
 def test_setup_matches_the_transposed_generators_reference():
@@ -649,6 +647,25 @@ def test_euler_variants():
     assert z2_embeddable_euler(complete_graph(5), 2).status == "no"
     assert z2_embeddable_euler(complete_graph(5), 0).status == "yes"
     assert z2_embeddable_euler(complete_bipartite(3, 3), 1).status == "yes"
+
+
+@pytest.mark.parametrize(
+    "g, e, status",
+    [
+        (complete_graph(5), -1, "yes"),
+        (complete_bipartite(3, 3), -1, "yes"),
+        (complete_graph(7), -1, "yes"),
+        (complete_graph(7), 1, "no"),
+    ],
+)
+def test_odd_euler_witness_surface_and_status(g, e, status):
+    # For odd e the orientable search runs on S_{(1-e)/2}, of Euler
+    # characteristic e + 1: a yes from it carries its witness there.  The
+    # status is that of the M_{2-e} search alone.
+    res = z2_embeddable_euler(g, e)
+    assert res.status == status == z2_embeddable_nonorientable(g, 2 - e).status
+    if status == "yes":
+        assert res.witness.surface_drawing.surface == SurfaceSpec("S", (1 - e) // 2)
 
 
 def test_z2_genus_values():
