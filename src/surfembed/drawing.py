@@ -129,9 +129,10 @@ def _edge_crossings(pls, only: int = None) -> dict:
     directions; for i == j the self-crossing points of polyline i.
 
     Two polylines may touch only at a point that is an end of both of them
-    and of both segments.  The callers have checked that every polyline
-    joins its edge's vertex points and that those points are distinct, so
-    that point is the point of a vertex the two edges share.
+    and of both segments.  Every polyline joins its edge's vertex points
+    and those points are distinct (the callers check it, or build them so,
+    as convex_drawing does), so that point is the point of a vertex the
+    two edges share.
     """
     m = len(pls)
     if only is None:
@@ -199,10 +200,10 @@ def _signs(found: dict, scale: int) -> dict:
     return signs
 
 
-def _compute_crossings(d: PlanarDrawing) -> dict:
-    """The crossing table of d (see PlanarDrawing.crossings): the vertex
-    checks run on the Fraction points, the segment pass on d's integer
-    image."""
+def _check_vertex_points(d: PlanarDrawing) -> None:
+    """The checks that precede the segment pass, on d's Fraction points:
+    every polyline's shape, distinct vertex points, and no vertex point
+    inside, at a bend of or at a foreign end of an edge."""
     vpts, edges, pls = d.vertex_points, d.graph.edges, d.edge_polylines
     for i in range(len(edges)):
         _check_polyline_shape(vpts, edges, pls, i)
@@ -210,6 +211,13 @@ def _compute_crossings(d: PlanarDrawing) -> dict:
         raise GeneralPositionError("coincident vertex points")
     for i in range(len(edges)):
         _check_vertices_on_edge(vpts, edges, pls, i)
+
+
+def _compute_crossings(d: PlanarDrawing) -> dict:
+    """The crossing table of d (see PlanarDrawing.crossings): the vertex
+    checks run on the Fraction points, the segment pass on d's integer
+    image."""
+    _check_vertex_points(d)
     den, _, image = d.image()
     return _signs(_edge_crossings(image), den)
 
@@ -294,6 +302,14 @@ def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
     its integer image (image()) has den 1.  Retries with a deterministic
     perturbation when chords concur; raises GeneralPositionError when no
     retry reaches general position.
+
+    The retry is decided on the int points: each perturbation first runs
+    the segment pass of _compute_crossings on them, and only one that
+    passes becomes a drawing and gets the vertex checks on its Fraction
+    points.  Points in strictly convex position pass those checks, so the
+    same perturbation is accepted as when every check runs on every
+    perturbation.  The drawing receives that pass's table and the int
+    points as its image.
     """
     n = g.vertex_count
     if order is None:
@@ -306,12 +322,15 @@ def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
             x = 101 * pos + (k * (pos * pos + 1)) % 101
             pts[w] = (x, x * x)
         polylines = [[pts[u], pts[v]] for u, v in g.edges]
-        d = PlanarDrawing(g, pts, polylines)
         try:
-            d.crossings()
-            return d
+            table = _signs(_edge_crossings(polylines), 1)
+            d = PlanarDrawing(g, pts, polylines)
+            _check_vertex_points(d)
         except GeneralPositionError:
             continue
+        d._crossings = table
+        d._image = 1, pts, polylines
+        return d
     raise GeneralPositionError("could not reach general position by perturbation")
 
 
@@ -405,9 +424,23 @@ class CompatibilityClass:
         return cls(g, base)
 
     def membership(self, target: ParityMatrix):
-        """Finger-move coefficients taking base to the target, or None."""
+        """Finger-move coefficients taking base to the target, one per
+        finger_move_labels(graph) entry, or None.
+
+        Only the nonzero generators are eliminated, as in realize_parity: a
+        zero one never pivots, so its coefficient is 0 either way, and
+        eliminated it would leave a kernel vector as wide as its index.
+        """
         tvec = _target_vector(self.graph, target)
-        return solve_gf2(finger_move_generators(self.graph), self.base ^ tvec)
+        gens = finger_move_generators(self.graph)
+        moves = [k for k, gen in enumerate(gens) if gen]
+        coeffs = solve_gf2([gens[k] for k in moves], self.base ^ tvec)
+        if coeffs is None:
+            return None
+        out = [0] * len(gens)
+        for k, c in zip(moves, coeffs):
+            out[k] = c
+        return out
 
 
 def is_compatible_mod2(g: Graph, target: ParityMatrix):

@@ -37,7 +37,7 @@ from surfembed.drawing import (
     finger_polyline,
 )
 from surfembed.geom import box_pairs, classify_segments, crossing_sign, integer_image, on_segment
-from surfembed.gf2 import BitMatrix, Gf2Elimination
+from surfembed.gf2 import BitMatrix, Gf2Elimination, solve_gf2
 from surfembed.graph import Graph, complete_bipartite, complete_graph, independent_pairs
 from surfembed.layout import verify_geometric
 from surfembed.solver import z2_embeddable_orientable, z2_genus
@@ -963,3 +963,81 @@ def test_finger_moves_that_change_no_parity_are_not_eliminated():
         tracemalloc.stop()
     assert res.status == "yes"
     assert peak < 12 << 20
+
+
+def test_membership_eliminates_only_the_finger_moves_that_change_a_parity():
+    # The certificate still has one coefficient per finger move; the moves
+    # that change no parity get 0 without being eliminated (26.5 MB here
+    # when they were).
+    g = Graph(10000, [(0, 1), (2, 3)])
+    cls = CompatibilityClass.compute(g)
+    tracemalloc.start()
+    try:
+        cert = cls.membership(zero_target(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert == [0] * len(finger_move_labels(g))
+    assert peak < 8 << 20
+
+
+def test_membership_equals_the_solve_over_every_finger_move():
+    rng = random.Random(52)
+    answers = Counter()
+    for _ in range(200):
+        n = rng.randrange(2, 10)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        cls = CompatibilityClass.compute(g)
+        gens = finger_move_generators(g)
+        for t in range(2):
+            vec = cls.base if t else rng.getrandbits(len(g.pairs))
+            if t:
+                for gen in gens:
+                    vec ^= gen if rng.random() < 0.5 else 0
+            cert = cls.membership(ParityMatrix.from_pair_vector(g, vec))
+            assert cert == solve_gf2(gens, cls.base ^ vec)
+            answers[cert is None] += 1
+    assert answers[True] > 20 and answers[False] > 20
+
+
+def _plane_compat_graphs(rng):
+    """Random graphs of the sizes the plane_compat benchmark draws: 6-9
+    vertices, ten edge counts from n to 3n - 3 for each."""
+    for n in range(6, 10):
+        for j in range(10):
+            possible = list(itertools.combinations(range(n), 2))
+            rng.shuffle(possible)
+            yield Graph(n, possible[: n + (2 * n - 3) * j // 9])
+
+
+def test_convex_drawing_hands_over_the_table_and_image_of_a_fresh_drawing():
+    # convex_drawing decides its retry on the int points and keeps that
+    # segment pass's table and those points as the image; a drawing built
+    # afresh from the same points computes both itself.
+    retried = [complete_graph(9), complete_bipartite(3, 7), complete_bipartite(4, 5), complete_bipartite(5, 5)]
+    rng = random.Random(53)
+    graphs = retried + [g for _ in range(3) for g in _plane_compat_graphs(rng)]
+    for g in graphs:
+        d = convex_drawing(g)
+        if g in retried:
+            assert d.vertex_points[1] != (101, 101 * 101)
+        fresh = PlanarDrawing(g, d.vertex_points, d.edge_polylines)
+        assert d.crossings() == _compute_crossings(fresh)
+        assert d.image() == fresh.image()
+
+
+def test_a_retried_convex_drawing_runs_the_vertex_checks_once(monkeypatch):
+    # K9's first perturbation has three concurrent chords; only the
+    # accepted one gets the Fraction vertex checks, one per edge.
+    g = complete_graph(9)
+    calls = []
+    check = drawing_module._check_vertices_on_edge
+
+    def counted(vpts, edges, polylines, i):
+        calls.append(i)
+        return check(vpts, edges, polylines, i)
+
+    monkeypatch.setattr(drawing_module, "_check_vertices_on_edge", counted)
+    d = convex_drawing(g)
+    assert d.vertex_points[1] != (101, 101 * 101)
+    assert calls == list(range(g.edge_count))
