@@ -16,14 +16,6 @@ class GeneralPositionError(ValueError):
     """A configuration outside general position."""
 
 
-def sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of (a, b, c)."""
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -62,12 +54,19 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
       ("touch", point)    -- single common point involving an endpoint
       ("overlap", None)   -- collinear segments sharing more than one point
 
-    The orientations are computed inline, and the test returns "none" as
-    soon as both ends of one segment lie strictly on one side of the
-    other's line, which decides most pairs whose boxes meet.
+    A non-degenerate horizontal segment against a non-degenerate vertical
+    one, in either order, can meet only at (x of the vertical, y of the
+    horizontal), so comparisons alone decide it.  Every other pair has its
+    orientations computed inline, and the test returns "none" as soon as
+    both ends of one segment lie strictly on one side of the other's line,
+    which decides most pairs whose boxes meet.
     """
     (ax, ay), (bx, by) = p1, p2
     (cx, cy), (dx, dy) = q1, q2
+    if ay == by and cx == dx and ax != bx and cy != dy:
+        return _axis_parallel(p1, p2, q1, q2, cx, ay, ax, bx, cy, dy)
+    if ax == bx and cy == dy and ay != by and cx != dx:
+        return _axis_parallel(p1, p2, q1, q2, ax, cy, cx, dx, ay, by)
     ux, uy = bx - ax, by - ay
     v1 = ux * (cy - ay) - uy * (cx - ax)
     v2 = ux * (dy - ay) - uy * (dx - ax)
@@ -101,6 +100,21 @@ def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
         if v == 0 and _in_box(p, a, b):
             return ("touch", p)
     return ("none", None)
+
+
+def _axis_parallel(p1: Point, p2: Point, q1: Point, q2: Point, x, y, h0, h1, v0, v1):
+    """classify_segments for a horizontal and a vertical segment, in either
+    order: the horizontal one spans x from h0 to h1 at height y, the
+    vertical one spans y from v0 to v1 at abscissa x.  Comparisons only: a
+    common point (x, y) is a proper crossing unless it is an end of one of
+    them."""
+    if not ((h0 <= x <= h1 or h1 <= x <= h0) and (v0 <= y <= v1 or v1 <= y <= v0)):
+        return ("none", None)
+    m = (x, y)
+    for p in (p1, p2, q1, q2):
+        if p == m:
+            return ("touch", p)
+    return ("proper", intersection_point(p1, p2, q1, q2))
 
 
 def integer_image(point_lists):
@@ -171,26 +185,35 @@ def intersection_point(p1: Point, p2: Point, q1: Point, q2: Point):
 
     Rational inputs give a Fraction point.  Int inputs (an integer image)
     give the reduced triple (X, Y, D), D > 0, of the point (X/D, Y/D): equal
-    points give equal triples, with no Fraction arithmetic.
+    points give equal triples, with no Fraction arithmetic.  An int
+    horizontal segment against an int vertical one, in either order, gives
+    (x of the vertical, y of the horizontal, 1) with no product.
     """
-    d1 = sub(p2, p1)
-    d2 = sub(q2, q1)
-    den = cross(d1, d2)
+    (ax, ay), (bx, by) = p1, p2
+    (cx, cy), (dx, dy) = q1, q2
+    ux, uy = bx - ax, by - ay
+    wx, wy = dx - cx, dy - cy
+    if type(ux) is int and type(wx) is int:
+        if not uy and not wx and ux and wy:
+            return (cx, ay, 1)
+        if not ux and not wy and uy and wx:
+            return (ax, cy, 1)
+    den = ux * wy - uy * wx
     if den == 0:
         raise GeneralPositionError("parallel segments have no single crossing point")
-    num = cross(sub(q1, p1), d2)
+    num = (cx - ax) * wy - (cy - ay) * wx
     if type(den) is int:
         if den < 0:
             num, den = -num, -den
-        x = p1[0] * den + num * d1[0]
-        y = p1[1] * den + num * d1[1]
+        x = ax * den + num * ux
+        y = ay * den + num * uy
         g = math.gcd(x, y, den)
         return (x // g, y // g, den // g)
     t = Fraction(num) / den
-    return (p1[0] + t * d1[0], p1[1] + t * d1[1])
+    return (ax + t * ux, ay + t * uy)
 
 
 def crossing_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
     """Sign of det(p2-p1, q2-q1) at a transversal crossing."""
-    v = cross(sub(p2, p1), sub(q2, q1))
+    v = (p2[0] - p1[0]) * (q2[1] - q1[1]) - (p2[1] - p1[1]) * (q2[0] - q1[0])
     return (v > 0) - (v < 0)

@@ -10,10 +10,9 @@ factor it, checked by the combinatorial verifier.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .drawing import (
     CompatibilityClass,
@@ -56,7 +55,7 @@ class SolveResult:
 def _crosscap_reps(m: int):
     """Lexicographically minimal orbit representatives of the pass vectors
     of M_m under ribbon permutations: an orbit is fixed by the weight.
-    Lazy, like every candidate row: the search reads at most its budget."""
+    Lazy, like every long candidate row (see _search)."""
     return ((1 << k) - 1 for k in range(m + 1))
 
 
@@ -256,6 +255,45 @@ def _set_bits(v: int) -> list[int]:
     return out
 
 
+# A row keeps its first candidates while their set bits, plus one for
+# each, number less than this: under 3 MB, and every vector of up to 13
+# ribbons.  The rest of a longer row (up to 2^d candidates) is made again
+# on each pass, so a row's memory depends on neither d nor the budget.
+_ROW_BITS = 1 << 16
+
+
+def _entries(spec: SurfaceSpec, todo, low: list):
+    """The row entries (v, set bits of v, set bits of J.v, k) of the
+    candidates (v, k) in todo.  The set bits of v are those of its low ten
+    bits, read from low, and those of v >> 10, found once for each run of
+    equal v >> 10; J maps both parts to themselves, since it swaps only the
+    bits 2h and 2h + 1.  low[u] is (set bits of u, set bits of J.u) for
+    every u < 2^10, filled in here when empty."""
+    if not low:
+        low.extend((_set_bits(u), _set_bits(spec.dual(u))) for u in range(1 << 10))
+    hi = None
+    for v, k in todo:
+        if v >> 10 != hi:
+            hi = v >> 10
+            high = [b + 10 for b in _set_bits(hi)]
+            high_dual = [b + 10 for b in _set_bits(spec.dual(hi))]
+        bits, dual_bits = low[v & 1023]
+        yield v, bits + high, dual_bits + high_dual, k
+
+
+class _LongRow:
+    """A row's first entries and a function that makes the rest again;
+    iterating gives the whole row."""
+
+    __slots__ = ("head", "rest")
+
+    def __init__(self, head: list, rest):
+        self.head, self.rest = head, rest
+
+    def __iter__(self):
+        return chain(self.head, self.rest())
+
+
 def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
     on M_m) with the checks call laid out for g; returns (status,
@@ -308,8 +346,9 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
 
     # rows[key]: the candidates at a position, each as (v, set bits of v,
     # set bits of J.v, key of the position after it), filled in as the DFS
-    # reaches the key.  On S_g a key is the reduced basis of the span of the
-    # earlier entries; on M_m it is 0 at the first free edge and 1 after it.
+    # reaches the key.  On S_g a key is the
+    # reduced basis of the span of the earlier entries; on M_m it is 0 at
+    # the first free edge and 1 after it.
     if spec.orientable:
         root = ()
 
@@ -322,6 +361,19 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
         def candidates(key):
             return ((v, 1) for v in (_crosscap_reps(d) if key == 0 else range(1 << d)))
 
+    low = []  # filled by _entries once a row is long
+
+    def row_at(key, limit):
+        """The row at key, whole or, past limit entries or _ROW_BITS set
+        bits, as a _LongRow."""
+        row, size = [], 0
+        for v, k in candidates(key):
+            if size >= _ROW_BITS or len(row) == limit:
+                return _LongRow(row, lambda: _entries(spec, islice(candidates(key), len(row), None), low))
+            bits = _set_bits(v)
+            row.append((v, bits, _set_bits(spec.dual(v)), k))
+            size += len(bits) + 1
+        return row
     rows = {}
     assign = [0] * m
     placed_bits = [None] * m  # the set bits of J.y_j of each placed edge j
@@ -343,10 +395,8 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
         row = rows.get(key)
         if row is None:
             # nodes only grows, so a row longer than the budget left plus
-            # one is never read to its end: 2^d candidates cost nothing.
-            # islice takes no stop above sys.maxsize; no row reaches it.
-            todo = islice(candidates(key), min(max_nodes - nodes + 1, sys.maxsize))
-            row = rows[key] = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in todo]
+            # one is never read to its end.
+            row = rows[key] = row_at(key, max_nodes - nodes + 1)
         for v, bits, dual_bits, after_key in row:
             nodes += 1
             if nodes > max_nodes:

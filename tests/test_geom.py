@@ -71,15 +71,31 @@ def test_classify_segments_on_integer_points(pts):
         assert (Fraction(x, d), Fraction(y, d)) == intersection_point(*[(Fraction(a), Fraction(b)) for a, b in pts])
 
 
+def _fraction_point(p1, p2, q1, q2):
+    """The common point of two lines by the Fraction formula alone:
+    p1 + t (p2 - p1), t = cross(q1 - p1, q2 - q1) / cross(p2 - p1, q2 - q1).
+    Int inputs give the reduced triple (X, Y, D) of (X/D, Y/D)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = [(Fraction(x), Fraction(y)) for x, y in (p1, p2, q1, q2)]
+    ux, uy, wx, wy = bx - ax, by - ay, dx - cx, dy - cy
+    t = ((cx - ax) * wy - (cy - ay) * wx) / (ux * wy - uy * wx)
+    x, y = ax + t * ux, ay + t * uy
+    if all(type(c) is int for p in (p1, p2, q1, q2) for c in p):
+        den = math.lcm(x.denominator, y.denominator)
+        return (int(x * den), int(y * den), den)
+    return (x, y)
+
+
 def _classify_reference(p1, p2, q1, q2):
-    """classify_segments as it stood before its orientations were inlined
-    and it could return early."""
+    """classify_segments as it stood before its orientations were inlined,
+    it could return early and it decided horizontal-vertical pairs by
+    comparisons: orientations only, and the proper point from
+    _fraction_point."""
     o1 = orient(p1, p2, q1)
     o2 = orient(p1, p2, q2)
     o3 = orient(q1, q2, p1)
     o4 = orient(q1, q2, p2)
     if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return ("proper", intersection_point(p1, p2, q1, q2))
+        return ("proper", _fraction_point(p1, p2, q1, q2))
     if o1 == o2 == 0:
         # Collinear; count shared points.
         pts = [q for q in (q1, q2) if on_segment(q, p1, p2)]
@@ -102,9 +118,36 @@ def _classify_reference(p1, p2, q1, q2):
     return ("none", None)
 
 
+def _axis_parallel_quadruples(rng, coord):
+    """Seeded horizontal and vertical segment pairs, in either order.  A
+    horizontal against a vertical one has its ends among five points
+    around the lines' common point, so that point is before, at an end of,
+    inside or after each: crosses, T-junctions at each end, shared corners
+    and misses.  Then pairs of horizontal or of vertical segments on one
+    line, some of them zero-length, and zero-length segments anywhere
+    against an axis-parallel one."""
+    for _ in range(1000):
+        x, y = coord(), coord()
+        h = [(a, y) for a in rng.sample([x - 2, x - 1, x, x + 1, x + 2], 2)]
+        v = [(x, b) for b in rng.sample([y - 2, y - 1, y, y + 1, y + 2], 2)]
+        yield h + v if rng.random() < 0.5 else v + h
+    for _ in range(1000):
+        y = coord()
+        pts = [(coord(), y) for _ in range(4)]
+        if rng.random() < 0.5:
+            pts = [(b, a) for a, b in pts]
+        k = rng.randrange(6)
+        if k < 2:
+            pts[2 * k + 1] = pts[2 * k]
+        elif k == 2:
+            pts[0] = pts[1] = (coord(), coord())
+        yield pts
+
+
 def _quadruples(rng, coord):
     """Seeded segment pairs: free ones on a small grid, which cross, touch
-    and miss, plus pairs sharing an endpoint and pairs on a common line."""
+    and miss, plus pairs sharing an endpoint, pairs on a common line and
+    the axis-parallel pairs."""
     for _ in range(3000):
         yield [(coord(), coord()) for _ in range(4)]
     for _ in range(1000):
@@ -114,6 +157,7 @@ def _quadruples(rng, coord):
         base, step = (coord(), coord()), (coord(), coord())
         p1, p2, q1, q2 = [(base[0] + k * step[0], base[1] + k * step[1]) for k in rng.sample(range(-3, 4), 4)]
         yield [p1, p2, q1, q2] if rng.random() < 0.5 else [p1, q1, p2, q2]
+    yield from _axis_parallel_quadruples(rng, coord)
 
 
 def test_classify_segments_matches_the_reference_on_seeded_quadruples():
@@ -129,3 +173,38 @@ def test_classify_segments_matches_the_reference_on_seeded_quadruples():
             assert got == _classify_reference(p1, p2, q1, q2)
             kinds.add(got[0])
         assert kinds == {"none", "proper", "touch", "overlap"}
+
+
+def _ends_at(point, a, b):
+    """Which ends of [a, b] the point is: "", "first", "second" or both."""
+    return ("first" if point == a else "") + ("second" if point == b else "")
+
+
+def test_axis_parallel_quadruples_cover_every_case():
+    rng = random.Random(53)
+    for coord in (lambda: rng.randrange(-3, 4), lambda: Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))):
+        seen = set()
+        for p1, p2, q1, q2 in _axis_parallel_quadruples(rng, coord):
+            kind, point = classify_segments(p1, p2, q1, q2)
+            if p1 == p2 or q1 == q2:
+                seen.add(("zero-length", kind))
+            elif p1[1] == p2[1] and q1[0] == q2[0] or p1[0] == p2[0] and q1[1] == q2[1]:
+                ends = (_ends_at(point, p1, p2), _ends_at(point, q1, q2)) if kind == "touch" else ()
+                seen.add(("crossing lines", kind, *ends))
+            else:
+                seen.add(("one line", kind))
+        assert seen >= {
+            ("crossing lines", "none"),
+            ("crossing lines", "proper"),
+            ("crossing lines", "touch", "first", ""),
+            ("crossing lines", "touch", "second", ""),
+            ("crossing lines", "touch", "", "first"),
+            ("crossing lines", "touch", "", "second"),
+            ("crossing lines", "touch", "first", "first"),
+            ("crossing lines", "touch", "second", "second"),
+            ("one line", "none"),
+            ("one line", "touch"),
+            ("one line", "overlap"),
+            ("zero-length", "none"),
+            ("zero-length", "touch"),
+        }, seen

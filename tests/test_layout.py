@@ -9,21 +9,25 @@ from types import SimpleNamespace
 import pytest
 
 from surfembed.drawing import convex_drawing
-from surfembed.geom import classify_segments, crossing_sign, integer_image
+from surfembed.geom import integer_image, orient
 from surfembed.graph import Graph, complete_bipartite, complete_graph
 from surfembed.intmat import IntMatrix, factor_alternating
 from surfembed.layout import DISK, LayoutError, _build_curves, _count_crossings, verify_geometric
 from surfembed.solver import z2_genus
 from surfembed.surface import SurfaceDrawing, SurfaceSpec, construct_z_embedding, verify_z
+from test_geom import _classify_reference
 
 
 def _count_crossings_all_pairs(sd, vpts, curves, labels):
     """The crossing count as it was before box pruning and the graph-free
-    contact rule: every segment pair of every curve pair goes through
-    classify_segments, two curves may touch only at an end of both that is
-    the point of a vertex their edges share, and crossing points are keyed
-    as Fraction pairs.  Returns the signs of each pair's same-label
-    crossings."""
+    contact rule, on orientations alone: every segment pair of every curve
+    pair goes through test_geom._classify_reference, which decides by
+    geom.orient and finds a crossing point by the Fraction formula, not
+    through classify_segments; two curves may touch only at an end of both
+    that is the point of a vertex their edges share, and crossing points
+    are keyed as Fraction pairs.  Returns the signs of each
+    pair's same-label crossings; at a proper crossing of [a, b] and [c, d]
+    that sign, of det(b - a, d - c), is orient(a, b, d)."""
     g = sd.core.graph
     _, (vpts, *curves) = integer_image([vpts, *curves])
     m = g.edge_count
@@ -39,7 +43,7 @@ def _count_crossings_all_pairs(sd, vpts, curves, labels):
                 a, b = pli[si], pli[si + 1]
                 for sj in range(len(plj) - 1):
                     c, d = plj[sj], plj[sj + 1]
-                    kind, p = classify_segments(a, b, c, d)
+                    kind, p = _classify_reference(a, b, c, d)
                     if kind == "none":
                         continue
                     if kind == "overlap":
@@ -52,7 +56,7 @@ def _count_crossings_all_pairs(sd, vpts, curves, labels):
                     p = (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
                     point_log[p] = point_log.get(p, 0) + 1
                     if labels[i][si] == labels[j][sj]:
-                        hits.append(crossing_sign(a, b, c, d))
+                        hits.append(orient(a, b, d))
             table[(i, j)] = hits
     for cnt in point_log.values():
         if cnt > 1:

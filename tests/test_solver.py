@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -577,6 +578,52 @@ def test_node_counts_of_the_six_no_cases():
     ]
     for g, spec, nodes in cases:
         assert _search(g, spec, _Call(g, SolverBudget(max_nodes=300_000))) == ("no", None, nodes), spec
+
+
+def test_a_row_kept_in_part_searches_as_a_row_kept_whole(monkeypatch):
+    # With _ROW_BITS at 5 a row keeps its first two to four candidates and
+    # makes the rest again on each pass: yes, no and unknown answers keep
+    # their assignments and node counts.
+    cases = [
+        (complete_graph(5), SurfaceSpec("S", 1)),
+        (complete_bipartite(5, 5), SurfaceSpec("S", 1)),
+        (complete_graph(6), SurfaceSpec("M", 1)),
+        (complete_graph(7), SurfaceSpec("M", 2)),
+        (complete_bipartite(4, 4), SurfaceSpec("M", 3)),
+        (complete_graph(7), SurfaceSpec("S", 2)),
+        (complete_bipartite(3, 7), SurfaceSpec("S", 2)),
+    ]
+    budget = SolverBudget(max_nodes=20_000)
+    whole = [_search(g, spec, _Call(g, budget)) for g, spec in cases]
+    assert {status for status, _, _ in whole} == {"yes", "no", "unknown"}
+    monkeypatch.setattr(solver, "_ROW_BITS", 5)
+    assert [_search(g, spec, _Call(g, budget)) for g, spec in cases] == whole
+
+
+def test_the_entries_of_a_long_row_join_the_set_bits_of_both_parts():
+    # The rest of a long row takes the set bits of v's low ten bits from a
+    # table: every vector below 3000, then sparser ones up to 2^16, then
+    # the crosscap representatives 2^k - 1.
+    vs = itertools.chain(range(3000), range(3000, 1 << 16, 97), ((1 << k) - 1 for k in range(70)))
+    todo = [(v, "after") for v in vs]
+    for spec in (SurfaceSpec("S", 35), SurfaceSpec("M", 70)):
+        expected = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in todo]
+        assert list(solver._entries(spec, todo, [])) == expected, spec
+
+
+def test_a_search_holds_the_same_memory_at_any_node_budget():
+    # K5 on M20: after the first free edge every one of the 2^20 vectors is
+    # a candidate.  Kept whole, the rows read under this budget took 18.7 MB
+    # (about 470 B a candidate), and under the default budget about 2.4 GB.
+    g = complete_graph(5)
+    tracemalloc.start()
+    try:
+        res = z2_embeddable_nonorientable(g, 20, SolverBudget(max_nodes=50_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes) == ("unknown", 50_001)
+    assert peak < 6 << 20
 
 
 def test_nullspace_oracle():
