@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = affirmative/success, 1 = negative answer, 2 = unknown
-(budget exhausted), 3 = input error.  With --structured, reports are
-emitted as line-oriented `key = value` pairs in addition to any file
-payload printed on standard output.
+(budget exhausted), 3 = input error or GeneralPositionError.  With
+--structured, reports are emitted as line-oriented `key = value` pairs
+in addition to any file payload printed on standard output.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .gf2 import (
 )
 from .graph import parse_graph
 from .intmat import factor_alternating, parse_intmatrix, serialize_intmatrix
-from .layout import LayoutError, verify_geometric
+from .layout import verify_geometric
 from .solver import (
     SolverBudget,
     k2n_lower_bound,
@@ -57,13 +57,9 @@ EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 
 
-class _ArgumentError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _ArgumentError(message)
+        raise ValueError(message)
 
 
 def _read(path):
@@ -71,7 +67,7 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as err:
-        raise _ArgumentError(f"cannot read {path}: {err}")
+        raise ValueError(f"cannot read {path}: {err}")
 
 
 def _write(path, text):
@@ -79,7 +75,7 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        raise _ArgumentError(f"cannot write {path}: {err}")
+        raise ValueError(f"cannot write {path}: {err}")
 
 
 def _emit_text(out, structured):
@@ -102,7 +98,7 @@ def _emit_pairs(report, structured):
 def _parse_surface_arg(s):
     parts = s.split(":")
     if len(parts) != 2 or parts[0] not in ("S", "M"):
-        raise _ArgumentError(f"bad surface {s!r}, expected S:g or M:m")
+        raise ValueError(f"bad surface {s!r}, expected S:g or M:m")
     return SurfaceSpec(parts[0], int(parts[1]))
 
 
@@ -120,7 +116,7 @@ def _target_from_file(g, path):
     values = parse_bitmatrix(_read(path))
     m = g.edge_count
     if values.rows != m or values.cols != m:
-        raise _ArgumentError("matrix size must be |E| x |E|")
+        raise ValueError("matrix size must be |E| x |E|")
     sym = BitMatrix(m, m)
     for i in range(m):
         for j in range(m):
@@ -326,7 +322,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_ArgumentError, LayoutError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

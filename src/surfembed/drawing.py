@@ -30,7 +30,7 @@ class IncompatibleTargetError(ValueError):
 
 
 class RealizationError(RuntimeError):
-    """Internal bug guard: a constructed drawing failed post-verification."""
+    """Internal bug guard: a constructed drawing or witness failed post-verification."""
 
 
 class PlanarDrawing:
@@ -550,11 +550,12 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
 
     The parity effect is re-verified exactly; geometric parameters are
     retried deterministically until the drawing is valid and the effect is
-    exactly the finger-move vector.  Only edge e changes, so only its row of
-    the crossing table is recomputed, and the new drawing receives the old
-    table with that row replaced.  The fingers are drawn and checked on d's
-    integer image, and the new drawing carries the image of the accepted
-    one; its rational polyline is formed only then.
+    exactly the finger-move vector, and GeneralPositionError is raised when
+    24 attempts fail.  Only edge e changes, so only its row of the crossing
+    table is recomputed, and the new drawing receives the old table with
+    that row replaced.  The fingers are drawn and checked on d's integer
+    image, and the new drawing carries the image of the accepted one; its
+    rational polyline is formed only then.
 
     No point of the row may be crossed twice.  That is enough: a new point
     of e on an old crossing point of other edges meets two strands there,
@@ -597,7 +598,7 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
         cand._image = q, cvpts, cpls
         cand._crossings = {**table, **row}
         return cand
-    raise RealizationError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
+    raise GeneralPositionError(f"finger move failed for edge {e}, vertex {v}: {last_err}")
 
 
 def _chord_parities(ends, order) -> int:

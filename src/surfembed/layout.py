@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .geom import box_pairs, classify_segments, crossing_sign
+from .geom import GeneralPositionError, box_pairs, classify_segments, crossing_sign
 from .surface import SurfaceDrawing, SurfaceError, VerifyReport
 
 DISK = "disk"
@@ -34,10 +34,6 @@ DISK = "disk"
 # s < 6: every den * e divides _T, so the points land on the grid.
 _PARAMS = ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5))
 _T = 15360
-
-
-class LayoutError(RuntimeError):
-    """The layout attempt left general position; callers retry or report."""
 
 
 def _transform_core(core, k, unit):
@@ -120,7 +116,7 @@ def _pick_attachment(polyline, vpts, own_ends, used_x, attempt):
                     xl <= vp[0] <= xr and vp[1] >= ymin for v, vp in enumerate(vpts) if v not in own_ends
                 ):
                     return s, p1, p2
-    raise LayoutError("no valid corridor attachment found")
+    raise GeneralPositionError("no valid corridor attachment found")
 
 
 def _build_curves(sd: SurfaceDrawing, attempt: int):
@@ -222,16 +218,16 @@ def _count_crossings(curves, labels):
         if kind == "none":
             continue
         if kind == "overlap":
-            raise LayoutError(f"edges {i},{j}: overlapping segments")
+            raise GeneralPositionError(f"edges {i},{j}: overlapping segments")
         if kind == "touch":
             if not (p in (pli[0], pli[-1]) and p in (plj[0], plj[-1]) and p in (a, b) and p in (c, d)):
-                raise LayoutError(f"edges {i},{j}: tangency at {p}")
+                raise GeneralPositionError(f"edges {i},{j}: tangency at {p}")
             continue
         points.append(p)
         if labels[i][si] == labels[j][sj]:
             table[i, j].append(crossing_sign(a, b, c, d))
     if len(set(points)) < len(points):
-        raise LayoutError("multiple crossings through one point")
+        raise GeneralPositionError("multiple crossings through one point")
     return table
 
 
@@ -239,7 +235,8 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
     """Verify a surface drawing by exact geometry of the immersed picture.
 
     Independent of the combinatorial verifiers: no ribbon form is ever
-    evaluated; crossings are counted from coordinates.
+    evaluated; crossings are counted from coordinates.  Raises
+    GeneralPositionError when 12 layout attempts all leave general position.
     """
     if mode is None:
         mode = sd.mode
@@ -255,9 +252,9 @@ def verify_geometric(sd: SurfaceDrawing, mode: str = None) -> VerifyReport:
         try:
             _, curves, labels = _build_curves(sd, attempt)
             table = _count_crossings(curves, labels)
-        except LayoutError as err:
+        except GeneralPositionError as err:
             last = err
             continue
         pairs = {p: len(table[p]) & 1 if mode == "z2" else sum(table[p]) for p in sd.core.graph.pairs}
         return VerifyReport(mode, pairs)
-    raise LayoutError(f"geometric layout failed after retries: {last}")
+    raise GeneralPositionError(f"geometric layout failed after retries: {last}")

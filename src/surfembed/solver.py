@@ -17,6 +17,7 @@ from itertools import chain, islice
 from .drawing import (
     CompatibilityClass,
     ParityMatrix,
+    RealizationError,
     finger_move_columns,
     realize_parity,
 )
@@ -436,7 +437,7 @@ def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
     f = realize_parity(g, ParityMatrix(g, a))
     sd = construct_z2_embedding(g, f, y, spec)
     if not verify_z2(sd).is_embedding:
-        raise RuntimeError("internal error: witness failed verification")
+        raise RealizationError("internal error: witness failed verification")
     return Witness(a, sd)
 
 
@@ -517,15 +518,22 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
 
 
 def kmn_lower_bound(m: int, n: int) -> int:
-    """Lower bound on the genus of any surface Z2-hosting K_{m,n}."""
+    """Lower bound on the genus of any surface Z2-hosting K_{m,n}, in
+    either order of the parts.  The bound (Fulek and Kyncl) holds for
+    3 <= m <= n; K_{1,n} and K_{2,n} are planar."""
     if m < 1 or n < 1:
         raise ValueError("part sizes must be positive")
-    # ceil((m - 2)(n - 2) / 4 - (m - 3) / 2), as an integer ceiling
-    return max(0, -(-((m - 2) * (n - 2) - 2 * (m - 3)) // 4))
+    m, n = sorted((m, n))
+    if m <= 2:
+        return 0
+    # ceil((m - 2)(n - 2) / 4 - (m - 3) / 2), as an integer ceiling; the
+    # numerator is at least (m - 3)^2 + 1 > 0.
+    return -(-((m - 2) * (n - 2) - 2 * (m - 3)) // 4)
 
 
 def k2n_lower_bound(n: int) -> int:
-    """Lower bound on the genus of any surface Z2-hosting K_{2n}."""
+    """Lower bound ceil((n - 3)^2 / 4) on the genus of any surface
+    Z2-hosting K_{2n}, 0 for n <= 3: K_2 and K_4 are planar."""
     if n < 1:
         raise ValueError("n must be positive")
-    return max(0, -(-((n - 3) ** 2) // 4))
+    return -(-(max(0, n - 3) ** 2) // 4)

@@ -311,13 +311,15 @@ def test_lower_bound_table():
     assert kmn_lower_bound(6, 6) == 3
     assert k2n_lower_bound(3) == 0
     assert k2n_lower_bound(4) == 1
-    # The integer ceilings against the bounds in exact rationals.
+    # The integer ceilings against the bounds in exact rationals, in the
+    # theorems' range: the smaller part at least 3, and n >= 3 for K_2n.
     for m in range(1, 31):
         k2n = Fraction((m - 3) ** 2, 4)
-        assert k2n_lower_bound(m) == max(0, math.ceil(k2n))
+        assert k2n_lower_bound(m) == (math.ceil(k2n) if m >= 3 else 0)
         for n in range(1, 31):
-            kmn = Fraction((m - 2) * (n - 2), 4) - Fraction(m - 3, 2)
-            assert kmn_lower_bound(m, n) == max(0, math.ceil(kmn))
+            lo, hi = sorted((m, n))
+            kmn = Fraction((lo - 2) * (hi - 2), 4) - Fraction(lo - 3, 2)
+            assert kmn_lower_bound(m, n) == (math.ceil(kmn) if lo >= 3 else 0)
 
 
 def test_signed_roundtrip_50():

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from surfembed import cli
+from surfembed import cli, drawing, layout
 from surfembed.cli import main
-from surfembed.drawing import convex_drawing, crossing_parity_matrix, serialize_drawing
+from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix, serialize_drawing
+from surfembed.geom import GeneralPositionError
 from surfembed.gf2 import BitMatrix, serialize_bitmatrix
 from surfembed.graph import complete_bipartite, complete_graph, serialize_graph
 from surfembed.intmat import IntMatrix, serialize_intmatrix
@@ -75,6 +76,40 @@ def test_bound_values(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["bound", "--k2n", "4"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_bound_takes_the_parts_in_either_order(capsys):
+    for argv, value in ((["--kmn", "1", "1"], "0"), (["--kmn", "7", "3"], "2"), (["--kmn", "3", "7"], "2"),
+                        (["--kmn", "2", "9"], "0"), (["--k2n", "1"], "0"), (["--k2n", "2"], "0")):
+        assert main(["bound", *argv]) == 0
+        assert capsys.readouterr().out == value + "\n"
+
+
+def test_retries_that_run_out_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise GeneralPositionError("refused")
+
+    # a target that needs the finger move of edge 0 around vertex 2
+    g = complete_graph(4)
+    target = crossing_parity_matrix(apply_finger_move(convex_drawing(g), 0, 2)).values
+    gfile = _write(tmp_path, "k4.g", serialize_graph(g))
+    mat = _write(tmp_path, "k4.m", serialize_bitmatrix(target))
+    out = tmp_path / "k4.d"
+    with monkeypatch.context() as patch:
+        patch.setattr(drawing, "finger_polyline", refuse)
+        assert main(["realize", "--graph", gfile, "--matrix", mat, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == ["error: finger move failed for edge 0, vertex 2: refused"]
+
+    wit = str(tmp_path / "k5.sd")
+    assert main(["solve", "--graph", _k5(tmp_path), "--genus", "1", "--witness-out", wit]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(layout, "_pick_attachment", refuse)
+    assert main(["verify", "--surface-drawing", wit, "--geometric"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: geometric layout failed after retries: refused"]
 
 
 def test_crossings_roundtrip(tmp_path, capsys):

@@ -1041,3 +1041,20 @@ def test_a_retried_convex_drawing_runs_the_vertex_checks_once(monkeypatch):
     d = convex_drawing(g)
     assert d.vertex_points[1] != (101, 101 * 101)
     assert calls == list(range(g.edge_count))
+
+
+def test_a_finger_move_that_runs_out_raises_general_position_error(monkeypatch):
+    # K4 with the parities of one finger move needs that move; when every
+    # attempt fails, the error is the general-position one, not a guard.
+    g = complete_graph(4)
+    target = crossing_parity_matrix(apply_finger_move(convex_drawing(g), 0, 2))
+    attempts = []
+
+    def refuse(*args):
+        attempts.append(args)
+        raise GeneralPositionError("refused")
+
+    monkeypatch.setattr(drawing_module, "finger_polyline", refuse)
+    with pytest.raises(GeneralPositionError, match="^finger move failed for edge 0, vertex 2: refused$"):
+        realize_parity(g, target)
+    assert len(attempts) == 24

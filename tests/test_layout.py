@@ -8,11 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from surfembed import layout as layout_module
 from surfembed.drawing import convex_drawing
-from surfembed.geom import integer_image, orient
+from surfembed.geom import GeneralPositionError, integer_image, orient
 from surfembed.graph import Graph, complete_bipartite, complete_graph
 from surfembed.intmat import IntMatrix, factor_alternating
-from surfembed.layout import DISK, LayoutError, _build_curves, _count_crossings, verify_geometric
+from surfembed.layout import DISK, _build_curves, _count_crossings, verify_geometric
 from surfembed.solver import z2_genus
 from surfembed.surface import SurfaceDrawing, SurfaceSpec, construct_z_embedding, verify_z
 from test_geom import _classify_reference
@@ -47,11 +48,11 @@ def _count_crossings_all_pairs(sd, vpts, curves, labels):
                     if kind == "none":
                         continue
                     if kind == "overlap":
-                        raise LayoutError(f"edges {i},{j}: overlapping segments")
+                        raise GeneralPositionError(f"edges {i},{j}: overlapping segments")
                     if kind == "touch":
                         ok = p in shared_pts and p in (pli[0], pli[-1]) and p in (plj[0], plj[-1])
                         if not ok:
-                            raise LayoutError(f"edges {i},{j}: tangency at {p}")
+                            raise GeneralPositionError(f"edges {i},{j}: tangency at {p}")
                         continue
                     p = (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
                     point_log[p] = point_log.get(p, 0) + 1
@@ -60,19 +61,19 @@ def _count_crossings_all_pairs(sd, vpts, curves, labels):
             table[(i, j)] = hits
     for cnt in point_log.values():
         if cnt > 1:
-            raise LayoutError("multiple crossings through one point")
+            raise GeneralPositionError("multiple crossings through one point")
     return table
 
 
 def _outcome(sd, attempt):
-    """The table or the LayoutError text of _count_crossings and of the
-    reference, which must agree."""
+    """The table or the GeneralPositionError text of _count_crossings and
+    of the reference, which must agree."""
     vpts, curves, labels = _build_curves(sd, attempt)
     got = []
     for count, args in ((_count_crossings, ()), (_count_crossings_all_pairs, (sd, vpts))):
         try:
             got.append(count(*args, curves, labels))
-        except LayoutError as err:
+        except GeneralPositionError as err:
             got.append(str(err))
     assert got[0] == got[1]
     return got[0]
@@ -206,7 +207,7 @@ def _pick_attachment_fraction(polyline, attach_hint, vpts, own_ends, used_x, att
                     v not in own_ends and xl <= vp[0] <= xr and vp[1] >= ymin for v, vp in enumerate(vpts)
                 ):
                     return s, p1, p2
-    raise LayoutError("no valid corridor attachment found")
+    raise GeneralPositionError("no valid corridor attachment found")
 
 
 def _build_curves_fraction(sd, attempt):
@@ -277,11 +278,11 @@ def _build_curves_fraction(sd, attempt):
 
 def _grid_ratio(sd, attempt):
     """The integer S with _build_curves = S * _build_curves_fraction, or the
-    LayoutError text both raise."""
+    GeneralPositionError text both raise."""
     try:
         ref = _build_curves_fraction(sd, attempt)
-    except LayoutError as err:
-        with pytest.raises(LayoutError) as got:
+    except GeneralPositionError as err:
+        with pytest.raises(GeneralPositionError) as got:
             _build_curves(sd, attempt)
         assert str(got.value) == str(err)
         return str(err)
@@ -341,7 +342,7 @@ def _degenerate(vertex_points, curves):
     sd = SimpleNamespace(core=SimpleNamespace(graph=g))
     labels = [[DISK] * (len(pl) - 1) for pl in polylines]
     for count, args in ((_count_crossings, ()), (_count_crossings_all_pairs, (sd, vertex_points))):
-        with pytest.raises(LayoutError) as err:
+        with pytest.raises(GeneralPositionError) as err:
             count(*args, polylines, labels)
         yield str(err.value)
 
@@ -376,9 +377,24 @@ def test_a_curve_through_its_own_end_point_is_refused():
     # end of neither segment of the touch, which the contact rule refuses.
     curves = [[(0, 0), (4, 0)], [(4, 0), (2, 2), (6, -2), (8, 4)]]
     labels = [[DISK] * (len(pl) - 1) for pl in curves]
-    with pytest.raises(LayoutError) as err:
+    with pytest.raises(GeneralPositionError) as err:
         _count_crossings(curves, labels)
     assert str(err.value) == "edges 0,1: tangency at (4, 0)"
     g = Graph(3, [(0, 1), (1, 2)])
     sd = SimpleNamespace(core=SimpleNamespace(graph=g))
     assert _count_crossings_all_pairs(sd, [(0, 0), (4, 0), (8, 4)], curves, labels) == {(0, 1): []}
+
+
+def test_a_layout_that_runs_out_raises_general_position_error(monkeypatch):
+    sd = z2_genus(complete_graph(5), "orientable").witness.surface_drawing
+    attempts = []
+
+    def refuse(polyline, vpts, own_ends, used_x, attempt):
+        attempts.append(attempt)
+        raise GeneralPositionError("no valid corridor attachment found")
+
+    monkeypatch.setattr(layout_module, "_pick_attachment", refuse)
+    with pytest.raises(GeneralPositionError) as err:
+        verify_geometric(sd)
+    assert str(err.value) == "geometric layout failed after retries: no valid corridor attachment found"
+    assert attempts == list(range(12))

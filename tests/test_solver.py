@@ -19,9 +19,15 @@ from surfembed.solver import (
     z2_embeddable_orientable,
     z2_genus,
 )
-from surfembed.drawing import CompatibilityClass, finger_move_columns, finger_move_generators, finger_move_labels
+from surfembed.drawing import (
+    CompatibilityClass,
+    RealizationError,
+    finger_move_columns,
+    finger_move_generators,
+    finger_move_labels,
+)
 from surfembed.solver import _Call, _crosscap_reps, _edge_order, _search, _set_bits, _witt_children
-from surfembed.surface import SurfaceSpec, verify_z2
+from surfembed.surface import SurfaceSpec, VerifyReport, verify_z2
 
 
 def _nullspace(vectors, nbits):
@@ -770,6 +776,29 @@ def test_k2n_lower_bound_values():
     assert k2n_lower_bound(4) == 1
     assert k2n_lower_bound(5) == 1
     assert k2n_lower_bound(6) == 3
+
+
+def test_bounds_take_either_order_and_never_exceed_a_decided_genus():
+    # K1,n, K2,n, K2 and K4 are planar: the bounds hold below the range of
+    # their formulas too, and K_{m,n} is K_{n,m}.
+    for m in range(1, 5):
+        for n in range(m, 6):
+            bound = kmn_lower_bound(m, n)
+            assert kmn_lower_bound(n, m) == bound
+            found = z2_genus(complete_bipartite(m, n), "orientable")
+            assert found.status == "found" and bound <= found.value
+    for n in range(1, 4):
+        found = z2_genus(complete_graph(2 * n), "orientable")
+        assert found.status == "found" and k2n_lower_bound(n) <= found.value
+
+
+def test_a_witness_that_fails_verification_raises_realization_error(monkeypatch):
+    def crossing(sd):
+        return VerifyReport("z2", {(0, 1): 1})
+
+    monkeypatch.setattr(solver, "verify_z2", crossing)
+    with pytest.raises(RealizationError, match="witness failed verification"):
+        z2_embeddable_orientable(complete_graph(5), 1)
 
 
 def test_bound_consistency_with_genus():
