@@ -168,14 +168,21 @@ def _edge_crossings(pls, only: int = None) -> dict:
 
 
 def _check_vertices_on_edge(vpts, edges, polylines, i: int):
-    """No vertex point inside, at a bend of, or at a foreign end of edge i."""
+    """No vertex point inside, at a bend of, or at a foreign end of edge i.
+
+    A point outside a segment's closed box is on no point of it, so the
+    exact orientation runs only for a vertex inside that box."""
     pl = polylines[i]
-    segs = _polyline_segments(pl)
+    boxes = [
+        (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), a, b)
+        for a, b in _polyline_segments(pl)
+    ]
     interior_pts = pl[1:-1]
     ends = edges[i]
     for w, p in enumerate(vpts):
-        for a, b in segs:
-            if strictly_inside_segment(p, a, b):
+        px, py = p
+        for x0, x1, y0, y1, a, b in boxes:
+            if x0 <= px <= x1 and y0 <= py <= y1 and strictly_inside_segment(p, a, b):
                 raise GeneralPositionError(f"vertex {w} inside edge {i}")
         if p in interior_pts:
             raise GeneralPositionError(f"vertex {w} at a bend of edge {i}")

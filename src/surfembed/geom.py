@@ -23,7 +23,8 @@ def orient(a: Point, b: Point, c: Point) -> int:
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p lies on the closed segment [a, b] (collinearity assumed checked by caller)."""
+    """p lies on the closed segment [a, b]: p is collinear with a and b
+    (an exact orientation) and inside their closed box."""
     return orient(a, b, p) == 0 and _in_box(p, a, b)
 
 

@@ -32,11 +32,12 @@ class SolverBudget:
     time_cap: float = None
 
     def __post_init__(self):
-        if not isinstance(self.max_nodes, int):
+        # bool is an int, but True is no node count and no time cap
+        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
             raise ValueError("max_nodes must be an integer")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_cap is not None and not self.time_cap > 0:  # NaN too
+        if self.time_cap is not None and (isinstance(self.time_cap, bool) or not self.time_cap > 0):  # NaN too
             raise ValueError("time_cap must be positive")
 
 
@@ -503,8 +504,10 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
     """
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")
-    call = _Call(g, budget)
     start = 0 if kind == "orientable" else 1
+    if maximum < start:
+        raise ValueError(f"maximum must be at least {start} for {kind} surfaces")
+    call = _Call(g, budget)
     for p in range(start, maximum + 1):
         if kind == "orientable":
             res = z2_embeddable_orientable(g, p, call)

@@ -1058,3 +1058,70 @@ def test_a_finger_move_that_runs_out_raises_general_position_error(monkeypatch):
     with pytest.raises(GeneralPositionError, match="^finger move failed for edge 0, vertex 2: refused$"):
         realize_parity(g, target)
     assert len(attempts) == 24
+
+
+def _all_pairs_vertex_check(vpts, edges, polylines, i):
+    """_check_vertices_on_edge as it stood with one exact orientation per
+    vertex and segment, and no box test in front of it."""
+    pl = polylines[i]
+    segs = list(zip(pl, pl[1:]))
+    interior_pts = pl[1:-1]
+    ends = edges[i]
+    for w, p in enumerate(vpts):
+        for a, b in segs:
+            if on_segment(p, a, b) and p != a and p != b:
+                raise GeneralPositionError(f"vertex {w} inside edge {i}")
+        if p in interior_pts:
+            raise GeneralPositionError(f"vertex {w} at a bend of edge {i}")
+        if w not in ends and p in (pl[0], pl[-1]):
+            raise GeneralPositionError(f"vertex {w} at endpoint of non-incident edge {i}")
+
+
+def _planted_vertex(rng, pls):
+    """A point planted against a random segment of a random polyline:
+    inside it, on its box's edge but off it, collinear past one of its
+    ends, at a bend, or at an end of the polyline."""
+    pl = rng.choice(pls)
+    s = rng.randrange(len(pl) - 1)
+    (ax, ay), (bx, by) = pl[s], pl[s + 1]
+    kind = rng.choice(["inside", "box-edge", "past-end", "bend", "end"])
+    if kind == "inside":
+        t = Fraction(rng.randrange(1, 4), 4)
+        return (ax + t * (bx - ax), ay + t * (by - ay))
+    if kind == "box-edge":
+        t = Fraction(rng.randrange(0, 5), 4)
+        return rng.choice([(ax, ay + t * (by - ay)), (ax + t * (bx - ax), by)])
+    if kind == "past-end":
+        t = rng.choice([Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+        return (ax + t * (bx - ax), ay + t * (by - ay))
+    if kind == "bend" and len(pl) > 2:
+        return rng.choice(pl[1:-1])
+    return rng.choice([pl[0], pl[-1]])
+
+
+def test_box_gated_vertex_checks_match_the_all_pairs_reference():
+    # Random polylines on a half-integer grid, so that many segments are
+    # axis-parallel and their boxes are flat, and planted vertices on and
+    # around them.  Every edge's check gives the reference's message, or a
+    # pass as the reference does, on the Fraction points and on their
+    # integer image.
+    rng = random.Random(31)
+
+    def grid():
+        return (Fraction(rng.randrange(9), 2), Fraction(rng.randrange(9), 2))
+
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randrange(2, 5)
+        vpts = [grid() for _ in range(n)]
+        edges = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, 4))})
+        pls = [[vpts[u], *(grid() for _ in range(rng.randrange(3))), vpts[v]] for u, v in edges]
+        vpts += [_planted_vertex(rng, pls) for _ in range(rng.randrange(1, 4))]
+        _, (image_vpts, *image) = integer_image([vpts, *pls])
+        for i in range(len(edges)):
+            want = _outcome(_all_pairs_vertex_check, vpts, edges, pls, i)
+            assert _outcome(_all_pairs_vertex_check, image_vpts, edges, image, i) == want
+            assert _outcome(_check_vertices_on_edge, vpts, edges, pls, i) == want
+            assert _outcome(_check_vertices_on_edge, image_vpts, edges, image, i) == want
+            seen[next((k for k in ("inside", "bend", "endpoint") if k in want), None) if want else "pass"] += 1
+    assert set(seen) == {"pass", "inside", "bend", "endpoint"}, seen

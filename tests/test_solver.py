@@ -357,6 +357,12 @@ def test_euler_counts_both_searches_on_yes():
 def test_node_budget_must_be_an_int():
     with pytest.raises(ValueError, match="max_nodes must be an integer"):
         SolverBudget(max_nodes=1e6)
+    # bool is an int: True would be a one-node budget, a one-second cap
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="max_nodes must be an integer"):
+            SolverBudget(max_nodes=flag)
+        with pytest.raises(ValueError, match="time_cap must be positive"):
+            SolverBudget(time_cap=flag)
 
 
 def test_any_positive_int_node_budget():
@@ -719,6 +725,16 @@ def test_odd_euler_witness_surface_and_status(g, e, status):
     assert res.status == status == z2_embeddable_nonorientable(g, 2 - e).status
     if status == "yes":
         assert res.witness.surface_drawing.surface == SurfaceSpec("S", (1 - e) // 2)
+
+
+def test_z2_genus_refuses_a_maximum_below_the_first_surface():
+    # The scan would try no surface and return a "none" that claims nothing.
+    with pytest.raises(ValueError, match="maximum must be at least 0 for orientable surfaces"):
+        z2_genus(complete_graph(4), "orientable", -1)
+    with pytest.raises(ValueError, match="maximum must be at least 1 for nonorientable surfaces"):
+        z2_genus(complete_graph(4), "nonorientable", 0)
+    assert z2_genus(complete_graph(4), "orientable", 0).value == 0
+    assert z2_genus(complete_graph(5), "nonorientable", 1).value == 1
 
 
 def test_z2_genus_values():
