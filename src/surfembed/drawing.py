@@ -305,6 +305,14 @@ def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
 
     order[k] is the vertex placed at position k along the curve; two chords
     cross exactly when their position pairs interleave, as on a circle.
+    Position k sits at (s x, (x - c)^2), x = 101 k plus a perturbation
+    below 101, c = 101 (n - 1) // 2 the x of the middle position and
+    s = max(1, 101 n // 4), so the curve is about as wide as it is tall and
+    fewer chord boxes meet than on y = x^2.  That is the image of (x, x^2)
+    under the orientation-preserving affine map (x, y) -> (s x, y - 2cx +
+    c^2), which keeps every orientation: the same perturbation is accepted
+    and the crossing table is the same as on y = x^2.
+
     The points are integers, stored as Fractions like every drawing's, so
     its integer image (image()) has den 1.  Retries with a deterministic
     perturbation when chords concur; raises GeneralPositionError when no
@@ -319,15 +327,17 @@ def convex_drawing(g: Graph, order=None) -> PlanarDrawing:
     points as its image.
     """
     n = g.vertex_count
-    if order is None:
-        order = list(range(n))
-    if sorted(order) != list(range(n)):
+    order = list(range(n)) if order is None else list(order)
+    # bool is an int, but True is no vertex
+    if any(type(w) is not int for w in order) or sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the vertices")
+    c = 101 * (n - 1) // 2
+    s = max(1, 101 * n // 4)
     for k in range(64):
         pts = [None] * n
         for pos, w in enumerate(order):
             x = 101 * pos + (k * (pos * pos + 1)) % 101
-            pts[w] = (x, x * x)
+            pts[w] = (s * x, (x - c) * (x - c))
         polylines = [[pts[u], pts[v]] for u, v in g.edges]
         try:
             table = _signs(_edge_crossings(polylines), 1)

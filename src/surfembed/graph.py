@@ -20,6 +20,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, vertex_count: int, edges) -> None:
+        # bool is an int, but True is no vertex count
+        if not isinstance(vertex_count, int) or isinstance(vertex_count, bool):
+            raise GraphError("vertex_count must be an integer")
         if vertex_count < 0:
             raise GraphError("vertex_count must be non-negative")
         norm = []

@@ -10,6 +10,12 @@ is S grid steps, with S a positive integer per drawing and attempt that
 is a multiple of every denominator of the layout, so no point needs
 Fraction arithmetic.
 
+The bus runs take their levels after every attachment and lane is
+chosen, in the order of _bus_order.  A level moves a corridor within the
+disk with its ends fixed, its feet on the feet line and its attachment
+below every level, so every pair's signed crossing count is the same in
+any order; this one draws the fewest bus-riser crossings.
+
 Crossings are counted by exact segment intersection on that grid.  Each
 segment carries the label of the surface piece it lies on ("disk" or a
 ribbon index); only same-label crossings are genuine, crossings between the overlapping
@@ -22,7 +28,6 @@ interleaved chord endpoints in the disk.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .geom import GeneralPositionError, box_pairs, classify_segments, crossing_sign
@@ -119,6 +124,22 @@ def _pick_attachment(polyline, vpts, own_ends, used_x, attempt):
     raise GeneralPositionError("no valid corridor attachment found")
 
 
+def _bus_order(keys):
+    """The bus runs from the lowest level up, given each run's sort key:
+    (0, -x) for a run with its core end at x, (1, -length) for a run
+    between two lanes.
+
+    A run at level L crosses the risers that pass L inside its x range: a
+    riser at a foot rises from its run's level to the feet line, a riser
+    at an attachment from below every level to its run's level.  Runs
+    that reach the core, stacked right to left by their core end, meet no
+    other's attachment riser, and lie below every riser of a run between
+    lanes.  Runs between lanes, longest lowest, cross only where their x
+    ranges overlap without nesting.  Each pair of runs then crosses no more
+    often than in any other order.  The ties keep the edge order."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def _build_curves(sd: SurfaceDrawing, attempt: int):
     """All edge curves as labeled polylines: (points, per-segment labels)."""
     g = sd.core.graph
@@ -143,33 +164,54 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
     vpts, polys, scale = _transform_core(sd.core, 3 + attempt, unit)
     frames = _ribbon_frames(sd.surface, scale)
     feet = 4 * scale
-    # Bus runs sit at the levels 2 + (3/2) * i / (nruns + 1), i = 1..nruns.
+
+    # Attachments and lane paths first, with each bus run's sort key.
+    corridors = {}
+    keys = []
+    used_x = set()
+    for e in range(g.edge_count):
+        if not plans[e]:
+            continue
+        s, p1, p2 = _pick_attachment(polys[e], vpts, set(g.edges[e]), used_x, attempt)
+        used_x.add(p1[0])
+        used_x.add(p2[0])
+        lanes = []
+        for k, j, forward in plans[e]:
+            lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
+            if not forward:
+                lane_pts = lane_pts[::-1]
+                lane_labs = lane_labs[::-1]
+            lanes.append((lane_pts, lane_labs))
+        # The runs go from p1 to the first lane, from each lane's exit to
+        # the next lane's entry, and from the last lane to p2.
+        keys.append((0, -p1[0]))
+        for (prev, _), (nxt, _) in zip(lanes, lanes[1:]):
+            keys.append((1, -abs(nxt[0][0] - prev[-1][0])))
+        keys.append((0, -p2[0]))
+        corridors[e] = s, p1, p2, lanes
+    # Bus runs sit at the levels 2 + (3/2) * i / (nruns + 1), i = 1..nruns,
+    # handed out in _bus_order.
     rise = 3 * (scale // (2 * (nruns + 1)))
-    levels = itertools.count(2 * scale + rise, rise)
+    levels = [0] * nruns
+    for i, run in enumerate(_bus_order(keys)):
+        levels[run] = 2 * scale + (i + 1) * rise
+    levels = iter(levels)
 
     curves = []
     labels = []
-    used_x = set()
     for e in range(g.edge_count):
         pl = polys[e]
-        plan = plans[e]
-        if not plan:
+        if e not in corridors:
             curves.append(list(pl))
             labels.append([DISK] * (len(pl) - 1))
             continue
-        s, p1, p2 = _pick_attachment(pl, vpts, set(g.edges[e]), used_x, attempt)
-        used_x.add(p1[0])
-        used_x.add(p2[0])
+        s, p1, p2, lanes = corridors[e]
         pts = list(pl[: s + 1]) + [p1]
         labs = [DISK] * (s + 1)
         level = next(levels)
         pts.append((p1[0], level))
         labs.append(DISK)
-        for k, j, forward in plan:
-            lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
-            if not forward:
-                lane_pts = lane_pts[::-1]
-                lane_labs = lane_labs[::-1]
+        for lane_pts, lane_labs in lanes:
             x_in = lane_pts[0][0]
             pts.append((x_in, level))
             labs.append(DISK)

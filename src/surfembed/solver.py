@@ -505,6 +505,8 @@ def z2_genus(g: Graph, kind: str = "orientable", maximum: int = 8, budget: Solve
     if kind not in ("orientable", "nonorientable"):
         raise ValueError("kind must be orientable or nonorientable")
     start = 0 if kind == "orientable" else 1
+    if not isinstance(maximum, int) or isinstance(maximum, bool):
+        raise ValueError("maximum must be an integer")
     if maximum < start:
         raise ValueError(f"maximum must be at least {start} for {kind} surfaces")
     call = _Call(g, budget)

@@ -42,6 +42,9 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.kind not in ("S", "M"):
             raise SurfaceError("surface kind must be S or M")
+        # bool is an int, but True is no genus
+        if not isinstance(self.genus, int) or isinstance(self.genus, bool):
+            raise SurfaceError("genus must be an integer")
         if self.kind == "S" and self.genus < 0:
             raise SurfaceError("genus must be nonnegative")
         if self.kind == "M" and self.genus < 1:

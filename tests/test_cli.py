@@ -1,18 +1,28 @@
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from surfembed import cli, drawing, layout
 from surfembed.cli import main
-from surfembed.drawing import apply_finger_move, convex_drawing, crossing_parity_matrix, serialize_drawing
+from surfembed.drawing import (
+    apply_finger_move,
+    convex_drawing,
+    crossing_parity_matrix,
+    serialize_drawing,
+    signed_crossing_matrix,
+)
 from surfembed.geom import GeneralPositionError
 from surfembed.gf2 import BitMatrix, serialize_bitmatrix
 from surfembed.graph import complete_bipartite, complete_graph, serialize_graph
-from surfembed.intmat import IntMatrix, serialize_intmatrix
+from surfembed.intmat import IntMatrix, factor_alternating, serialize_intmatrix
 from surfembed.surface import (
     SurfaceSpec,
     VerifyReport,
@@ -458,6 +468,86 @@ def test_input_errors_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error", "error"]
+
+
+def _malformable_files():
+    """Small valid inputs of every kind: K4, its convex drawing, its parity
+    and signed crossing matrices, a two-row factor of each kind and the
+    surface drawing that the GF(2) one builds on S1."""
+    g = complete_graph(4)
+    d = convex_drawing(g)
+    y = BitMatrix(2, g.edge_count)
+    y.set(0, 1, 1)
+    y.set(1, 4, 1)
+    y.set(1, 5, 1)
+    signed = signed_crossing_matrix(d)
+    return {
+        "graph": serialize_graph(g),
+        "drawing": serialize_drawing(d),
+        "matrix": serialize_bitmatrix(crossing_parity_matrix(d).values),
+        "intmatrix": serialize_intmatrix(signed),
+        "factor": serialize_bitmatrix(y),
+        "zfactor": serialize_intmatrix(factor_alternating(signed)),
+        "surface": serialize_surface_drawing(construct_z2_embedding(g, d, y, SurfaceSpec("S", 1))),
+    }
+
+
+_FILES = _malformable_files()
+# Every subcommand that reads a file, with the files that it reads.
+_COMMANDS = [
+    ["crossings", "--drawing", "{drawing}"],
+    ["crossings", "--drawing", "{drawing}", "--signed"],
+    ["compat", "--graph", "{graph}", "--matrix", "{matrix}"],
+    ["realize", "--graph", "{graph}", "--matrix", "{matrix}", "--out", "{out}"],
+    ["factor", "--mode", "even", "--matrix", "{matrix}"],
+    ["factor", "--mode", "odd", "--matrix", "{factor}"],
+    ["factor", "--mode", "alternating", "--matrix", "{intmatrix}"],
+    ["solve", "--graph", "{graph}", "--genus", "1", "--budget-nodes", "2000"],
+    ["construct", "--graph", "{graph}", "--drawing", "{drawing}", "--factor", "{factor}", "--surface", "S:1"],
+    ["construct", "--graph", "{graph}", "--drawing", "{drawing}", "--factor", "{zfactor}", "--surface", "S:1", "--z"],
+    ["verify", "--surface-drawing", "{surface}"],
+    ["verify", "--surface-drawing", "{surface}", "--geometric"],
+    ["verify", "--surface-drawing", "{surface}", "--z", "--geometric"],
+    ["extract", "--surface-drawing", "{surface}"],
+    ["extract", "--surface-drawing", "{surface}", "--z"],
+]
+
+
+@st.composite
+def _malformed(draw):
+    """One file kind and its text with one token dropped, doubled or
+    replaced."""
+    kind = draw(st.sampled_from(sorted(_FILES)))
+    lines = [ln.split() for ln in _FILES[kind].splitlines()]
+    spots = [(r, c) for r, ln in enumerate(lines) for c in range(len(ln))]
+    r, c = draw(st.sampled_from(spots))
+    op = draw(st.sampled_from(["drop", "double", "-1", "0", "x", "1/0", "99"]))
+    token = lines[r][c]
+    lines[r][c : c + 1] = [] if op == "drop" else [token, token] if op == "double" else [op]
+    return kind, "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+@seed(2032)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_malformed())
+def test_malformed_files_exit_three_with_one_error_line(tmp_path_factory, case):
+    kind, text = case
+    base = tmp_path_factory.getbasetemp() / "malformed"
+    base.mkdir(exist_ok=True)
+    paths = {name: _write(base, name, text if name == kind else body) for name, body in _FILES.items()}
+    paths["out"] = str(base / "out.d")
+    for command in _COMMANDS:
+        if "{" + kind + "}" not in command:
+            continue
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([arg.format(**paths) for arg in command])
+        assert rc in (0, 1, 2, 3), command
+        errors = err.getvalue().splitlines()
+        if rc == 3:
+            assert len(errors) == 1 and errors[0].startswith("error: "), command
+        else:
+            assert errors == [], command
 
 
 def _install(tmp_path, *pip_args):

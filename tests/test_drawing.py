@@ -782,7 +782,7 @@ NINE_WITNESS_CASES = [
 def test_realized_drawings_match_the_pinned_hash():
     # The drawings of the nine genus-one witnesses, then those of 120
     # compatible targets on 5-8 vertices, as the Fraction fingers and the
-    # round-by-round order search drew them.
+    # round-by-round order search drew them from the square convex curve.
     h = hashlib.sha256()
     for g, kind in NINE_WITNESS_CASES:
         h.update(serialize_drawing(z2_genus(g, kind).witness.surface_drawing.core).encode())
@@ -792,7 +792,7 @@ def test_realized_drawings_match_the_pinned_hash():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
         vec = _random_compatible_target(g, rng)
         h.update(serialize_drawing(realize_parity(g, ParityMatrix.from_pair_vector(g, vec))).encode())
-    assert h.hexdigest() == "b5fae0b09b819f597acde05864a718dd47fbf377d4331e80948e4b9c2958a509"
+    assert h.hexdigest() == "13242162ab65b1729275706f64ed00ee9cdb5bb0bf48bc7498872e11b0d04559"
 
 
 def _fraction_finger_polyline(polyline, vpt, shrink, attempt):
@@ -1041,6 +1041,67 @@ def test_a_retried_convex_drawing_runs_the_vertex_checks_once(monkeypatch):
     d = convex_drawing(g)
     assert d.vertex_points[1] != (101, 101 * 101)
     assert calls == list(range(g.edge_count))
+
+
+def _parabola_drawing(g, order):
+    """convex_drawing as it stood with position k at (x, x^2): the accepted
+    perturbation and its drawing, every check of crossings() deciding the
+    retry."""
+    for k in range(64):
+        pts = [None] * g.vertex_count
+        for pos, w in enumerate(order):
+            x = 101 * pos + (k * (pos * pos + 1)) % 101
+            pts[w] = (x, x * x)
+        d = PlanarDrawing(g, pts, [[pts[u], pts[v]] for u, v in g.edges])
+        try:
+            d.crossings()
+        except GeneralPositionError:
+            continue
+        return k, d
+    raise GeneralPositionError("could not reach general position by perturbation")
+
+
+def test_convex_drawing_is_the_affine_image_of_the_parabola_drawing():
+    # (x, y) -> (s x, y - 2cx + c^2) has determinant s > 0, so the square
+    # curve accepts the perturbation that y = x^2 accepts, at the image
+    # points, with the same crossing table.
+    rng = random.Random(2032)
+    cases = [(complete_graph(9), list(range(9))), (complete_bipartite(5, 5), list(range(10)))]
+    for _ in range(240):
+        n = rng.randrange(1, 13)
+        density = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((g, order))
+    retried = []
+    for g, order in cases:
+        n = g.vertex_count
+        k, old = _parabola_drawing(g, order)
+        c, s = 101 * (n - 1) // 2, max(1, 101 * n // 4)
+        image = [(s * x, y - 2 * c * x + c * c) for x, y in old.vertex_points]
+        d = convex_drawing(g, order)
+        assert d.vertex_points == image
+        assert d.edge_polylines == [[image[u], image[v]] for u, v in g.edges]
+        assert d.crossings() == old.crossings()
+        retried.append(k > 0)
+    # K9 and K5,5 have concurrent chords at the first perturbation
+    assert retried[:2] == [True, True] and sum(retried) >= 10
+
+
+def test_k7_convex_chords_have_156_box_pairs():
+    # The square curve keeps chord boxes apart: 175 pairs met on y = x^2.
+    _, _, polylines = convex_drawing(complete_graph(7)).image()
+    assert len(box_pairs(polylines)) == 156
+
+
+def test_convex_drawing_refuses_orders_that_are_no_permutation():
+    g = complete_graph(4)
+    for order in ([0.0, 1.0, 2.0, 3.0], [False, True, 2, 3], [0, 1, 2], [0, 1, 2, 2]):
+        with pytest.raises(ValueError, match="^order must be a permutation of the vertices$"):
+            convex_drawing(g, order)
+    # an iterator is read once
+    assert convex_drawing(g, iter([0, 2, 1, 3])).vertex_points == convex_drawing(g, [0, 2, 1, 3]).vertex_points
 
 
 def test_a_finger_move_that_runs_out_raises_general_position_error(monkeypatch):

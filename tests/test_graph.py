@@ -16,6 +16,12 @@ from surfembed.graph import (
 )
 
 
+def test_a_vertex_count_that_is_no_integer_is_refused():
+    for n in (3.0, True, "3"):
+        with pytest.raises(GraphError, match="^vertex_count must be an integer$"):
+            Graph(n, [(0, 1)])
+
+
 def test_path_two_edges_has_no_independent_pairs():
     g = Graph(3, [(0, 1), (1, 2)])
     assert independent_pairs(g) == []

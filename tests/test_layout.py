@@ -90,12 +90,13 @@ def _skew_product(b, m):
     return out
 
 
-def _random_surface_drawings(rng, count):
+def _random_surface_drawings(rng, count, z_genera=(1,)):
     """Drawings made like the benchmark's verify inputs: convex cores with
     5-7 vertices and 4-8 edges, random Z2 passes on S1, S2, M1, M2 and M3,
-    and genus-1 Z factors of B^T H B with entries of B in [-2, 2]."""
+    and Z factors of B^T H B with 2h rows of B, h in z_genera, and entries
+    of B in [-2, 2]."""
     plan = [("z2", m, s) for s in (("S", 1), ("S", 2), ("M", 1), ("M", 2), ("M", 3)) for m in (4, 6, 8)]
-    plan += [("z", m, ("S", 1)) for m in range(4, 9)]
+    plan += [("z", m, ("S", h)) for h in z_genera for m in range(4, 9)]
     out = []
     for mode, m, (kind, genus) in itertools.islice(itertools.cycle(plan), count):
         n = rng.randrange(5, 8)
@@ -112,7 +113,7 @@ def _random_surface_drawings(rng, count):
             rng.shuffle(tube)
             out.append(SurfaceDrawing(spec, core, passes, tube))
         else:
-            b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(2)]
+            b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(2 * genus)]
             f = factor_alternating(IntMatrix(m, m, _skew_product(b, m)))
             out.append(construct_z_embedding(g, core, f, SurfaceSpec("S", f.rows // 2)))
     return out
@@ -210,7 +211,11 @@ def _pick_attachment_fraction(polyline, attach_hint, vpts, own_ends, used_x, att
     raise GeneralPositionError("no valid corridor attachment found")
 
 
-def _build_curves_fraction(sd, attempt):
+def _build_curves_fraction(sd, attempt, edge_order_levels=False):
+    """The Fraction layout.  Bus runs take their levels by rank: runs that
+    reach the core lowest, right to left by their core end, then runs
+    between lanes, longest lowest; with edge_order_levels, in the order of
+    the edges and their passes instead, as the layout stacked them before."""
     g = sd.core.graph
     vpts, polys = _transform_core_fraction(sd.core, attempt)
     frames = _ribbon_frames_fraction(sd.surface)
@@ -228,43 +233,54 @@ def _build_curves_fraction(sd, attempt):
                 totals[k] += 1
                 plan.append((k, direction))
         plans[e] = plan
-    nruns = sum(len(p) + 1 for p in plans.values() if p)
-    run_iter = iter(range(nruns))
-
-    def next_level():
-        return Fraction(2) + Fraction(3, 2) * Fraction(next(run_iter) + 1, nruns + 1)
-
     feet = Fraction(4)
-    curves = []
-    labels = []
+    attached = {}
+    runs = []
     used_x = set()
     for e in range(g.edge_count):
-        pl = polys[e]
-        plan = plans[e]
-        if not plan:
-            curves.append(list(pl))
-            labels.append([DISK] * (len(pl) - 1))
+        if not plans[e]:
             continue
-        s, p1, p2 = _pick_attachment_fraction(pl, 0, vpts, set(g.edges[e]), used_x, attempt)
+        s, p1, p2 = _pick_attachment_fraction(polys[e], 0, vpts, set(g.edges[e]), used_x, attempt)
         used_x.add(p1[0])
         used_x.add(p2[0])
-        pts = list(pl[: s + 1]) + [p1]
-        labs = [DISK] * (s + 1)
-        level = next_level()
-        pts.append((p1[0], level))
-        labs.append(DISK)
-        for idx, (k, direction) in enumerate(plan):
+        lanes = []
+        for idx, (k, direction) in enumerate(plans[e]):
             j = lane_of[(e, idx)][1]
             lane_pts, lane_labs = _lane_path_fraction(frames[k], j, totals[k], ("rib", k))
             if direction < 0:
                 lane_pts = lane_pts[::-1]
                 lane_labs = lane_labs[::-1]
+            lanes.append((lane_pts, lane_labs))
+        attached[e] = s, p1, p2, lanes
+        runs.append((0, -p1[0]))
+        for (prev, _), (nxt, _) in zip(lanes, lanes[1:]):
+            runs.append((1, -abs(nxt[0][0] - prev[-1][0])))
+        runs.append((0, -p2[0]))
+    nruns = len(runs)
+    ranked = range(nruns) if edge_order_levels else sorted(range(nruns), key=lambda i: runs[i])
+    level_of = {run: Fraction(2) + Fraction(3, 2) * Fraction(i + 1, nruns + 1) for i, run in enumerate(ranked)}
+    levels = (level_of[i] for i in range(nruns))
+    curves = []
+    labels = []
+    for e in range(g.edge_count):
+        pl = polys[e]
+        if e not in attached:
+            curves.append(list(pl))
+            labels.append([DISK] * (len(pl) - 1))
+            continue
+        s, p1, p2, lanes = attached[e]
+        pts = list(pl[: s + 1]) + [p1]
+        labs = [DISK] * (s + 1)
+        level = next(levels)
+        pts.append((p1[0], level))
+        labs.append(DISK)
+        for lane_pts, lane_labs in lanes:
             x_in = lane_pts[0][0]
             pts += [(x_in, level), (x_in, feet)]
             labs += [DISK, DISK]
             pts.extend(lane_pts[1:])
             labs.extend(lane_labs)
-            level = next_level()
+            level = next(levels)
             pts.append((lane_pts[-1][0], level))
             labs.append(DISK)
         pts += [(p2[0], level), p2]
@@ -276,11 +292,11 @@ def _build_curves_fraction(sd, attempt):
     return vpts, curves, labels
 
 
-def _grid_ratio(sd, attempt):
+def _grid_ratio(sd, attempt, edge_order_levels=False):
     """The integer S with _build_curves = S * _build_curves_fraction, or the
     GeneralPositionError text both raise."""
     try:
-        ref = _build_curves_fraction(sd, attempt)
+        ref = _build_curves_fraction(sd, attempt, edge_order_levels)
     except GeneralPositionError as err:
         with pytest.raises(GeneralPositionError) as got:
             _build_curves(sd, attempt)
@@ -312,6 +328,41 @@ def test_integer_grid_is_a_multiple_of_the_fraction_layout_on_witnesses(g):
     sd = z2_genus(g, "orientable").witness.surface_drawing
     for attempt in range(3):
         assert isinstance(_grid_ratio(sd, attempt), Fraction)
+
+
+def _table(sd, attempt):
+    """_count_crossings of one layout attempt, or its GeneralPositionError text."""
+    try:
+        return _count_crossings(*_build_curves(sd, attempt)[1:])
+    except GeneralPositionError as err:
+        return str(err)
+
+
+def test_bus_order_keeps_every_pair_and_draws_no_more_crossings(monkeypatch):
+    # The reference stacks the bus runs in edge order, as the layout did
+    # before; the integer grid under it is the Fraction layout of that
+    # order.  Moving a run to another level keeps its corridor's ends, so
+    # the verdicts agree, and no pair of edges crosses more often.
+    rng = random.Random(2033)
+    drawings = _random_surface_drawings(rng, 220, z_genera=(1, 2))
+    surfaces = set()
+    fewer = 0
+    for k, sd in enumerate(drawings):
+        surfaces.add((sd.mode, sd.surface))
+        attempt = k % 3
+        got = verify_geometric(sd)
+        ours = _table(sd, attempt)
+        with monkeypatch.context() as m:
+            m.setattr(layout_module, "_bus_order", lambda keys: range(len(keys)))
+            assert verify_geometric(sd).pairs == got.pairs
+            assert isinstance(_grid_ratio(sd, attempt, edge_order_levels=True), Fraction)
+            theirs = _table(sd, attempt)
+        assert type(ours) is type(theirs)
+        if isinstance(ours, dict):
+            assert all(len(ours[p]) <= len(theirs[p]) for p in ours)
+            fewer += sum(map(len, ours.values())) < sum(map(len, theirs.values()))
+    assert {("z", SurfaceSpec("S", 2)), ("z2", SurfaceSpec("M", 3))} <= surfaces
+    assert fewer >= 150
 
 
 def test_genus_two_z_embeddings_agree_with_the_combinatorial_verifier():

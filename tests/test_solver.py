@@ -27,7 +27,7 @@ from surfembed.drawing import (
     finger_move_labels,
 )
 from surfembed.solver import _Call, _crosscap_reps, _edge_order, _search, _set_bits, _witt_children
-from surfembed.surface import SurfaceSpec, VerifyReport, verify_z2
+from surfembed.surface import SurfaceError, SurfaceSpec, VerifyReport, verify_z2
 
 
 def _nullspace(vectors, nbits):
@@ -735,6 +735,19 @@ def test_z2_genus_refuses_a_maximum_below_the_first_surface():
         z2_genus(complete_graph(4), "nonorientable", 0)
     assert z2_genus(complete_graph(4), "orientable", 0).value == 0
     assert z2_genus(complete_graph(5), "nonorientable", 1).value == 1
+
+
+def test_sizes_that_are_no_integers_are_refused():
+    # bool is an int, but True is no genus; a float would reach the solver
+    k5 = complete_graph(5)
+    for genus in (True, 1.0):
+        with pytest.raises(SurfaceError, match="^genus must be an integer$"):
+            z2_embeddable_orientable(k5, genus)
+        with pytest.raises(SurfaceError, match="^genus must be an integer$"):
+            z2_embeddable_nonorientable(k5, genus)
+    for maximum in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="^maximum must be an integer$"):
+            z2_genus(k5, "orientable", maximum)
 
 
 def test_z2_genus_values():

@@ -377,3 +377,10 @@ def test_genus_two_z_pipeline_from_reduced_factors():
         rep_g = verify_geometric(sd, "z")
         assert rep_g.pairs == rep_c.pairs
         assert rep_g.is_embedding == rep_c.is_embedding
+
+
+def test_a_genus_that_is_no_integer_is_refused():
+    for kind in ("S", "M"):
+        for genus in (True, 1.0, "1"):
+            with pytest.raises(SurfaceError, match="^genus must be an integer$"):
+                SurfaceSpec(kind, genus)

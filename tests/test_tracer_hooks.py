@@ -87,7 +87,7 @@ def test_tracer_counts_the_finger_moves_of_a_k6_witness():
     assert counts["drawing.realize.calls"] == 1
     assert counts["drawing.finger_move.calls"] == 4
     assert counts["drawing.finger_attempts"] == 4
-    assert counts["geom.segment_tests.drawing"] == 556
+    assert counts["geom.segment_tests.drawing"] == 351
 
 
 def test_tracer_counts_layout_segment_tests_and_intersection_points():
