@@ -117,7 +117,9 @@ class BitMatrix:
 
 
 def rank_gf2(a: BitMatrix) -> int:
-    return len(Gf2Elimination(a.data).pivots)
+    """The rank of a: its row count less the dimension of the space of
+    combinations of its rows that vanish."""
+    return a.rows - len(Gf2Elimination(a.data).kernel)
 
 
 def hyperbolic_matrix_gf2(g: int) -> BitMatrix:
@@ -212,38 +214,52 @@ class Gf2Elimination:
     bit is that of its vector part while that part is nonzero.  A column
     is reduced from its leading bit down by the pivot holding that bit,
     until its vector part is zero or leads with a bit of no pivot; then it
-    becomes the pivot of that bit.  The pivots are (bit, vector,
-    coefficients), sorted by bit, highest first; the columns that
+    becomes the pivot of that bit.  The pivot rows sit in a list indexed
+    by their bit_length, 0 where no pivot holds the bit.  The columns that
     eliminate to zero leave kernel vectors of the column map in their
     tags.  Each tag is the column's unique combination over the earlier
-    pivot columns, so it does not depend on the order of the XORs.  So
-    kernel is a basis of the kernel packed over the column indices, in
-    echelon form over the column order: each vector owns its highest bit,
-    and every other bit it holds is a pivot column, which no vector owns.
+    pivot columns, so it does not depend on the order of the XORs, nor on
+    the order of the rows (the bits of the columns).  So kernel is a basis
+    of the kernel packed over the column indices, in echelon form over the
+    column order: each vector owns its highest bit, and every other bit it
+    holds is a pivot column, which no vector owns.  The pivots, (bit,
+    vector, coefficients) sorted by bit, highest first, are built from the
+    list when pivots, solve or reduce first reads them; a caller that
+    reads only the kernel never builds them.
     """
 
-    __slots__ = ("count", "pivots", "kernel")
+    __slots__ = ("count", "kernel", "_rows", "_pivots")
 
     def __init__(self, columns: list[int]):
         count = self.count = len(columns)
         top = 1 << count  # a row below it has a zero vector part
-        pivots: dict[int, int] = {}
+        # rows[b]: the pivot row of bit_length b, or 0
+        rows = self._rows = [0] * (max(columns, default=0).bit_length() + count + 1)
+        self._pivots = None
         kernel = self.kernel = []
         for i, v in enumerate(columns):
             v = v << count | 1 << i
             while v >= top:
                 pb = v.bit_length()
-                pv = pivots.get(pb)
-                if pv is None:
-                    pivots[pb] = v
+                pv = rows[pb]
+                if not pv:
+                    rows[pb] = v
                     break
                 v ^= pv
             else:
                 kernel.append(v)
-        tags = top - 1
-        self.pivots = [
-            (pb - 1 - count, pv >> count, pv & tags) for pb, pv in sorted(pivots.items(), reverse=True)
-        ]
+
+    @property
+    def pivots(self) -> list[tuple[int, int, int]]:
+        if self._pivots is None:
+            count, rows = self.count, self._rows
+            tags = (1 << count) - 1
+            self._pivots = [
+                (pb - 1 - count, rows[pb] >> count, rows[pb] & tags)
+                for pb in range(len(rows) - 1, count, -1)
+                if rows[pb]
+            ]
+        return self._pivots
 
     def solve(self, rhs: int):
         """Coefficients c with sum c_i * columns[i] = rhs as a list, or

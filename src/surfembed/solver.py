@@ -111,25 +111,28 @@ def _edge_order(m: int, check_edges):
     """Assignment order of the m edges that completes the parity checks
     early: next the edge that completes the most checks, then the one in
     the most checks, then the lowest.  check_edges[c] holds the edges that
-    check c involves."""
+    check c involves.  An edge's score is gain * (checks + 1) + held, gain
+    the checks that placing it completes and held the checks involving it,
+    at most checks, so scores order as the pairs (gain, held)."""
     holding = [[] for _ in range(m)]  # holding[e]: the checks involving e
     for c, edges in enumerate(check_edges):
         for e in edges:
             holding[e].append(c)
+    step = len(check_edges) + 1
+    score = [len(held) for held in holding]
     missing = [len(edges) for edges in check_edges]  # edges not yet placed
-    gain = [0] * m  # gain[e]: the checks that placing e completes
     placed = [False] * m
     remaining = list(range(m))
     order = []
     while remaining:
-        best = max(remaining, key=lambda e: (gain[e], len(holding[e])))
+        best = max(remaining, key=score.__getitem__)
         order.append(best)
         placed[best] = True
         remaining.remove(best)
         for c in holding[best]:
             missing[c] -= 1
-            if missing[c] == 1:
-                gain[next(e for e in check_edges[c] if not placed[e])] += 1
+            if missing[c] == 1:  # placing its last edge completes c
+                score[next(e for e in check_edges[c] if not placed[e])] += step
     return order
 
 
@@ -223,12 +226,15 @@ def _layout_checks(g: Graph, base: int) -> _Checks:
     for c, z in enumerate(checks):
         bit = 1 << c
         rhs = (z & sorted_base).bit_count() & 1
-        if z >> low == 0:  # every pair touches the forest: the sum is 0
+        v = z >> low
+        if not v:  # every pair touches the forest: the sum is 0
             forest_fails |= rhs == 1
             continue
-        for i in _set_bits(z >> low):
-            row, j = entry[i]
+        while v:
+            lowest = v & -v
+            row, j = entry[lowest.bit_length() - 1]
             row[j] = row.get(j, 0) ^ bit
+            v ^= lowest
         fire_mask[depth[coords[z.bit_length() - 1]]] |= bit
         rhs_mask |= rhs << c
     return _Checks(forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])

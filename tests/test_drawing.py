@@ -212,13 +212,23 @@ def test_class_base_is_the_chord_interleaving_of_the_identity_order():
         assert CompatibilityClass.compute(g).base == expected
 
 
+def _unperturbed_point_1(n):
+    """Where convex_drawing puts position 1 of the identity order of n
+    vertices without a perturbation: x = 101 on the square curve, at
+    (s x, (x - c)^2).  Perturbation k puts it at x = 101 + 2k mod 101,
+    which moves it for every 0 < k < 64."""
+    c, s = 101 * (n - 1) // 2, max(1, 101 * n // 4)
+    return (101 * s, (101 - c) ** 2)
+
+
 def test_chord_base_equals_the_convex_drawing_base():
     # While is_compatible_mod2 reads the base off the convex drawing's exact
     # crossing table, both bases must agree, and so must both answers.  K9
-    # and K5,5 need the perturbed retry of convex_drawing (a vertex leaves
-    # its unperturbed point 101 * position).
+    # and K5,5 need the perturbed retry of convex_drawing (vertex 1 leaves
+    # its unperturbed point); K5, the control, does not.
     rng = random.Random(25)
     retried = [complete_graph(9), complete_bipartite(5, 5)]
+    assert convex_drawing(complete_graph(5)).vertex_points[1] == _unperturbed_point_1(5)
     graphs = [Graph(0, []), Graph(4, []), Graph(6, [(1, 3), (3, 4)])] + retried
     for _ in range(60):
         n = rng.randrange(1, 9)
@@ -226,7 +236,7 @@ def test_chord_base_equals_the_convex_drawing_base():
     for g in graphs:
         d = convex_drawing(g)
         if g in retried:
-            assert d.vertex_points[1] != (101, 101 * 101)
+            assert d.vertex_points[1] != _unperturbed_point_1(g.vertex_count)
         cls = CompatibilityClass.compute(g)
         assert cls.base == CompatibilityClass.compute(g, d).base
         for t in range(4):
@@ -1014,13 +1024,15 @@ def test_convex_drawing_hands_over_the_table_and_image_of_a_fresh_drawing():
     # convex_drawing decides its retry on the int points and keeps that
     # segment pass's table and those points as the image; a drawing built
     # afresh from the same points computes both itself.
+    # The retried graphs leave the unperturbed point; K5, the control, does not.
     retried = [complete_graph(9), complete_bipartite(3, 7), complete_bipartite(4, 5), complete_bipartite(5, 5)]
+    assert convex_drawing(complete_graph(5)).vertex_points[1] == _unperturbed_point_1(5)
     rng = random.Random(53)
     graphs = retried + [g for _ in range(3) for g in _plane_compat_graphs(rng)]
     for g in graphs:
         d = convex_drawing(g)
         if g in retried:
-            assert d.vertex_points[1] != (101, 101 * 101)
+            assert d.vertex_points[1] != _unperturbed_point_1(g.vertex_count)
         fresh = PlanarDrawing(g, d.vertex_points, d.edge_polylines)
         assert d.crossings() == _compute_crossings(fresh)
         assert d.image() == fresh.image()
@@ -1028,7 +1040,9 @@ def test_convex_drawing_hands_over_the_table_and_image_of_a_fresh_drawing():
 
 def test_a_retried_convex_drawing_runs_the_vertex_checks_once(monkeypatch):
     # K9's first perturbation has three concurrent chords; only the
-    # accepted one gets the Fraction vertex checks, one per edge.
+    # accepted one gets the Fraction vertex checks, one per edge.  K5, the
+    # control, takes no retry.
+    assert convex_drawing(complete_graph(5)).vertex_points[1] == _unperturbed_point_1(5)
     g = complete_graph(9)
     calls = []
     check = drawing_module._check_vertices_on_edge
@@ -1039,7 +1053,7 @@ def test_a_retried_convex_drawing_runs_the_vertex_checks_once(monkeypatch):
 
     monkeypatch.setattr(drawing_module, "_check_vertices_on_edge", counted)
     d = convex_drawing(g)
-    assert d.vertex_points[1] != (101, 101 * 101)
+    assert d.vertex_points[1] != _unperturbed_point_1(9)
     assert calls == list(range(g.edge_count))
 
 

@@ -36,23 +36,23 @@ def test_rank_basics():
     assert rank_gf2(hyperbolic_matrix_gf2(1)) == 2
 
 
+def rank_oracle(m):
+    rows = [r for r in m.data]
+    rank = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(rank, len(rows)) if (rows[i] >> c) & 1), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and (rows[i] >> c) & 1:
+                rows[i] ^= rows[rank]
+        rank += 1
+    return rank
+
+
 def test_rank_matches_row_reduction_oracle():
     rng = random.Random(0)
-
-    def rank_oracle(m):
-        rows = [r for r in m.data]
-        rank = 0
-        for c in range(m.cols):
-            piv = next((i for i in range(rank, len(rows)) if (rows[i] >> c) & 1), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for i in range(len(rows)):
-                if i != rank and (rows[i] >> c) & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        return rank
-
     for _ in range(50):
         m = random_bitmatrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
         assert rank_gf2(m) == rank_oracle(m)
@@ -442,3 +442,70 @@ def test_elimination_from_the_top_bit_matches_the_all_pivots_reference():
             assert elim.solve(rhs) == ref.solve(rhs)
             assert _light_solve(elim, rhs) == ref.solve(rhs, light=True)
     assert deficient > 100
+
+
+def _lazy_table_cases(rng):
+    """(columns, width) lists: the empty list, all-zero columns, duplicated
+    columns, columns of low rank and columns over 1,000 bits wide."""
+    yield [], 0
+    yield [], 5
+    yield [0, 0, 0], 7
+    yield [0b101, 0b101, 0b11, 0b101], 3
+    for case in range(240):
+        kind = case % 4
+        nbits = rng.randrange(1_000, 1_300) if kind == 3 else rng.randrange(1, 14)
+        cols = [rng.getrandbits(nbits) for _ in range(rng.randrange(0, 18))]
+        if kind == 1 and cols:  # duplicates and zeros among them
+            cols = [rng.choice(cols + [0]) for _ in range(len(cols) + 3)]
+        elif kind == 2:  # a span of two generators
+            gens = [rng.getrandbits(nbits), rng.getrandbits(nbits)]
+            cols = [gens[0] * rng.getrandbits(1) ^ gens[1] * rng.getrandbits(1) for _ in range(len(cols))]
+        yield cols, nbits
+
+
+def test_the_pivot_table_built_on_first_use_matches_the_references():
+    # Whether the pivots are read before any solve, after it or never, the
+    # kernel, pivots, solutions, reductions and lightened solutions are
+    # those of the references, and rank_gf2 is the row-reduction rank.
+    rng = random.Random(48)
+    wide = 0
+    for case, (cols, nbits) in enumerate(_lazy_table_cases(rng)):
+        ref = _ReferenceElimination(cols, nbits)
+        elim = Gf2Elimination(cols)
+        mask = (1 << nbits) - 1
+        early = list(elim.pivots) if case % 3 == 0 else None
+        assert elim.kernel == ref.kernel
+        for _ in range(3):
+            rhs = 0
+            if rng.getrandbits(1):
+                for c in cols:
+                    rhs ^= c * rng.getrandbits(1)
+            else:
+                rhs = rng.getrandbits(nbits) if nbits else 0
+            expect = _reference_solve_gf2(cols, rhs, nbits)
+            assert elim.solve(rhs) == ref.solve(rhs) == expect
+            # the reference's descending pass: the same residual, the one
+            # member of rhs + span that is 0 at every pivot bit
+            residual, coeff = rhs, 0
+            for pb, pv in ref.pivots:
+                if (residual >> pb) & 1:
+                    residual ^= pv & mask
+                    coeff ^= pv >> nbits
+            assert elim.reduce(rhs) == (residual, coeff)
+            assert _light_solve(elim, rhs) == ref.solve(rhs, light=True)
+        if early is not None:
+            assert elim.pivots == early
+        assert [pb for pb, _, _ in elim.pivots] == [pb for pb, _ in ref.pivots]
+        for pb, pv, pc in elim.pivots:
+            assert pv.bit_length() - 1 == pb
+            acc = 0
+            for i, c in enumerate(cols):
+                acc ^= c * ((pc >> i) & 1)
+            assert acc == pv
+        assert sorted(pc.bit_length() for _, _, pc in elim.pivots) == sorted(
+            (pv >> nbits).bit_length() for _, pv in ref.pivots
+        )
+        m = BitMatrix(len(cols), nbits, cols)
+        assert rank_gf2(m) == rank_oracle(m) == len(ref.pivots)
+        wide += nbits > 1_000
+    assert wide >= 50

@@ -573,8 +573,27 @@ def test_setup_matches_the_transposed_generators_reference():
             for e, v in labels
         ]
         assert gens == brute, g.edges
-        assert finger_move_columns(g) == BitMatrix(len(gens), len(pairs), gens).transpose().data, g.edges
+        # the rows are the labels numbered vertex-major and descending
+        n, m = g.vertex_count, g.edge_count
+        by_row = [0] * (n * m)
+        for (e, v), gen in zip(labels, gens):
+            by_row[n * m - 1 - (v * m + e)] = gen
+        assert finger_move_columns(g) == BitMatrix(n * m, len(pairs), by_row).transpose().data, g.edges
         assert _Call(g).checks == _reference_checks(g), g.edges
+
+
+def test_the_row_order_of_the_pair_columns_changes_no_layout(monkeypatch):
+    # The rows of finger_move_columns are numbered only to eliminate fast:
+    # any numbering of them lays out the same checks.
+    rng = random.Random(47)
+    graphs = list(_setup_graphs(rng, 120)) + [complete_graph(8), complete_bipartite(5, 5)]
+    expected = [_Call(g).checks for g in graphs]
+    for g, checks in zip(graphs, expected):
+        perm = list(range(g.vertex_count * g.edge_count))
+        rng.shuffle(perm)
+        shuffled = [sum(1 << perm[r] for r in _set_bits(col)) for col in finger_move_columns(g)]
+        monkeypatch.setattr(solver, "finger_move_columns", lambda _: shuffled)
+        assert _Call(g).checks == checks, g.edges
 
 
 def test_node_counts_of_the_six_no_cases():
