@@ -580,6 +580,10 @@ def apply_finger_move(d: PlanarDrawing, e: int, v: int, shrink: int = 0) -> Plan
     touches or overlaps one, which the row's classification refuses.
     """
     g = d.graph
+    for name, x, count in (("edge", e, g.edge_count), ("vertex", v, g.vertex_count)):
+        # bool is an int, but True is no index; a negative one would alias
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < count:
+            raise ValueError(f"{name} must be an integer in [0, {count}), not {x!r}")
     a, b = g.edges[e]
     if v in (a, b):
         raise ValueError("vertex must not be an endpoint of the edge")

@@ -29,6 +29,8 @@ class Graph:
         seen = set()
         for e in edges:
             u, v = e
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in (u, v)):
+                raise GraphError(f"edge {e} has an end that is no integer")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
+from numbers import Real
 
 from .drawing import (
     CompatibilityClass,
@@ -37,7 +39,8 @@ class SolverBudget:
             raise ValueError("max_nodes must be an integer")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_cap is not None and (isinstance(self.time_cap, bool) or not self.time_cap > 0):  # NaN too
+        cap = self.time_cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Real) or not cap > 0):  # NaN too
             raise ValueError("time_cap must be positive")
 
 
@@ -54,16 +57,10 @@ class SolveResult:
     nodes: int = 0
 
 
-def _crosscap_reps(m: int):
-    """Lexicographically minimal orbit representatives of the pass vectors
-    of M_m under ribbon permutations: an orbit is fixed by the weight.
-    Lazy, like every long candidate row (see _search)."""
-    return ((1 << k) - 1 for k in range(m + 1))
-
-
 def _witt_children(spec: SurfaceSpec, basis: tuple):
-    """The candidates at a position of the S_g search whose earlier free
-    edges span W = span(basis), each with the basis of the span after it.
+    """The hyperbolic parts tried at a position of the search whose earlier
+    entries' hyperbolic parts span W = span(basis), each with the basis of
+    the span after it; spec is S_g for the g pairs (see _search).
 
     basis is reduced (no row has the highest bit of another row set) and
     sorted, so it names W.  The candidates are every v in W and, for each
@@ -270,25 +267,6 @@ def _set_bits(v: int) -> list[int]:
 _ROW_BITS = 1 << 16
 
 
-def _entries(spec: SurfaceSpec, todo, low: list):
-    """The row entries (v, set bits of v, set bits of J.v, k) of the
-    candidates (v, k) in todo.  The set bits of v are those of its low ten
-    bits, read from low, and those of v >> 10, found once for each run of
-    equal v >> 10; J maps both parts to themselves, since it swaps only the
-    bits 2h and 2h + 1.  low[u] is (set bits of u, set bits of J.u) for
-    every u < 2^10, filled in here when empty."""
-    if not low:
-        low.extend((_set_bits(u), _set_bits(spec.dual(u))) for u in range(1 << 10))
-    hi = None
-    for v, k in todo:
-        if v >> 10 != hi:
-            hi = v >> 10
-            high = [b + 10 for b in _set_bits(hi)]
-            high_dual = [b + 10 for b in _set_bits(spec.dual(hi))]
-        bits, dual_bits = low[v & 1023]
-        yield v, bits + high, dual_bits + high_dual, k
-
-
 class _LongRow:
     """A row's first entries and a function that makes the rest again;
     iterating gives the whole row."""
@@ -304,18 +282,24 @@ class _LongRow:
 
 def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     """DFS over per-edge pass vectors of the surface (2g ribbons on S_g, m
-    on M_m) with the checks call laid out for g; returns (status,
-    assignment, nodes).  The search may visit the call's nodes left, plus
-    the one that finds them spent, and stops at the first deadline test
-    past the call's deadline; it spends nothing itself (see _solve).
+    on M_m), in the search basis below, with the checks call laid out for
+    g; returns (status, assignment in search coordinates, nodes).  The
+    search may visit the call's nodes left, plus the one that finds them
+    spent, and stops at the first deadline test past the call's deadline;
+    it spends nothing itself (see _solve).
+
+    In the search basis B = spec.form is H^h + I_u, d = 2h + u: u units in
+    the low bits, then h hyperbolic pairs, which J swaps.  On S_g it is the
+    ribbons' own basis (u = 0); on M_m, u is 1 for odd m and 2 for even m,
+    and _ribbon_vector maps back.
 
     Bit c of the int `state` is the running sum of check c (see _Checks)
-    over the pairs whose edges are both placed.  B = spec.form is bilinear,
-    so placing v on an edge XORs into the state the units U[b] for the bits
-    b of v, where U[b] holds the checks that pair the edge with a placed
-    edge j whose J.y_j = spec.dual(y_j) has bit b set.  A candidate passes
-    when every check firing at its position, i.e. involving no later edge,
-    meets its right-hand side.
+    over the pairs whose edges are both placed.  B is bilinear, so placing
+    v on an edge XORs into the state the masks U[b] for the bits b of v,
+    where U[b] holds the checks that pair the edge with a placed edge j
+    whose J.y_j has bit b set.  A candidate passes when every check firing
+    at its position, i.e. involving no later edge, meets its right-hand
+    side.
 
     Normal form: rerouting a vertex through w adds w to y_e for every edge
     e at it, a sum of finger moves, so the class test does not change and
@@ -330,17 +314,19 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     Symmetry: every check and the zeros on the forest are kept by every
     isometry of B, which maps solutions to solutions.  Were the entry of
     the lexicographically first solution at position t not the least of
-    its orbit under the isometries fixing the earlier entries, the image
-    of the solution under such an isometry would be a smaller solution.
-    So a position need only try candidates that include the least member
-    of every such orbit: on M_m, the least members of the orbits of the
-    ribbon permutations at the first free edge; on S_g, at every position,
-    exactly the least members of the orbits of the pointwise stabiliser
-    in Sp(2g, 2) of the span of the earlier entries (_witt_children).
+    its orbit under a group of isometries fixing the earlier entries, the
+    image of the solution under such an isometry would be a smaller
+    solution.  Sp(2h, 2) on the hyperbolic bits, with the swap of the two
+    units added at the first free edge, is a group of isometries; those
+    fixing the earlier entries include the pointwise stabiliser of the
+    span of their hyperbolic parts, whose orbits' least members are
+    _witt_children's.  An orbit of a product is a product of orbits, so a
+    position tries each of these with every unit value in the low bits,
+    but no lone second unit at the first free edge.
 
     This DFS therefore visits a subset of the nodes of the DFS over all
-    edges and all vectors, in the same order, and returns the same
-    assignment.
+    edges and all vectors in the search basis, in the same order, and
+    returns the same assignment.
     """
     checks = call.checks
     m = g.edge_count
@@ -353,35 +339,35 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     n = len(free)
 
     # rows[key]: the candidates at a position, each as (v, set bits of v,
-    # set bits of J.v, key of the position after it), filled in as the DFS
-    # reaches the key.  On S_g a key is the
-    # reduced basis of the span of the earlier entries; on M_m it is 0 at
-    # the first free edge and 1 after it.
-    if spec.orientable:
-        root = ()
-
-        def candidates(key):
-            return _witt_children(spec, key)
-
+    # set bits of J.v, key after it), filled in as the DFS reaches the key:
+    # the reduced basis of the span of the earlier entries' hyperbolic
+    # parts, or None at the first free edge of M_m.
+    u = 0 if spec.orientable else 2 - d % 2
+    if u == 0:  # the rows are _witt_children's, at its cost
+        root, dual, candidates = (), spec.dual, partial(_witt_children, spec)
     else:
-        root = 0
+        root, hyp, unit_bits = None, SurfaceSpec("S", (d - u) // 2), (1 << u) - 1
+
+        def dual(v):
+            return hyp.dual(v >> u) << u | v & unit_bits
 
         def candidates(key):
-            return ((v, 1) for v in (_crosscap_reps(d) if key == 0 else range(1 << d)))
+            lows = (0, 1, 3)[: 1 << u] if key is None else range(1 << u)  # the swap takes 2 to 1
+            return ((v << u | lo, after) for v, after in _witt_children(hyp, key or ()) for lo in lows)
 
-    low = []  # filled by _entries once a row is long
+    def entries(todo):
+        return ((v, _set_bits(v), _set_bits(dual(v)), k) for v, k in todo)
 
     def row_at(key, limit):
-        """The row at key, whole or, past limit entries or _ROW_BITS set
-        bits, as a _LongRow."""
+        """The row at key, a _LongRow past limit entries or _ROW_BITS set bits."""
         row, size = [], 0
-        for v, k in candidates(key):
+        for entry in entries(candidates(key)):
             if size >= _ROW_BITS or len(row) == limit:
-                return _LongRow(row, lambda: _entries(spec, islice(candidates(key), len(row), None), low))
-            bits = _set_bits(v)
-            row.append((v, bits, _set_bits(spec.dual(v)), k))
-            size += len(bits) + 1
+                return _LongRow(row, lambda: entries(islice(candidates(key), len(row), None)))
+            row.append(entry)
+            size += len(entry[1]) + 1
         return row
+
     rows = {}
     assign = [0] * m
     placed_bits = [None] * m  # the set bits of J.y_j of each placed edge j
@@ -434,12 +420,25 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _ribbon_vector(m: int, x: int) -> int:
+    """The pass vector over the ribbons of M_m of the search vector x (see
+    _search).  With u = 1 for odd m and 2 for even m, and m = 2h + u, bit 0
+    is c = e_1 + ... + e_{2h+1}, bit 1 for even m is e_{2h+2}, and bits
+    u + 2k, u + 2k + 1 are a = e_1 + ... + e_{2k+2}, b = e_{2k+2} + e_{2k+3}:
+    c.c = a.b = e_{2h+2}.e_{2h+2} = 1, and every other pair is orthogonal."""
+    u = 2 - m % 2
+    v = (1 << (m + 1 - u)) - 1 if x & 1 else 0  # c
+    if x & 2 and u == 2:
+        v ^= 1 << (m - 1)
+    for j in _set_bits(x >> u):  # a pair's b at odd j, its a at even j
+        v ^= 3 << j if j & 1 else (4 << j) - 1
+    return v
+
+
 def _build_witness(g: Graph, spec: SurfaceSpec, assign) -> Witness:
-    m = g.edge_count
-    y = BitMatrix(spec.ribbon_count, m)
-    for e in range(m):
-        for k in range(spec.ribbon_count):
-            y.set(k, e, (assign[e] >> k) & 1)
+    if not spec.orientable:
+        assign = [_ribbon_vector(spec.genus, x) for x in assign]
+    y = BitMatrix(g.edge_count, spec.ribbon_count, assign).transpose()
     a = spec.gram(assign)
     f = realize_parity(g, ParityMatrix(g, a))
     sd = construct_z2_embedding(g, f, y, spec)

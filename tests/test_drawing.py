@@ -136,6 +136,14 @@ def test_apply_finger_move_flips_expected_parities():
         assert pm2.get(i, j) == pm0.get(i, j) ^ flip
 
 
+def test_a_finger_move_refuses_an_edge_or_vertex_that_is_no_index():
+    # -1 would alias the last vertex or edge, 4.0 and True are no index.
+    d = convex_drawing(complete_graph(5))
+    for e, v in ((0, -1), (-1, 2), (0, 7), (10, 2), (0, 4.0), (True, 3)):
+        with pytest.raises(ValueError, match="must be an integer in"):
+            apply_finger_move(d, e, v)
+
+
 def test_zero_target_rejected_for_k5_and_k33():
     for g in (complete_graph(5), complete_bipartite(3, 3)):
         assert is_compatible_mod2(g, zero_target(g)) is None

@@ -22,6 +22,12 @@ def test_a_vertex_count_that_is_no_integer_is_refused():
             Graph(n, [(0, 1)])
 
 
+def test_an_edge_end_that_is_no_integer_is_refused():
+    for edges in ([(0.0, 1), (1, 2)], [(0.5, 2), (1, 2)], [(True, 2), (1, 2)], [(0, "1")]):
+        with pytest.raises(GraphError, match="has an end that is no integer$"):
+            Graph(3, edges)
+
+
 def test_path_two_edges_has_no_independent_pairs():
     g = Graph(3, [(0, 1), (1, 2)])
     assert independent_pairs(g) == []

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +27,7 @@ from surfembed.drawing import (
     finger_move_generators,
     finger_move_labels,
 )
-from surfembed.solver import _Call, _crosscap_reps, _edge_order, _search, _set_bits, _witt_children
+from surfembed.solver import _Call, _edge_order, _ribbon_vector, _search, _set_bits, _witt_children
 from surfembed.surface import SurfaceError, SurfaceSpec, VerifyReport, verify_z2
 
 
@@ -53,23 +54,44 @@ def _brute_form(spec, a, b):
 
 
 def _brute_reps(spec):
-    """Vectors that no coordinate symmetry of the form makes smaller."""
+    """Vectors of S_g that no coordinate symmetry of the form makes smaller."""
     d = spec.ribbon_count
-    if spec.orientable:
-        perms = []
-        for handles in itertools.permutations(range(d // 2)):
-            for swaps in itertools.product((0, 1), repeat=d // 2):
-                perm = []
-                for h, s in zip(handles, swaps):
-                    perm += [2 * h + s, 2 * h + 1 - s]
-                perms.append(perm)
-    else:
-        perms = list(itertools.permutations(range(d)))
+    perms = []
+    for handles in itertools.permutations(range(d // 2)):
+        for swaps in itertools.product((0, 1), repeat=d // 2):
+            perm = []
+            for h, s in zip(handles, swaps):
+                perm += [2 * h + s, 2 * h + 1 - s]
+            perms.append(perm)
 
     def image(perm, v):
         return sum(1 << perm[i] for i in range(d) if (v >> i) & 1)
 
     return [v for v in range(1 << d) if all(image(p, v) >= v for p in perms)]
+
+
+def _search_basis(m):
+    """The search basis of M_m from its definition, in the ribbons'
+    coordinates: the units c = e_1 + ... + e_{2h+1} and, for even m,
+    e_{2h+2}, then a_k = e_1 + ... + e_{2k} and b_k = e_{2k} + e_{2k+1}
+    for k = 1..h."""
+    h = (m - 1) // 2
+
+    def e(*ks):
+        return sum(1 << (k - 1) for k in ks)
+
+    units = [e(*range(1, 2 * h + 2))] + ([e(2 * h + 2)] if m % 2 == 0 else [])
+    return units + [x for k in range(1, h + 1) for x in (e(*range(1, 2 * k + 1)), e(2 * k, 2 * k + 1))]
+
+
+def _pass_vector(spec, x):
+    """The ribbons' pass vector of the search vector x."""
+    if spec.orientable:
+        return x
+    v = 0
+    for i, b in enumerate(_search_basis(spec.genus)):
+        v ^= b * ((x >> i) & 1)
+    return v
 
 
 class _Exhausted(Exception):
@@ -78,8 +100,10 @@ class _Exhausted(Exception):
 
 def _reference_search(g, spec, max_nodes):
     """The solver's DFS as it was before the bitset checks: each candidate
-    re-sums, from a table of form values, every check firing at its
-    position.  Same checks, order, domains and node count."""
+    re-sums, from a table of form values in the search basis, every check
+    firing at its position.  Same checks and order; on S_g the first
+    position takes the coordinate symmetries' representatives, and every
+    other position, and every position on M_m, every vector."""
     m = g.edge_count
     d = spec.ribbon_count
     pairs = independent_pairs(g)
@@ -92,8 +116,9 @@ def _reference_search(g, spec, max_nodes):
         return ("yes", [0] * m, 1) if all(rhs == 0 for _, rhs in checks) else ("no", None, 1)
     order = _edge_order(m, _check_edges(checks, pairs))
     pos = {e: t for t, e in enumerate(order)}
-    table = [[_brute_form(spec, a, b) for b in range(1 << d)] for a in range(1 << d)]
-    reps = _brute_reps(spec)
+    passes = [_pass_vector(spec, x) for x in range(1 << d)]
+    table = [[_brute_form(spec, a, b) for b in passes] for a in passes]
+    reps = _brute_reps(spec) if spec.orientable else range(1 << d)
     fire = [[] for _ in range(m)]
     for support, rhs in checks:
         terms = [pairs[k] for k in support]
@@ -129,11 +154,24 @@ def test_form_and_orbit_representatives_match_brute_force():
     specs = [SurfaceSpec("M", m) for m in range(1, 7)] + [SurfaceSpec("S", g) for g in range(4)]
     for spec in specs:
         d = spec.ribbon_count
-        if not spec.orientable:
-            assert list(_crosscap_reps(d)) == _brute_reps(spec), spec
         for a in range(1 << min(d, 4)):
             for b in range(1 << min(d, 4)):
                 assert spec.form(a, b) == _brute_form(spec, a, b)
+
+
+def test_the_search_basis_of_m_m_is_hyperbolic_pairs_and_units():
+    """For m = 1..12 the search vectors' unit images span GF(2)^m, follow the
+    definition, and have the Gram matrix H^h + I_u under the ribbon form."""
+    for m in range(1, 13):
+        spec, u = SurfaceSpec("M", m), 2 - m % 2
+        basis = [_ribbon_vector(m, 1 << i) for i in range(m)]
+        assert basis == _search_basis(m), m
+        assert len(_span(basis)) == 1 << m, m
+        for i, j in itertools.product(range(m), repeat=2):
+            hyperbolic = i >= u and j >= u and (i - u) // 2 == (j - u) // 2 and i != j
+            assert spec.form(basis[i], basis[j]) == int(hyperbolic or i == j < u), (m, i, j)
+        for x in range(1 << min(m, 8)):
+            assert _ribbon_vector(m, x) == _pass_vector(spec, x), (m, x)
 
 
 def _span(vectors):
@@ -207,6 +245,9 @@ def test_search_matches_per_candidate_reference():
         g = Graph(n, sorted(possible[: rng.randrange(n, min(len(possible), 2 * n + 2) + 1)]))
         for spec in (("S", 0), ("S", 1), ("S", 2), ("M", 1), ("M", 2), ("M", 3)):
             cases.append((g, SurfaceSpec(*spec), rng.choice((30, 300, 3000))))
+        # Two units on M4, one on M5, past a hyperbolic pair.  They draw no
+        # budget, so the cases above keep theirs.
+        cases += [(g, SurfaceSpec("M", m), 3000) for m in (4, 5)]
     # The reference exhausts 3000 nodes on these; the search decides them.
     n1 = SurfaceSpec("M", 1)
     cases += [(complete_bipartite(3, 5), n1, 3000), (complete_bipartite(4, 4), n1, 3000)]
@@ -363,6 +404,13 @@ def test_node_budget_must_be_an_int():
             SolverBudget(max_nodes=flag)
         with pytest.raises(ValueError, match="time_cap must be positive"):
             SolverBudget(time_cap=flag)
+
+
+def test_a_time_cap_that_is_no_real_number_is_refused():
+    for cap in ("5", [1], 1 + 0j, float("nan"), 0, -1.5):
+        with pytest.raises(ValueError, match="^time_cap must be positive$"):
+            SolverBudget(time_cap=cap)
+    assert SolverBudget(time_cap=Fraction(1, 2)).time_cap == Fraction(1, 2)
 
 
 def test_any_positive_int_node_budget():
@@ -621,6 +669,8 @@ def test_a_row_kept_in_part_searches_as_a_row_kept_whole(monkeypatch):
         (complete_graph(6), SurfaceSpec("M", 1)),
         (complete_graph(7), SurfaceSpec("M", 2)),
         (complete_bipartite(4, 4), SurfaceSpec("M", 3)),
+        (complete_graph(7), SurfaceSpec("M", 3)),
+        (complete_bipartite(3, 5), SurfaceSpec("M", 4)),
         (complete_graph(7), SurfaceSpec("S", 2)),
         (complete_bipartite(3, 7), SurfaceSpec("S", 2)),
     ]
@@ -631,21 +681,10 @@ def test_a_row_kept_in_part_searches_as_a_row_kept_whole(monkeypatch):
     assert [_search(g, spec, _Call(g, budget)) for g, spec in cases] == whole
 
 
-def test_the_entries_of_a_long_row_join_the_set_bits_of_both_parts():
-    # The rest of a long row takes the set bits of v's low ten bits from a
-    # table: every vector below 3000, then sparser ones up to 2^16, then
-    # the crosscap representatives 2^k - 1.
-    vs = itertools.chain(range(3000), range(3000, 1 << 16, 97), ((1 << k) - 1 for k in range(70)))
-    todo = [(v, "after") for v in vs]
-    for spec in (SurfaceSpec("S", 35), SurfaceSpec("M", 70)):
-        expected = [(v, _set_bits(v), _set_bits(spec.dual(v)), k) for v, k in todo]
-        assert list(solver._entries(spec, todo, [])) == expected, spec
-
-
 def test_a_search_holds_the_same_memory_at_any_node_budget():
-    # K5 on M20: after the first free edge every one of the 2^20 vectors is
-    # a candidate.  Kept whole, the rows read under this budget took 18.7 MB
-    # (about 470 B a candidate), and under the default budget about 2.4 GB.
+    # K5 on M20, witness included: a row once held all 2^20 vectors here,
+    # which kept whole took 18.7 MB under this budget (about 470 B a
+    # candidate) and about 2.4 GB under the default budget.
     g = complete_graph(5)
     tracemalloc.start()
     try:
@@ -653,8 +692,41 @@ def test_a_search_holds_the_same_memory_at_any_node_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (res.status, res.nodes) == ("unknown", 50_001)
+    assert (res.status, res.nodes) == ("yes", 2_136)
     assert peak < 6 << 20
+
+
+_GATE_GRAPHS = {
+    "K5": complete_graph(5),
+    "K6": complete_graph(6),
+    "K3,3": complete_bipartite(3, 3),
+    "K4,4": complete_bipartite(4, 4),
+    "K3,5": complete_bipartite(3, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "name, crosscaps",
+    [("K5", m) for m in range(7, 21)]
+    + [("K6", m) for m in range(9, 13)]
+    + [(name, m) for name in ("K3,3", "K4,4") for m in range(10, 13)]
+    + [("K3,5", m) for m in range(5, 13)],
+)
+def test_embeddings_into_many_crosscaps_are_found_under_the_default_budget(name, crosscaps):
+    # With every vector a candidate past the first free edge, K5 on M7 and
+    # K3,5 on M5 ran out of 2,000,000 nodes, and K6 on M9 took 526,351.
+    res = z2_embeddable_nonorientable(_GATE_GRAPHS[name], crosscaps)
+    assert res.status == "yes"
+    sd = res.witness.surface_drawing
+    assert verify_z2(sd).is_embedding
+    assert verify_geometric(sd, "z2").is_embedding
+
+
+def test_nonorientable_no_cases_keep_their_answers():
+    # On M2 the search basis is the ribbons' own, so K7 keeps its nodes.
+    cases = [(complete_graph(7), 2, 54_911), (complete_bipartite(5, 5), 3, 489_404)]
+    for g, m, nodes in cases:
+        assert _search(g, SurfaceSpec("M", m), _Call(g)) == ("no", None, nodes), m
 
 
 def test_nullspace_oracle():
