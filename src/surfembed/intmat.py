@@ -29,13 +29,18 @@ class IntMatrix:
             data = [list(r) for r in data]
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise IntMatrixError("shape mismatch")
-            self.data = [[int(v) for v in r] for r in data]
+            # bool is an int, but True is no entry; nothing is coerced: int(1.9) is 1
+            if any(not isinstance(v, int) or isinstance(v, bool) for r in data for v in r):
+                raise IntMatrixError("entries must be integers")
+            self.data = data
 
     def get(self, i: int, j: int) -> int:
         return self.data[i][j]
 
     def set(self, i: int, j: int, v: int) -> None:
-        self.data[i][j] = int(v)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise IntMatrixError("entries must be integers")
+        self.data[i][j] = v
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])

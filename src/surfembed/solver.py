@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
 from numbers import Real
 
 from .drawing import (
@@ -260,24 +258,11 @@ def _set_bits(v: int) -> list[int]:
     return out
 
 
-# A row keeps its first candidates while their set bits, plus one for
-# each, number less than this: under 3 MB, and every vector of up to 13
-# ribbons.  The rest of a longer row (up to 2^d candidates) is made again
-# on each pass, so a row's memory depends on neither d nor the budget.
+# A row is kept when its set bits, plus one for each candidate, number at
+# most this: under 3 MB, and every vector of up to 13 ribbons.  A longer row
+# (up to 2^d candidates) is made again, whole, on each pass, so a row's
+# memory depends on neither d nor the budget.
 _ROW_BITS = 1 << 16
-
-
-class _LongRow:
-    """A row's first entries and a function that makes the rest again;
-    iterating gives the whole row."""
-
-    __slots__ = ("head", "rest")
-
-    def __init__(self, head: list, rest):
-        self.head, self.rest = head, rest
-
-    def __iter__(self):
-        return chain(self.head, self.rest())
 
 
 def _search(g: Graph, spec: SurfaceSpec, call: _Call):
@@ -291,7 +276,11 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     In the search basis B = spec.form is H^h + I_u, d = 2h + u: u units in
     the low bits, then h hyperbolic pairs, which J swaps.  On S_g it is the
     ribbons' own basis (u = 0); on M_m, u is 1 for odd m and 2 for even m,
-    and _ribbon_vector maps back.
+    and _ribbon_vector maps back.  Both kinds build the candidates at a
+    position, its row, one way: each of _witt_children of S_h with each
+    unit value (only 0 on S_g).  A row is kept whole, or, when too long to
+    keep (_ROW_BITS), made again, whole, on each pass; either way the
+    position tries the same candidates in the same order.
 
     Bit c of the int `state` is the running sum of check c (see _Checks)
     over the pairs whose edges are both placed.  B is bilinear, so placing
@@ -341,31 +330,27 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
     # rows[key]: the candidates at a position, each as (v, set bits of v,
     # set bits of J.v, key after it), filled in as the DFS reaches the key:
     # the reduced basis of the span of the earlier entries' hyperbolic
-    # parts, or None at the first free edge of M_m.
+    # parts, or None at the first free edge.  A row too long to keep is
+    # False here.
     u = 0 if spec.orientable else 2 - d % 2
-    if u == 0:  # the rows are _witt_children's, at its cost
-        root, dual, candidates = (), spec.dual, partial(_witt_children, spec)
-    else:
-        root, hyp, unit_bits = None, SurfaceSpec("S", (d - u) // 2), (1 << u) - 1
+    hyp = SurfaceSpec("S", (d - u) // 2)
 
-        def dual(v):
-            return hyp.dual(v >> u) << u | v & unit_bits
+    def entries(key):
+        lows = (0, 1, 3)[: 1 << u] if key is None else range(1 << u)  # the swap takes 2 to 1
+        for w, after in _witt_children(hyp, key or ()):
+            v, dual = w << u, hyp.dual(w) << u
+            for lo in lows:
+                yield v | lo, _set_bits(v | lo), _set_bits(dual | lo), after
 
-        def candidates(key):
-            lows = (0, 1, 3)[: 1 << u] if key is None else range(1 << u)  # the swap takes 2 to 1
-            return ((v << u | lo, after) for v, after in _witt_children(hyp, key or ()) for lo in lows)
-
-    def entries(todo):
-        return ((v, _set_bits(v), _set_bits(dual(v)), k) for v, k in todo)
-
-    def row_at(key, limit):
-        """The row at key, a _LongRow past limit entries or _ROW_BITS set bits."""
+    def row_at(key):
+        """The row at key as a list, or False once its set bits, plus one
+        for each candidate, pass _ROW_BITS."""
         row, size = [], 0
-        for entry in entries(candidates(key)):
-            if size >= _ROW_BITS or len(row) == limit:
-                return _LongRow(row, lambda: entries(islice(candidates(key), len(row), None)))
-            row.append(entry)
+        for entry in entries(key):
             size += len(entry[1]) + 1
+            if size > _ROW_BITS:
+                return False
+            row.append(entry)
         return row
 
     rows = {}
@@ -388,10 +373,8 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
         e = free[t]
         row = rows.get(key)
         if row is None:
-            # nodes only grows, so a row longer than the budget left plus
-            # one is never read to its end.
-            row = rows[key] = row_at(key, max_nodes - nodes + 1)
-        for v, bits, dual_bits, after_key in row:
+            row = rows[key] = row_at(key)
+        for v, bits, dual_bits, after_key in row or entries(key):
             nodes += 1
             if nodes > max_nodes:
                 raise _BudgetExhausted
@@ -409,7 +392,7 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
         return False
 
     try:
-        if dfs(0, 0, root):
+        if dfs(0, 0, None):
             return "yes", list(assign), nodes
         return "no", None, nodes
     except _BudgetExhausted:
@@ -482,6 +465,8 @@ def z2_embeddable_euler(g: Graph, e: int, budget: SolverBudget = None) -> SolveR
     turns that surface into M_{2-e}.  Whenever both searches decide, the
     status is that of the M_{2-e} search alone: an even matrix of rank at
     most 1 - e factors through the identity on 2 - e ribbons too."""
+    if not isinstance(e, int) or isinstance(e, bool):  # True is no characteristic
+        raise ValueError("Euler characteristic must be an integer")
     if e > 2:
         raise ValueError("Euler characteristic of such a surface is at most 2")
     call = _Call(g, budget)
@@ -531,6 +516,8 @@ def kmn_lower_bound(m: int, n: int) -> int:
     """Lower bound on the genus of any surface Z2-hosting K_{m,n}, in
     either order of the parts.  The bound (Fulek and Kyncl) holds for
     3 <= m <= n; K_{1,n} and K_{2,n} are planar."""
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (m, n)):
+        raise ValueError("part sizes must be integers")
     if m < 1 or n < 1:
         raise ValueError("part sizes must be positive")
     m, n = sorted((m, n))
@@ -544,6 +531,8 @@ def kmn_lower_bound(m: int, n: int) -> int:
 def k2n_lower_bound(n: int) -> int:
     """Lower bound ceil((n - 3)^2 / 4) on the genus of any surface
     Z2-hosting K_{2n}, 0 for n <= 3: K_2 and K_4 are planar."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("n must be an integer")
     if n < 1:
         raise ValueError("n must be positive")
     return -(-(max(0, n - 3) ** 2) // 4)

@@ -136,6 +136,9 @@ class SurfaceDrawing:
         for vec in self.passes:
             if len(vec) != r:
                 raise SurfaceError("pass vector length must match ribbon count")
+            # bool is an int, but True is no pass count
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in vec):
+                raise SurfaceError("passes must be integers")
         if self.mode not in ("z2", "z"):
             raise SurfaceError("mode must be z2 or z")
         if self.mode == "z" and not self.surface.orientable:
@@ -144,7 +147,8 @@ class SurfaceDrawing:
             for vec in self.passes:
                 if any(b not in (0, 1) for b in vec):
                     raise SurfaceError("z2 pass vectors must be bit vectors")
-        if sorted(self.tube_order) != list(range(m)):
+        tubes = self.tube_order
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in tubes) or sorted(tubes) != list(range(m)):
             raise SurfaceError("tube_order must be a permutation of the edges")
 
 

@@ -195,6 +195,21 @@ def test_factor_alternating_rejects_non_skew():
         factor_alternating(IntMatrix(2, 2, [[1, 1], [-1, 0]]))
 
 
+def test_an_entry_that_is_no_integer_is_refused():
+    # int() stored "7" as 7 and 1.9 as 1, and so factored [[0, 1.5],
+    # [-1.5, 0]] as if it were [[0, 1], [-1, 0]]; bool is an int, but True
+    # is no entry.
+    for bad in ("7", 1.9, 1.0, Fraction(1), True):
+        with pytest.raises(IntMatrixError, match="^entries must be integers$"):
+            IntMatrix(1, 1, [[bad]])
+        m = IntMatrix(1, 1, [[3]])
+        with pytest.raises(IntMatrixError, match="^entries must be integers$"):
+            m.set(0, 0, bad)
+        assert m.data == [[3]]
+    with pytest.raises(IntMatrixError, match="^entries must be integers$"):
+        factor_alternating(IntMatrix(2, 2, [[0, 1.5], [-1.5, 0]]))
+
+
 def test_gram_rank_bound_over_q():
     # rank_Q(V^T M V) <= rows(V) for integer V and skew M.
     rng = random.Random(11)

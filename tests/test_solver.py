@@ -659,10 +659,11 @@ def test_node_counts_of_the_six_no_cases():
         assert _search(g, spec, _Call(g, SolverBudget(max_nodes=300_000))) == ("no", None, nodes), spec
 
 
-def test_a_row_kept_in_part_searches_as_a_row_kept_whole(monkeypatch):
-    # With _ROW_BITS at 5 a row keeps its first two to four candidates and
-    # makes the rest again on each pass: yes, no and unknown answers keep
-    # their assignments and node counts.
+def test_a_row_made_again_on_every_pass_searches_as_a_row_kept_whole(monkeypatch):
+    # With _ROW_BITS at 5 a row is kept only when its set bits, plus one
+    # per candidate, are at most 5; every longer row is made again, whole,
+    # on each pass.  Yes, no and unknown answers keep their assignments and
+    # node counts.
     cases = [
         (complete_graph(5), SurfaceSpec("S", 1)),
         (complete_bipartite(5, 5), SurfaceSpec("S", 1)),
@@ -673,27 +674,49 @@ def test_a_row_kept_in_part_searches_as_a_row_kept_whole(monkeypatch):
         (complete_bipartite(3, 5), SurfaceSpec("M", 4)),
         (complete_graph(7), SurfaceSpec("S", 2)),
         (complete_bipartite(3, 7), SurfaceSpec("S", 2)),
+        (complete_graph(8), SurfaceSpec("S", 7)),
+        (complete_graph(9), SurfaceSpec("M", 14)),
     ]
     budget = SolverBudget(max_nodes=20_000)
     whole = [_search(g, spec, _Call(g, budget)) for g, spec in cases]
     assert {status for status, _, _ in whole} == {"yes", "no", "unknown"}
+    assert [(status, nodes) for status, _, nodes in whole[-2:]] == [("unknown", 20_001)] * 2
     monkeypatch.setattr(solver, "_ROW_BITS", 5)
     assert [_search(g, spec, _Call(g, budget)) for g, spec in cases] == whole
 
 
-def test_a_search_holds_the_same_memory_at_any_node_budget():
+@pytest.mark.parametrize("genus", [10, 20])
+def test_embeddings_into_large_orientable_genus_keep_their_nodes(genus):
+    # S_g runs through the rows that M_m uses, with no unit bits (d = 2g).
+    for g, nodes in [
+        (complete_graph(5), 103),
+        (complete_graph(6), 147),
+        (complete_graph(7), 323),
+        (complete_bipartite(4, 4), 45),
+    ]:
+        res = z2_embeddable_orientable(g, genus)
+        assert (res.status, res.nodes) == ("yes", nodes)
+        sd = res.witness.surface_drawing
+        assert verify_z2(sd).is_embedding
+        assert verify_geometric(sd, "z2").is_embedding
+
+
+def test_a_search_holds_the_same_memory_at_any_node_budget(monkeypatch):
     # K5 on M20, witness included: a row once held all 2^20 vectors here,
     # which kept whole took 18.7 MB under this budget (about 470 B a
-    # candidate) and about 2.4 GB under the default budget.
+    # candidate) and about 2.4 GB under the default budget.  With _ROW_BITS
+    # at 5 every longer row is made again on each pass, to the same answer.
     g = complete_graph(5)
-    tracemalloc.start()
-    try:
-        res = z2_embeddable_nonorientable(g, 20, SolverBudget(max_nodes=50_000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (res.status, res.nodes) == ("yes", 2_136)
-    assert peak < 6 << 20
+    for row_bits in (solver._ROW_BITS, 5):
+        monkeypatch.setattr(solver, "_ROW_BITS", row_bits)
+        tracemalloc.start()
+        try:
+            res = z2_embeddable_nonorientable(g, 20, SolverBudget(max_nodes=50_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.status, res.nodes) == ("yes", 2_136), row_bits
+        assert peak < 6 << 20, row_bits
 
 
 _GATE_GRAPHS = {
@@ -889,6 +912,25 @@ def test_kmn_lower_bound_values():
     assert kmn_lower_bound(1, 11) == 0  # formula negative, clamped
     with pytest.raises(ValueError):
         kmn_lower_bound(0, 3)
+
+
+def test_the_euler_characteristic_and_the_bounds_refuse_what_is_no_integer():
+    # bool is an int: True would run as e = 1, and kmn_lower_bound(True, 5)
+    # gave 0; a float part size gave the float 1.0.
+    g = complete_graph(5)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="^Euler characteristic must be an integer$"):
+            z2_embeddable_euler(g, bad)
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            k2n_lower_bound(bad)
+        for parts in ((bad, 5), (5, bad)):
+            with pytest.raises(ValueError, match="^part sizes must be integers$"):
+                kmn_lower_bound(*parts)
+    for m, n in ((3.5, 5), (4.5, 3)):
+        with pytest.raises(ValueError, match="^part sizes must be integers$"):
+            kmn_lower_bound(m, n)
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        k2n_lower_bound(4.5)
 
 
 def test_k2n_lower_bound_values():

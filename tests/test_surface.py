@@ -384,3 +384,18 @@ def test_a_genus_that_is_no_integer_is_refused():
         for genus in (True, 1.0, "1"):
             with pytest.raises(SurfaceError, match="^genus must be an integer$"):
                 SurfaceSpec(kind, genus)
+
+
+def test_passes_and_tube_order_that_are_no_integers_are_refused():
+    # 1.0 is in (0, 1) and True sorts as 1: each passed the old checks, and
+    # the float passes then made verify_z2 or verify_geometric raise
+    # TypeError.
+    g = complete_graph(3)
+    core, torus, zero = convex_drawing(g), SurfaceSpec("S", 1), [0, 0]
+    for mode, bad in (("z2", [1.0, 0]), ("z2", [True, 0]), ("z", [0.5, 0])):
+        with pytest.raises(SurfaceError, match="^passes must be integers$"):
+            SurfaceDrawing(torus, core, [bad, zero, zero], [0, 1, 2], mode)
+    for order in ([0, True, 2], [0, 1.0, 2]):
+        with pytest.raises(SurfaceError, match="^tube_order must be a permutation of the edges$"):
+            SurfaceDrawing(torus, core, [zero] * 3, order)
+    assert verify_z2(SurfaceDrawing(torus, core, [[1, 0], zero, zero], [0, 1, 2])).is_embedding
