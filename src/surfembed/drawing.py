@@ -758,23 +758,27 @@ def parse_drawing(text: str) -> PlanarDrawing:
         if parts[0] == "vertex":
             if len(parts) != 4:
                 raise ValueError(f"bad vertex line: {ln!r}")
-            vid = int(parts[1])
+            try:
+                vid, point = int(parts[1]), (_parse_rat(parts[2]), _parse_rat(parts[3]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad vertex line: {ln!r}") from None
             if vid in vpts:
                 raise ValueError(f"repeated vertex id: {ln!r}")
-            vpts[vid] = (_parse_rat(parts[2]), _parse_rat(parts[3]))
+            vpts[vid] = point
         elif parts[0] == "edge":
             if len(parts) < 3 or parts[2] != ":":
                 raise ValueError(f"bad edge line: {ln!r}")
-            eid = int(parts[1])
-            if eid in polys:
-                raise ValueError(f"repeated edge id: {ln!r}")
             coords = parts[3:]
             if len(coords) % 2:
                 raise ValueError(f"odd coordinate count: {ln!r}")
-            polys[eid] = [
-                (_parse_rat(coords[k]), _parse_rat(coords[k + 1]))
-                for k in range(0, len(coords), 2)
-            ]
+            try:
+                eid = int(parts[1])
+                pl = [(_parse_rat(coords[k]), _parse_rat(coords[k + 1])) for k in range(0, len(coords), 2)]
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad edge line: {ln!r}") from None
+            if eid in polys:
+                raise ValueError(f"repeated edge id: {ln!r}")
+            polys[eid] = pl
         else:
             raise ValueError(f"unknown drawing line: {ln!r}")
     n, m = len(vpts), len(polys)
@@ -805,10 +809,9 @@ def serialize_drawing(d: PlanarDrawing) -> str:
 
 
 def _parse_rat(s: str) -> Fraction:
+    """The number s, `p` or `p/q`; ZeroDivisionError when q is 0."""
     if "/" in s:
         num, den = (int(x) for x in s.split("/"))
-        if den == 0:
-            raise ValueError(f"zero denominator: {s!r}")
         return Fraction(num, den)
     return Fraction(int(s))
 

@@ -36,15 +36,6 @@ def strictly_inside_segment(p: Point, a: Point, b: Point) -> bool:
     return on_segment(p, a, b) and p != a and p != b
 
 
-def bbox_disjoint(a: Point, b: Point, c: Point, d: Point) -> bool:
-    return (
-        max(a[0], b[0]) < min(c[0], d[0])
-        or max(c[0], d[0]) < min(a[0], b[0])
-        or max(a[1], b[1]) < min(c[1], d[1])
-        or max(c[1], d[1]) < min(a[1], b[1])
-    )
-
-
 def classify_segments(p1: Point, p2: Point, q1: Point, q2: Point):
     """Classify the intersection of segments [p1,p2] and [q1,q2].
 

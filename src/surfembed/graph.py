@@ -105,7 +105,10 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphError(f"bad edge line: {ln!r}") from None
     return Graph(n, edges)
 
 

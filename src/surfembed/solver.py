@@ -157,10 +157,11 @@ class _Checks:
 
     A check is a parity condition: the sum of B(y_i, y_j) over a set of
     independent pairs equals its right-hand side.  Check c is bit c of
-    every mask here.  The layout reads each check's own pairs as a packed
-    mask over g.pairs, in the column order of the elimination that found
-    it, and keeps only the per-check bits below.  Nothing here depends on
-    the surface, so one layout serves every search of a genus scan.
+    every mask here, numbered by the position at which it fires, so the
+    masks grow with depth.  The layout reads each check's own pairs as a
+    packed mask over g.pairs in decreasing order and keeps only the
+    per-check bits below.  Nothing here depends on the surface, so one
+    layout serves every search of a genus scan.
     """
 
     forest_fails: bool  # a check on forest pairs only has right-hand side 1
@@ -171,67 +172,80 @@ class _Checks:
 
 
 def _layout_checks(g: Graph, base: int) -> _Checks:
-    """The edge order and the forest come from the reduced basis of the
-    checks, the kernel of the finger moves' pair columns fed over the pairs
-    in decreasing order.  The DFS then prunes with a basis in echelon form by
-    depth: pairs touching the forest first, then each pair by the position
-    of its later free edge.  Each check fires at the deepest position it
-    involves, the depth of its own coordinate, so the checks firing by
-    position t span every check on the first t + 1 free edges, and every
-    check on forest pairs alone is one of the basis.  No parity check can
-    prune more at any position.
+    """The checks are the kernel of the finger moves' pair columns
+    (finger_move_columns), from one elimination fed over the pairs in
+    decreasing order, each a packed mask over g.pairs in that order (see
+    Gf2Elimination).  That reduced basis gives the edge order and the
+    forest.  The DFS prunes with the same kernel in echelon form by depth:
+    a pair touching no forest edge sits at the position of its later edge,
+    and each vector is reduced by the check holding its lead, the highest
+    bit at its deepest position, until that lead is new or only forest
+    pairs are left.  The leads are then distinct, so no vector vanishes,
+    and a check fires at its lead's position, the deepest it involves.
 
-    Each basis is the kernel of one elimination of the finger moves' pair
-    columns (finger_move_columns), fed in the order of that basis, so each
-    check comes out as a packed mask over g.pairs in that order (see
-    Gf2Elimination), and its right-hand side is its parity on the class's
-    base taken in the same order."""
+    So no node count depends on the basis.  Depth is the major key of the
+    leads' order, and a sum of vectors with distinct leads leads with the
+    greatest of them, so the checks firing by position t span every check
+    on the first t + 1 free edges, and the vectors left on forest pairs
+    span every check on forest pairs alone.  A candidate passes when the
+    partial assignment meets that span, so every position tries and passes
+    the same candidates under any such basis.  A right-hand side is the
+    check's parity on the class's base, read in the same bit order."""
     pairs, m = g.pairs, g.edge_count
-    columns = finger_move_columns(g)
 
     # at_edge[e]: the pairs holding edge e, in decreasing order.
     at_edge = [0] * m
     for k, (i, j) in enumerate(reversed(pairs)):
         at_edge[i] |= 1 << k
         at_edge[j] |= 1 << k
-    reduced = Gf2Elimination(columns[::-1]).kernel
-    order = _edge_order(m, [[e for e in range(m) if z & at_edge[e]] for z in reduced])
+    kernel = Gf2Elimination(finger_move_columns(g)[::-1]).kernel
+    order = _edge_order(m, [[e for e in range(m) if z & at_edge[e]] for z in kernel])
     forest = _spanning_forest(g, order)
     free = [e for e in order if e not in forest]
     pos = {e: t for t, e in enumerate(free)}
-    depth = [max(pos[i], pos[j]) if i in pos and j in pos else -1 for i, j in pairs]
-    coords = sorted(range(len(pairs)), key=depth.__getitem__)
-    checks = Gf2Elimination([columns[k] for k in coords]).kernel
 
-    # A check fires at the deepest position it involves, the depth of its
-    # highest bit.  A pair enters the state when its later edge is placed:
-    # links[t] maps each earlier edge j to the checks holding the pair
-    # (free[t], j).  The first `low` coordinates are the pairs touching the
-    # forest, which add nothing to any sum.
+    # A pair enters the state when its later edge is placed: links[t] maps
+    # each earlier edge j to the checks holding the pair (free[t], j).
+    # level[t] holds the bits of the pairs placed at position t, and
+    # entry[k] the (links row, earlier edge) of bit k.
     links = [{} for _ in free]
-    low = depth.count(-1)
-    entry = []  # entry[i]: (links row, earlier edge) of coordinate low + i
-    for k in coords[low:]:
-        i, j = pairs[k]
-        entry.append((links[depth[k]], i if pos[i] < pos[j] else j))
-    sorted_base = sum(1 << i for i, k in enumerate(coords) if (base >> k) & 1)
+    level = [0] * len(free)
+    entry = [None] * len(pairs)
+    for k, (i, j) in enumerate(reversed(pairs)):
+        if i in pos and j in pos:
+            if pos[i] > pos[j]:
+                i, j = j, i
+            level[pos[j]] |= 1 << k
+            entry[k] = (links[pos[j]], i)
+    inner = sum(level)  # the pairs touching no forest edge
+    base = int(f"{base:0{len(pairs)}b}"[::-1], 2)  # in decreasing order too
+    held = {}  # (position, lead bit_length): the check holding that lead
+    forest_fails = False
+    for z in kernel:
+        t = len(free) - 1
+        while z & inner:
+            while not z & level[t]:
+                t -= 1
+            lead = t, (z & level[t]).bit_length()
+            if lead not in held:
+                held[lead] = z
+                break
+            z ^= held[lead]
+        else:  # every pair touches the forest: the sum is 0
+            forest_fails |= (z & base).bit_count() % 2 == 1
+
     fire_mask = [0] * len(free)
     rhs_mask = 0
-    forest_fails = False
-    for c, z in enumerate(checks):
+    for c, ((t, _), z) in enumerate(sorted(held.items())):
         bit = 1 << c
-        rhs = (z & sorted_base).bit_count() & 1
-        v = z >> low
-        if not v:  # every pair touches the forest: the sum is 0
-            forest_fails |= rhs == 1
-            continue
+        fire_mask[t] |= bit
+        rhs_mask |= ((z & base).bit_count() & 1) << c
+        v = z & inner
         while v:
             lowest = v & -v
             row, j = entry[lowest.bit_length() - 1]
             row[j] = row.get(j, 0) ^ bit
             v ^= lowest
-        fire_mask[depth[coords[z.bit_length() - 1]]] |= bit
-        rhs_mask |= rhs << c
     return _Checks(forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
 
 

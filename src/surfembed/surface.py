@@ -252,7 +252,11 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "surface" or head[1] not in ("S", "M"):
         raise SurfaceError(f"bad surface header: {lines[0]!r}")
-    spec = SurfaceSpec(head[1], int(head[2]))
+    try:
+        genus = int(head[2])
+    except ValueError:
+        raise SurfaceError(f"bad surface header: {lines[0]!r}") from None
+    spec = SurfaceSpec(head[1], genus)
     drawing_lines = []
     passes_lines = []
     order = None
@@ -268,7 +272,10 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
                 raise SurfaceError(f"bad order line: {ln!r}")
             if order is not None:
                 raise SurfaceError(f"repeated order line: {ln!r}")
-            order = [int(x) for x in parts[2:]]
+            try:
+                order = [int(x) for x in parts[2:]]
+            except ValueError:
+                raise SurfaceError(f"bad order line: {ln!r}") from None
         else:
             raise SurfaceError(f"unknown surface drawing line: {ln!r}")
     core = parse_drawing("\n".join(drawing_lines) + "\n")
@@ -278,10 +285,13 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
         parts = ln.split()
         if len(parts) < 3 or parts[2] != ":":
             raise SurfaceError(f"bad passes line: {ln!r}")
-        e = int(parts[1])
+        try:
+            e, vec = int(parts[1]), [int(x) for x in parts[3:]]
+        except ValueError:
+            raise SurfaceError(f"bad passes line: {ln!r}") from None
         if not 0 <= e < m or passes[e] is not None:
             raise SurfaceError(f"bad edge id in passes line: {ln!r}")
-        passes[e] = [int(x) for x in parts[3:]]
+        passes[e] = vec
     if any(v is None for v in passes):
         raise SurfaceError("missing passes line for some edge")
     if order is None:

@@ -470,6 +470,31 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error", "error"]
 
 
+def test_a_field_that_is_no_integer_names_its_line(tmp_path, capsys):
+    # Each parser names the line of a field that is no integer, and the
+    # command exits 3 with that one error line.
+    graph = "graph 3\n0 1\n1 2\n"
+    drawing = "drawing\nvertex 0 0 0\nvertex 1 1 0\nedge 0 : 0 0 1 0\n"
+    surface = "surface S 0\n" + drawing + "passes 0 :\norder : 0\n"
+    cases = [
+        (["solve", "--genus", "0", "--graph"], graph, "1 2", "1 x", "edge"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex v 1 0", "vertex"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex 1 1/0 0", "vertex"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge e : 0 0 1 0", "edge"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge 0 : 0 0 y 0", "edge"),
+        (["verify", "--surface-drawing"], surface, "surface S 0", "surface S g", None),
+        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes p :", "passes"),
+        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes 0 : x", "passes"),
+        (["verify", "--surface-drawing"], surface, "order : 0", "order : x", "order"),
+    ]
+    for command, text, line, spoiled, kind in cases:
+        assert main(command + [_write(tmp_path, "good.txt", text)]) == 0, command
+        capsys.readouterr()
+        assert main(command + [_write(tmp_path, "bad.txt", text.replace(line, spoiled))]) == 3, spoiled
+        head = f"bad {kind} line" if kind else "bad surface header"
+        assert capsys.readouterr().err.splitlines() == [f"error: {head}: {spoiled!r}"]
+
+
 def _malformable_files():
     """Small valid inputs of every kind: K4, its convex drawing, its parity
     and signed crossing matrices, a two-row factor of each kind and the

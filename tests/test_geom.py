@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from surfembed.geom import (
     _in_box,
-    bbox_disjoint,
     box_pairs,
     classify_segments,
     intersection_point,
@@ -31,6 +30,17 @@ def _all_pairs(pls, only):
         for sj in range(len(pls[j]) - 1)
         if i < j or si < sj
     ]
+
+
+def bbox_disjoint(a, b, c, d):
+    """The closed boxes of segments [a, b] and [c, d] do not meet: the
+    oracle of box_pairs, and a "none" for classify_segments."""
+    return (
+        max(a[0], b[0]) < min(c[0], d[0])
+        or max(c[0], d[0]) < min(a[0], b[0])
+        or max(a[1], b[1]) < min(c[1], d[1])
+        or max(c[1], d[1]) < min(a[1], b[1])
+    )
 
 
 def _segments(pls, pair):

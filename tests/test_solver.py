@@ -278,6 +278,51 @@ def _relabelled(g, rng):
     return Graph(g.vertex_count, edges)
 
 
+def test_search_answers_keep_five_metamorphic_relations():
+    """Relations that hold for any exact decider, checked wherever both
+    sides are decided: a relabelled copy gets the same answer, and a "yes"
+    on S_g is one on S_{g+1} and on M_{2g+1}, one on M_m is one on M_{m+1},
+    and one for G is one for G - e.  Each relation meets a "no" on both
+    sides and a "yes" on both sides."""
+    rng = random.Random(49)
+    surfaces = [("S", h) for h in range(4)] + [("M", m) for m in range(1, 7)]
+    budget = SolverBudget(max_nodes=60_000)  # K7 is "no" on M2 in 54,911
+
+    def answers(g):
+        call = _Call(g, budget)
+        return {s: _search(g, SurfaceSpec(*s), call)[0] for s in surfaces}
+
+    checked = set()
+
+    def keeps_yes(relation, a, b):
+        if "unknown" not in (a, b):
+            assert a == "no" or b == "yes", relation
+            checked.add((relation, a, b))
+
+    graphs = [complete_graph(6), complete_graph(7)]
+    graphs += [complete_bipartite(3, 4), complete_bipartite(3, 5), complete_bipartite(4, 4)]
+    for _ in range(30):
+        n = rng.randrange(6, 10)
+        possible = list(itertools.combinations(range(n), 2))
+        rng.shuffle(possible)
+        graphs.append(Graph(n, possible[: rng.randrange(2 * n, min(len(possible), 3 * n) + 1)]))
+    for g in graphs:
+        ans, relabelled = answers(g), answers(_relabelled(g, rng))
+        k = rng.randrange(g.edge_count)
+        smaller = answers(Graph(g.vertex_count, g.edges[:k] + g.edges[k + 1 :]))
+        for s in surfaces:
+            keeps_yes("relabelled", ans[s], relabelled[s])
+            keeps_yes("relabelled", relabelled[s], ans[s])
+            keeps_yes("G - e", ans[s], smaller[s])
+        for h in range(3):
+            keeps_yes("S_g+1", ans["S", h], ans["S", h + 1])
+            keeps_yes("M_2g+1", ans["S", h], ans["M", 2 * h + 1])
+        for m in range(1, 6):
+            keeps_yes("M_m+1", ans["M", m], ans["M", m + 1])
+    for relation in ("relabelled", "G - e", "S_g+1", "M_2g+1", "M_m+1"):
+        assert {(relation, "no", "no"), (relation, "yes", "yes")} <= checked, relation
+
+
 @pytest.mark.parametrize("m, n", [(3, 7), (5, 5)])
 def test_kmn_torus_no_within_300k_nodes(m, n):
     assert kmn_lower_bound(m, n) == 2
@@ -607,10 +652,35 @@ def _reference_checks(g):
     return solver._Checks(forest_fails, free, fire_mask, rhs_mask, [list(row.items()) for row in links])
 
 
+def _affine_checks(g, checks):
+    """For each position t, the checks firing at or before t, each as the
+    mask over g.pairs of its non-forest pairs, rebuilt from links, with its
+    right-hand side as bit len(g.pairs)."""
+    index = {frozenset(pair): k for k, pair in enumerate(g.pairs)}
+    support = {}
+    for t, row in enumerate(checks.links):
+        for j, held in row:
+            k = index[frozenset((checks.free[t], j))]
+            for c in _set_bits(held):
+                support[c] = support.get(c, 0) ^ 1 << k
+    firing, out = [], []
+    for fires in checks.fire_mask:
+        firing += [support[c] | (checks.rhs_mask >> c & 1) << len(g.pairs) for c in _set_bits(fires)]
+        out.append(list(firing))
+    return out
+
+
+def _same_span(a, b, width):
+    rank = [rank_gf2(BitMatrix(len(rows), width, rows)) for rows in (a, b, a + b)]
+    return rank[0] == rank[1] == rank[2]
+
+
 def test_setup_matches_the_transposed_generators_reference():
     """The packed set-up against per-label, per-pair and per-check
-    references: the finger-move generators, their pair columns and the
-    laid-out checks, bit for bit."""
+    references: the finger-move generators and their pair columns bit for
+    bit, and laid-out checks that prune as the reference's do: the same
+    free edges and forest test, and at every position the same affine
+    space of checks firing by then."""
     rng = random.Random(46)
     for g in _setup_graphs(rng, 320):
         pairs = g.pairs
@@ -627,7 +697,26 @@ def test_setup_matches_the_transposed_generators_reference():
         for (e, v), gen in zip(labels, gens):
             by_row[n * m - 1 - (v * m + e)] = gen
         assert finger_move_columns(g) == BitMatrix(n * m, len(pairs), by_row).transpose().data, g.edges
-        assert _Call(g).checks == _reference_checks(g), g.edges
+        checks, ref = _Call(g).checks, _reference_checks(g)
+        assert (checks.free, checks.forest_fails) == (ref.free, ref.forest_fails), g.edges
+        for t, (a, b) in enumerate(zip(_affine_checks(g, checks), _affine_checks(g, ref))):
+            assert _same_span(a, b, len(pairs) + 1), (g.edges, t)
+
+
+def test_a_search_with_the_reference_checks_is_the_same_search():
+    # Any layout whose checks span the same affine space at each position
+    # passes the same candidates: answers, assignments and nodes agree.
+    rng = random.Random(48)
+    surfaces = [SurfaceSpec("S", h) for h in range(4)] + [SurfaceSpec("M", m) for m in range(1, 5)]
+    seen = set()
+    for g in _random_graphs(rng, 60, (5, 10)):
+        call, ref = _Call(g, SolverBudget(max_nodes=5_000)), _Call(g, SolverBudget(max_nodes=5_000))
+        ref.checks = _reference_checks(g)
+        for spec in surfaces:
+            result = _search(g, spec, call)
+            assert _search(g, spec, ref) == result, (g.edges, spec)
+            seen.add(result[0])
+    assert seen == {"yes", "no", "unknown"}
 
 
 def test_the_row_order_of_the_pair_columns_changes_no_layout(monkeypatch):
