@@ -29,7 +29,7 @@ from .gf2 import (
     parse_bitmatrix,
     serialize_bitmatrix,
 )
-from .graph import parse_graph
+from .graph import parse_graph, parse_int
 from .intmat import factor_alternating, parse_intmatrix, serialize_intmatrix
 from .layout import verify_geometric
 from .solver import (
@@ -97,9 +97,14 @@ def _emit_pairs(report, structured):
 
 def _parse_surface_arg(s):
     parts = s.split(":")
-    if len(parts) != 2 or parts[0] not in ("S", "M"):
-        raise ValueError(f"bad surface {s!r}, expected S:g or M:m")
-    return SurfaceSpec(parts[0], int(parts[1]))
+    if len(parts) == 2 and parts[0] in ("S", "M"):
+        try:
+            genus = parse_int(parts[1])
+        except ValueError:
+            pass
+        else:
+            return SurfaceSpec(parts[0], genus)
+    raise ValueError(f"bad surface {s!r}, expected S:g or M:m")
 
 
 def _cmd_crossings(args):

@@ -21,7 +21,7 @@ from .geom import (
     strictly_inside_segment,
 )
 from .gf2 import BitMatrix, Gf2Elimination, solve_gf2
-from .graph import Graph
+from .graph import Graph, parse_int
 from .intmat import IntMatrix
 
 
@@ -759,7 +759,7 @@ def parse_drawing(text: str) -> PlanarDrawing:
             if len(parts) != 4:
                 raise ValueError(f"bad vertex line: {ln!r}")
             try:
-                vid, point = int(parts[1]), (_parse_rat(parts[2]), _parse_rat(parts[3]))
+                vid, point = parse_int(parts[1]), (_parse_rat(parts[2]), _parse_rat(parts[3]))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad vertex line: {ln!r}") from None
             if vid in vpts:
@@ -772,7 +772,7 @@ def parse_drawing(text: str) -> PlanarDrawing:
             if len(coords) % 2:
                 raise ValueError(f"odd coordinate count: {ln!r}")
             try:
-                eid = int(parts[1])
+                eid = parse_int(parts[1])
                 pl = [(_parse_rat(coords[k]), _parse_rat(coords[k + 1])) for k in range(0, len(coords), 2)]
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad edge line: {ln!r}") from None
@@ -809,11 +809,14 @@ def serialize_drawing(d: PlanarDrawing) -> str:
 
 
 def _parse_rat(s: str) -> Fraction:
-    """The number s, `p` or `p/q`; ZeroDivisionError when q is 0."""
-    if "/" in s:
-        num, den = (int(x) for x in s.split("/"))
-        return Fraction(num, den)
-    return Fraction(int(s))
+    """The number s, `p` or `p/q` with q digits only; ZeroDivisionError
+    when q is 0."""
+    if "/" not in s:
+        return Fraction(parse_int(s))
+    num, den = s.split("/", 1)
+    if den[:1] == "-":
+        raise ValueError(f"negative denominator: {s!r}")
+    return Fraction(parse_int(num), parse_int(den))
 
 
 def _fmt_rat(f: Fraction) -> str:

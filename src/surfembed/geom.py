@@ -6,6 +6,7 @@ floating point, no epsilons.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from fractions import Fraction
 from operator import itemgetter
 
@@ -126,19 +127,23 @@ def integer_image(point_lists):
     return den, [[scale(p) for p in pts] for pts in point_lists]
 
 
-def box_pairs(polylines, only: int = None) -> list[tuple[int, int, int, int]]:
+def box_pairs(polylines, only: int = None, *, across: bool = False) -> list[tuple[int, int, int, int]]:
     """Segment pairs (i, si, j, sj) of the polylines whose closed boxes meet.
 
     Segment si of polylines[i] runs from point si to point si + 1.  Pairs
     have i < j, or i == j and si < sj, and come in the order of the nested
     loops over i, j >= i, si, sj.  With only given, just the pairs with
-    i == only or j == only.  Every pair that classify_segments does not call
-    "none" is among them.
+    i == only or j == only; with across, just the pairs with i < j.  Every
+    pair that classify_segments does not call "none" is among them.
 
-    An x-sorted sweep (Shamos-Hoey): segments enter by their left x, an
-    active list keeps those whose right x is not yet passed, and the y
-    ranges are compared with closed tests, so boxes touching in a single
-    coordinate are reported.  Exact for int and Fraction coordinates.
+    An x-sorted sweep (Shamos-Hoey): segments enter by their left x, and
+    the active ones are those whose right x is not yet passed.  Flat
+    active segments (both ends at one height) are kept sorted by height,
+    so a new segment finds those in its y range by bisection, and an
+    expired one is dropped when a query reaches it; the other active
+    segments are scanned one by one.  Ranges are compared with closed
+    tests, so boxes touching in a single coordinate are reported.  Exact
+    for int and Fraction coordinates.
     """
     segs = []
     for i, pl in enumerate(polylines):
@@ -151,23 +156,38 @@ def box_pairs(polylines, only: int = None) -> list[tuple[int, int, int, int]]:
             segs.append((ax, bx, ay, by, i, s))
     segs.sort(key=itemgetter(0))
     out = []
-    # With only given, a segment of another polyline is tested against the
-    # active segments of only, and only's segments against both lists.
-    mine = []
-    rest = []
+    # Each group holds its flat segments, sorted by height, and its other
+    # segments.  With only given, a segment of another polyline is tested
+    # against the group of only, and only's segments against both groups.
+    height = itemgetter(2)
+    mine = ([], [])
+    rest = ([], [])
     for seg in segs:
         x0, _, y0, y1, i, s = seg
-        own = only is None or i == only
-        for active in (mine, rest) if own else (mine,):
+        for flat, active in (mine, rest) if i == only else (mine,):
+            k = bisect_left(flat, y0, key=height)
+            while k < len(flat) and flat[k][2] <= y1:
+                a = flat[k]
+                if a[1] < x0:
+                    del flat[k]
+                    continue
+                k += 1
+                if not (across and a[4] == i):
+                    j, t = a[4], a[5]
+                    out.append((i, s, j, t) if (i, s) < (j, t) else (j, t, i, s))
             keep = []
             for a in active:
                 if a[1] >= x0:
                     keep.append(a)
-                    if a[3] >= y0 and y1 >= a[2]:
+                    if a[3] >= y0 and y1 >= a[2] and not (across and a[4] == i):
                         j, t = a[4], a[5]
                         out.append((i, s, j, t) if (i, s) < (j, t) else (j, t, i, s))
             active[:] = keep
-        (mine if own else rest).append(seg)
+        flat, active = mine if only is None or i == only else rest
+        if y0 == y1:
+            insort(flat, seg, key=height)
+        else:
+            active.append(seg)
     out.sort(key=itemgetter(0, 2, 1, 3))
     return out
 

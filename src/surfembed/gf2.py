@@ -11,6 +11,8 @@ a popcount.
 
 from __future__ import annotations
 
+from .graph import parse_int
+
 
 class Gf2Error(ValueError):
     pass
@@ -313,7 +315,10 @@ def parse_bitmatrix(text: str) -> BitMatrix:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "gf2":
         raise Gf2Error(f"bad gf2 header: {lines[0]!r}")
-    rows, cols = int(head[1]), int(head[2])
+    try:
+        rows, cols = parse_int(head[1]), parse_int(head[2])
+    except ValueError:
+        raise Gf2Error(f"bad gf2 header: {lines[0]!r}") from None
     if len(lines) - 1 != rows:
         raise Gf2Error(f"expected {rows} rows, got {len(lines) - 1}")
     m = BitMatrix(rows, cols)
@@ -324,7 +329,7 @@ def parse_bitmatrix(text: str) -> BitMatrix:
         acc = 0
         for j, v in enumerate(vals):
             if v not in ("0", "1"):
-                raise Gf2Error(f"bad entry {v!r}")
+                raise Gf2Error(f"bad row line: {ln!r}")
             if v == "1":
                 acc |= 1 << j
         m.data[i] = acc

@@ -88,6 +88,15 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph(m + n, edges)
 
 
+def parse_int(s: str) -> int:
+    """The integer written s, ASCII -?[0-9]+, the one integer reader of the
+    text formats; ValueError on anything else.  Plain int() also takes
+    underscores, a sign "+", surrounding spaces and non-ASCII digits."""
+    if not (s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())):
+        raise ValueError(f"not an integer: {s!r}")
+    return int(s)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format: `graph <n>` then one `u v` line per edge."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -97,16 +106,16 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2 or head[0] != "graph":
         raise GraphError(f"bad graph header: {lines[0]!r}")
     try:
-        n = int(head[1])
+        n = parse_int(head[1])
     except ValueError:
-        raise GraphError(f"bad vertex count: {head[1]!r}")
+        raise GraphError(f"bad graph header: {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line: {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((parse_int(parts[0]), parse_int(parts[1])))
         except ValueError:
             raise GraphError(f"bad edge line: {ln!r}") from None
     return Graph(n, edges)

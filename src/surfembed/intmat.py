@@ -10,6 +10,8 @@ factor is exact, and each unit |B|_1 loses is one tube pass fewer to draw.
 
 from __future__ import annotations
 
+from .graph import parse_int
+
 
 class IntMatrixError(ValueError):
     pass
@@ -277,12 +279,18 @@ def parse_intmatrix(text: str) -> IntMatrix:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "int":
         raise IntMatrixError(f"bad int header: {lines[0]!r}")
-    rows, cols = int(head[1]), int(head[2])
+    try:
+        rows, cols = parse_int(head[1]), parse_int(head[2])
+    except ValueError:
+        raise IntMatrixError(f"bad int header: {lines[0]!r}") from None
     if len(lines) - 1 != rows:
         raise IntMatrixError(f"expected {rows} rows, got {len(lines) - 1}")
     data = []
     for ln in lines[1:]:
-        vals = [int(v) for v in ln.split()]
+        try:
+            vals = [parse_int(v) for v in ln.split()]
+        except ValueError:
+            raise IntMatrixError(f"bad row line: {ln!r}") from None
         if len(vals) != cols:
             raise IntMatrixError(f"row has {len(vals)} entries, expected {cols}")
         data.append(vals)

@@ -238,7 +238,8 @@ def _count_crossings(curves, labels):
 
     Works on the int points of _build_curves, in int arithmetic, and
     classifies only the segment pairs of different curves whose boxes meet
-    (geom.box_pairs).  Two curves may touch only at a point that is an end
+    (geom.box_pairs with across, which never lists a pair within one
+    curve).  Two curves may touch only at a point that is an end
     of both curves and of both segments, the rule of
     drawing._edge_crossings: each curve joins its edge's vertex points,
     which the core's table has checked distinct, so that point is a vertex
@@ -250,9 +251,7 @@ def _count_crossings(curves, labels):
     # Crossing points are reduced integer triples.
     points = []
     table = {(i, j): [] for i in range(m) for j in range(i + 1, m)}
-    for i, si, j, sj in box_pairs(curves):
-        if i == j:
-            continue
+    for i, si, j, sj in box_pairs(curves, across=True):
         pli, plj = curves[i], curves[j]
         a, b = pli[si], pli[si + 1]
         c, d = plj[sj], plj[sj + 1]

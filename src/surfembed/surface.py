@@ -25,6 +25,7 @@ from .drawing import (
     serialize_drawing,
 )
 from .gf2 import BitMatrix
+from .graph import parse_int
 from .intmat import IntMatrix
 
 
@@ -253,7 +254,7 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
     if len(head) != 3 or head[0] != "surface" or head[1] not in ("S", "M"):
         raise SurfaceError(f"bad surface header: {lines[0]!r}")
     try:
-        genus = int(head[2])
+        genus = parse_int(head[2])
     except ValueError:
         raise SurfaceError(f"bad surface header: {lines[0]!r}") from None
     spec = SurfaceSpec(head[1], genus)
@@ -273,7 +274,7 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
             if order is not None:
                 raise SurfaceError(f"repeated order line: {ln!r}")
             try:
-                order = [int(x) for x in parts[2:]]
+                order = [parse_int(x) for x in parts[2:]]
             except ValueError:
                 raise SurfaceError(f"bad order line: {ln!r}") from None
         else:
@@ -286,7 +287,7 @@ def parse_surface_drawing(text: str, mode: str = "z2") -> SurfaceDrawing:
         if len(parts) < 3 or parts[2] != ":":
             raise SurfaceError(f"bad passes line: {ln!r}")
         try:
-            e, vec = int(parts[1]), [int(x) for x in parts[3:]]
+            e, vec = parse_int(parts[1]), [parse_int(x) for x in parts[3:]]
         except ValueError:
             raise SurfaceError(f"bad passes line: {ln!r}") from None
         if not 0 <= e < m or passes[e] is not None:

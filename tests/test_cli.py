@@ -472,27 +472,59 @@ def test_input_errors_exit_three(tmp_path, capsys):
 
 def test_a_field_that_is_no_integer_names_its_line(tmp_path, capsys):
     # Each parser names the line of a field that is no integer, and the
-    # command exits 3 with that one error line.
+    # command exits 3 with that one error line.  An integer is ASCII
+    # -?[0-9]+ and a denominator digits only: underscores, a sign "+" and
+    # non-ASCII digits, which int() takes, are refused too.
     graph = "graph 3\n0 1\n1 2\n"
     drawing = "drawing\nvertex 0 0 0\nvertex 1 1 0\nedge 0 : 0 0 1 0\n"
     surface = "surface S 0\n" + drawing + "passes 0 :\norder : 0\n"
+    bits = "gf2 2 2\n0 1\n1 0\n"
+    ints = "int 2 2\n0 1\n-1 0\n"
     cases = [
-        (["solve", "--genus", "0", "--graph"], graph, "1 2", "1 x", "edge"),
-        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex v 1 0", "vertex"),
-        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex 1 1/0 0", "vertex"),
-        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge e : 0 0 1 0", "edge"),
-        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge 0 : 0 0 y 0", "edge"),
-        (["verify", "--surface-drawing"], surface, "surface S 0", "surface S g", None),
-        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes p :", "passes"),
-        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes 0 : x", "passes"),
-        (["verify", "--surface-drawing"], surface, "order : 0", "order : x", "order"),
+        (["solve", "--genus", "0", "--graph"], graph, "1 2", "1 x", "bad edge line"),
+        (["solve", "--genus", "0", "--graph"], graph, "1 2", "1 +2", "bad edge line"),
+        (["solve", "--genus", "0", "--graph"], graph, "1 2", "1 \u0662", "bad edge line"),
+        (["solve", "--genus", "0", "--graph"], graph, "0 1", "0_0 1", "bad edge line"),
+        (["solve", "--genus", "0", "--graph"], graph, "graph 3", "graph 0_3", "bad graph header"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex v 1 0", "bad vertex line"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex 1 1/0 0", "bad vertex line"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex 1 1 0/-1", "bad vertex line"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex +1 1 0", "bad vertex line"),
+        (["crossings", "--drawing"], drawing, "vertex 1 1 0", "vertex 1 \u0661 0", "bad vertex line"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge e : 0 0 1 0", "bad edge line"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge 0 : 0 0 y 0", "bad edge line"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge 0 : 0 0 1 0/-2", "bad edge line"),
+        (["crossings", "--drawing"], drawing, "edge 0 : 0 0 1 0", "edge 0 : 0_0 0 1 0", "bad edge line"),
+        (["verify", "--surface-drawing"], surface, "surface S 0", "surface S g", "bad surface header"),
+        (["verify", "--surface-drawing"], surface, "surface S 0", "surface S +0", "bad surface header"),
+        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes p :", "bad passes line"),
+        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes 0 : x", "bad passes line"),
+        (["verify", "--surface-drawing"], surface, "passes 0 :", "passes \u0660 :", "bad passes line"),
+        (["verify", "--surface-drawing"], surface, "order : 0", "order : x", "bad order line"),
+        (["verify", "--surface-drawing"], surface, "order : 0", "order : 0_0", "bad order line"),
+        (["factor", "--mode", "even", "--matrix"], bits, "gf2 2 2", "gf2 2 x", "bad gf2 header"),
+        (["factor", "--mode", "even", "--matrix"], bits, "gf2 2 2", "gf2 +2 2", "bad gf2 header"),
+        (["factor", "--mode", "even", "--matrix"], bits, "1 0", "1 \u0660", "bad row line"),
+        (["factor", "--mode", "alternating", "--matrix"], ints, "int 2 2", "int 2 y", "bad int header"),
+        (["factor", "--mode", "alternating", "--matrix"], ints, "int 2 2", "int 2 2_0", "bad int header"),
+        (["factor", "--mode", "alternating", "--matrix"], ints, "0 1", "0 +1", "bad row line"),
+        (["factor", "--mode", "alternating", "--matrix"], ints, "-1 0", "-1 \u0660", "bad row line"),
     ]
-    for command, text, line, spoiled, kind in cases:
+    for command, text, line, spoiled, head in cases:
         assert main(command + [_write(tmp_path, "good.txt", text)]) == 0, command
         capsys.readouterr()
         assert main(command + [_write(tmp_path, "bad.txt", text.replace(line, spoiled))]) == 3, spoiled
-        head = f"bad {kind} line" if kind else "bad surface header"
         assert capsys.readouterr().err.splitlines() == [f"error: {head}: {spoiled!r}"]
+    # The genus of --surface S:g is read the same way.
+    k2 = _write(tmp_path, "k2.g", "graph 2\n0 1\n")
+    d = _write(tmp_path, "k2.d", "drawing\nvertex 0 0 0\nvertex 1 1 0\nedge 0 : 0 0 1 0\n")
+    y = _write(tmp_path, "y.m", "gf2 2 1\n0\n0\n")
+    command = ["construct", "--graph", k2, "--drawing", d, "--factor", y]
+    assert main(command + ["--surface", "S:1"]) == 0
+    capsys.readouterr()
+    for surface in ("S:x", "S:+1", "S:1_0", "S:\u0661"):
+        assert main(command + ["--surface", surface]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: bad surface {surface!r}, expected S:g or M:m"]
 
 
 def _malformable_files():

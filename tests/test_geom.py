@@ -16,6 +16,23 @@ from surfembed.geom import (
 
 coord = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
 polylines = st.lists(st.lists(st.tuples(coord, coord), min_size=2, max_size=5), min_size=1, max_size=4)
+grid = st.integers(0, 2)
+
+
+@st.composite
+def _axis_polyline(draw):
+    """A polyline on the 3x3 grid whose every step moves along one axis,
+    zero-length steps included."""
+    x, y = draw(grid), draw(grid)
+    pts = [(x, y)]
+    for horizontal, c in draw(st.lists(st.tuples(st.booleans(), grid), min_size=1, max_size=4)):
+        x, y = (c, y) if horizontal else (x, c)
+        pts.append((x, y))
+    return pts
+
+
+# Many flat segments at one height, and many common ends.
+axis_polylines = st.lists(_axis_polyline(), min_size=1, max_size=4)
 
 
 def _all_pairs(pls, only):
@@ -49,11 +66,14 @@ def _segments(pls, pair):
 
 
 @settings(max_examples=300, deadline=None)
-@given(polylines, st.data())
+@given(polylines | axis_polylines, st.data())
 def test_box_pairs_are_the_meeting_boxes_in_nested_order(pls, data):
     only = data.draw(st.none() | st.integers(0, len(pls) - 1))
-    pairs = box_pairs(pls, only)
+    across = data.draw(st.booleans())
+    pairs = box_pairs(pls, only, across=across)
     everything = _all_pairs(pls, only)
+    if across:
+        everything = [p for p in everything if p[0] != p[2]]
     assert pairs == [p for p in everything if not bbox_disjoint(*_segments(pls, p))]
     # Whatever classify_segments finds is among the reported pairs.
     reported = set(pairs)

@@ -10,7 +10,7 @@ import pytest
 
 from surfembed import layout as layout_module
 from surfembed.drawing import convex_drawing
-from surfembed.geom import GeneralPositionError, integer_image, orient
+from surfembed.geom import GeneralPositionError, box_pairs, integer_image, orient
 from surfembed.graph import Graph, complete_bipartite, complete_graph
 from surfembed.intmat import IntMatrix, factor_alternating
 from surfembed.layout import DISK, _build_curves, _count_crossings, verify_geometric
@@ -132,6 +132,15 @@ def test_box_pruned_count_matches_all_pairs_on_witnesses(g):
     sd = z2_genus(g, "orientable").witness.surface_drawing
     for attempt in range(3):
         assert isinstance(_outcome(sd, attempt), dict)
+
+
+def test_the_k7_witness_layout_has_549_of_754_box_pairs_between_curves():
+    sd = z2_genus(complete_graph(7), "orientable").witness.surface_drawing
+    _, curves, _ = _build_curves(sd, 0)
+    pairs = box_pairs(curves)
+    across = box_pairs(curves, across=True)
+    assert across == [p for p in pairs if p[0] != p[2]]
+    assert (len(across), len(pairs)) == (549, 754)
 
 
 # The layout as it was in Fraction arithmetic, kept as the reference for
