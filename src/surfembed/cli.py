@@ -95,6 +95,14 @@ def _emit_pairs(report, structured):
             print(f"pair {i} {j}: {val}")
 
 
+def _int_arg(s):
+    """An integer option, read as the text formats read an integer."""
+    try:
+        return parse_int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
+
+
 def _parse_surface_arg(s):
     parts = s.split(":")
     if len(parts) == 2 and parts[0] in ("S", "M"):
@@ -287,18 +295,18 @@ def build_parser():
     c = sub.add_parser("solve", help="decide Z2-embeddability", parents=[common])
     c.add_argument("--graph", required=True)
     grp = c.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--genus", type=int)
-    grp.add_argument("--crosscaps", type=int)
-    grp.add_argument("--euler", type=int)
-    c.add_argument("--budget-nodes", type=int, default=SolverBudget.max_nodes)
+    grp.add_argument("--genus", type=_int_arg)
+    grp.add_argument("--crosscaps", type=_int_arg)
+    grp.add_argument("--euler", type=_int_arg)
+    c.add_argument("--budget-nodes", type=_int_arg, default=SolverBudget.max_nodes)
     c.add_argument("--time-cap", type=float, metavar="SECONDS")
     c.add_argument("--witness-out")
     c.set_defaults(func=_cmd_solve)
 
     c = sub.add_parser("bound", help="genus lower bounds", parents=[common])
     grp = c.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--kmn", type=int, nargs=2)
-    grp.add_argument("--k2n", type=int)
+    grp.add_argument("--kmn", type=_int_arg, nargs=2)
+    grp.add_argument("--k2n", type=_int_arg)
     c.set_defaults(func=_cmd_bound)
 
     c = sub.add_parser("construct", help="build a surface drawing from a factor", parents=[common])

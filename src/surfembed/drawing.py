@@ -90,8 +90,13 @@ class PlanarDrawing:
 
 
 def _rational(p) -> Point:
-    """p with Fraction coordinates; a Fraction is kept as it is."""
+    """p with Fraction coordinates; a Fraction is kept as it is.  Only an
+    int (bool is none) or a Fraction is exact: Fraction() would also take
+    a float's binary value, a string or True."""
     x, y = p
+    for name, c in (("x", x), ("y", y)):
+        if type(c) is not int and type(c) is not Fraction:
+            raise ValueError(f"point {p!r}: {name} coordinate {c!r} is no int or Fraction")
     return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 

@@ -78,22 +78,21 @@ def _ribbon_frames(surface, s):
 
 def _lane_path(frame, j, total, label, feet, s):
     """Polyline of lane j of total through the ribbon, from foot0 to foot1
-    at the feet line, with the per-segment ribbon label."""
+    at the feet line, and the ribbon label of its three segments."""
     kind, left0, left1, top, depth = frame
     step = s // (total + 1)
     x_in = left0 + (j + 1) * step
     bar = top - (j + 1) * (depth // (total + 1))
     if kind == "staple":
         x_out = left1 + (total - j) * step
-        labs = [label] * 3
     else:
         # Twisted ribbon: slot order is preserved across the two feet, so
         # the lane arcs are pairwise disjoint on the surface; their rainbow
         # images cross once per pair in the plane, on different sheets of
         # the immersed band.  Per-lane labels make those crossings artifacts.
         x_out = left1 + (j + 1) * step
-        labs = [(label, j)] * 3
-    return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], labs
+        label = (label, j)
+    return [(x_in, feet), (x_in, bar), (x_out, bar), (x_out, feet)], label
 
 
 def _pick_attachment(polyline, vpts, own_ends, used_x, attempt):
@@ -177,11 +176,8 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
         used_x.add(p2[0])
         lanes = []
         for k, j, forward in plans[e]:
-            lane_pts, lane_labs = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
-            if not forward:
-                lane_pts = lane_pts[::-1]
-                lane_labs = lane_labs[::-1]
-            lanes.append((lane_pts, lane_labs))
+            lane_pts, label = _lane_path(frames[k], j, totals[k], ("rib", k), feet, scale)
+            lanes.append((lane_pts if forward else lane_pts[::-1], label))
         # The runs go from p1 to the first lane, from each lane's exit to
         # the next lane's entry, and from the last lane to p2.
         keys.append((0, -p1[0]))
@@ -201,33 +197,24 @@ def _build_curves(sd: SurfaceDrawing, attempt: int):
     labels = []
     for e in range(g.edge_count):
         pl = polys[e]
-        if e not in corridors:
-            curves.append(list(pl))
-            labels.append([DISK] * (len(pl) - 1))
-            continue
-        s, p1, p2, lanes = corridors[e]
-        pts = list(pl[: s + 1]) + [p1]
-        labs = [DISK] * (s + 1)
-        level = next(levels)
-        pts.append((p1[0], level))
-        labs.append(DISK)
-        for lane_pts, lane_labs in lanes:
-            x_in = lane_pts[0][0]
-            pts.append((x_in, level))
-            labs.append(DISK)
-            pts.append((x_in, feet))
-            labs.append(DISK)
-            pts.extend(lane_pts[1:])
-            labs.extend(lane_labs)
+        # The start of each lane's three segments, with the lane's label.
+        runs = []
+        if e in corridors:
+            s, p1, p2, lanes = corridors[e]
             level = next(levels)
-            pts.append((lane_pts[-1][0], level))
-            labs.append(DISK)
-        pts.append((p2[0], level))
-        labs.append(DISK)
-        pts.append(p2)
-        labs.append(DISK)
-        pts.extend(pl[s + 1 :])
-        labs.extend([DISK] * (len(pl) - s - 1))
+            pts = [*pl[: s + 1], p1, (p1[0], level)]
+            for lane_pts, label in lanes:
+                # The bus run to the lane's first foot, the riser, the lane.
+                pts += [(lane_pts[0][0], level), *lane_pts]
+                runs.append((len(pts) - 4, label))
+                level = next(levels)
+                pts.append((lane_pts[-1][0], level))
+            pts += [(p2[0], level), p2, *pl[s + 1 :]]
+        else:
+            pts = list(pl)
+        labs = [DISK] * (len(pts) - 1)
+        for start, label in runs:
+            labs[start : start + 3] = [label] * 3
         curves.append(pts)
         labels.append(labs)
     return vpts, curves, labels

@@ -402,7 +402,6 @@ def _search(g: Graph, spec: SurfaceSpec, call: _Call):
                 placed_bits[e] = dual_bits
                 if dfs(t + 1, after, after_key):
                     return True
-        assign[e] = 0
         return False
 
     try:

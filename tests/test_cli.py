@@ -527,6 +527,25 @@ def test_a_field_that_is_no_integer_names_its_line(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [f"error: bad surface {surface!r}, expected S:g or M:m"]
 
 
+def test_an_integer_option_is_read_as_the_text_formats_read_one(tmp_path, capsys):
+    # argparse's int() also takes underscores, a sign "+" and non-ASCII
+    # digits; every integer option refuses them, as the file parsers do.
+    k5 = _k5(tmp_path)
+    cases = [(["bound"], "--k2n", "1_0", []), (["bound"], "--kmn", "+7", ["3"]), (["bound"], "--kmn", "\u0663", ["7"])]
+    for bad in ("1_0", "+7", "\u0663"):
+        cases += [(["solve", "--graph", k5], option, bad, []) for option in ("--genus", "--crosscaps", "--euler")]
+        cases.append((["solve", "--graph", k5, "--genus", "1"], "--budget-nodes", bad, []))
+    for command, option, bad, rest in cases:
+        argv = command + [option, bad] + rest
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: argument {option}: invalid int value: {bad!r}"], argv
+    assert main(["bound", "--kmn", "3", "7"]) == 0
+    assert main(["solve", "--graph", k5, "--euler", "-1", "--budget-nodes", "10"]) == 2
+    assert capsys.readouterr().out == "2\nUNKNOWN\n"
+
+
 def _malformable_files():
     """Small valid inputs of every kind: K4, its convex drawing, its parity
     and signed crossing matrices, a two-row factor of each kind and the

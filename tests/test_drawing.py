@@ -321,6 +321,22 @@ def test_drawing_serialize_roundtrip_exact():
     assert serialize_drawing(d2) == text
 
 
+def test_a_drawing_takes_exact_coordinates_only():
+    # Fraction() would take 0.1 as its binary value, "1/3" and True as 1/3
+    # and 1; a drawing refuses each and names the coordinate.
+    g = Graph(2, [(0, 1)])
+    d = PlanarDrawing(g, [(0, Fraction(1, 3)), (1, 0)], [[(0, Fraction(1, 3)), (1, 0)]])
+    for bad, name in ((0.1, "x coordinate 0.1"), (True, "x coordinate True"), ("1/3", "x coordinate '1/3'")):
+        with pytest.raises(ValueError, match=name):
+            PlanarDrawing(g, [(bad, 0), (1, 0)], [[(0, 0), (1, 0)]])
+        with pytest.raises(ValueError, match=name.replace("x", "y")):
+            PlanarDrawing(g, [(0, 0), (1, 0)], [[(0, 0), (Fraction(1, 2), bad), (1, 0)]])
+        with pytest.raises(ValueError, match=name):
+            d.with_polyline(0, [(0, Fraction(1, 3)), (bad, 1), (1, 0)])
+    assert all(type(c) is Fraction for p in d.vertex_points for c in p)
+    assert serialize_drawing(d) == "drawing\nvertex 0 0 1/3\nvertex 1 1 0\nedge 0 : 0 1/3 1 0\n"
+
+
 def test_parse_drawing_rejects_malformed():
     with pytest.raises(ValueError):
         parse_drawing("nope\n")
